@@ -1,10 +1,10 @@
 # Convenience targets for the REF reproduction.
 #
 # The CI workflow (.github/workflows/ci.yml) runs these same targets —
-# lint, test, coverage, smoke, bench-kernel, bench-solver,
-# cold-start-check, dynamic-smoke, serve-smoke, shard-smoke,
-# credit-smoke, regret-smoke — so `make ci` reproduces a full CI run
-# locally with zero drift.
+# lint, test, perfbench-check, coverage, smoke, bench-kernel,
+# bench-solver, cold-start-check, dynamic-smoke, serve-smoke,
+# shard-smoke, credit-smoke, regret-smoke — so `make ci` reproduces a
+# full CI run locally with zero drift.
 
 PYTHON ?= python
 JOBS ?= 2
@@ -15,8 +15,8 @@ SMOKE_ARTIFACTS := fig8a fig8b fig8c fig9 table1 table2
 # at the measured baseline rounded down; ratchet up, never down.
 COV_FLOOR ?= 80
 
-.PHONY: install test coverage bench bench-kernel bench-serve bench-solver \
-	cold-start-check examples reproduce \
+.PHONY: install test perfbench-check coverage bench bench-kernel bench-serve \
+	bench-solver cold-start-check examples reproduce \
 	lint smoke dynamic-smoke metrics-smoke serve-smoke shard-smoke \
 	credit-smoke regret-smoke ci clean
 
@@ -25,6 +25,18 @@ install:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The open-loop benchmark's self-tests, then an import of every module
+# its trace hook (perfbench/tracehook/sitecustomize.py) patches, with
+# the hook live.  The hook wraps bindings by name (e.g.
+# repro.dynamic.controller.apply_allocation_floors): one that is
+# renamed or removed fails here instead of crashing `--trace 1` runs.
+perfbench-check:
+	$(PYTHON) -m pytest perfbench/tests -q
+	PERFBENCH_TRACE_DIR=$$(mktemp -d) PYTHONPATH=perfbench/tracehook:src:$$PYTHONPATH \
+		$(PYTHON) -c "import importlib, sitecustomize; \
+		[importlib.import_module(name) for name in sitecustomize.PATCHES]; \
+		print('perfbench-check OK:', len(sitecustomize.PATCHES), 'patched modules import')"
 
 # The CI coverage job, runnable locally (needs pytest-cov installed):
 # line coverage over src/repro with a hard fail-under floor and an HTML
@@ -157,7 +169,7 @@ credit-smoke:
 # Mirrors .github/workflows/ci.yml job for job.  Coverage needs
 # pytest-cov; when it is missing locally the leg is skipped with a
 # notice instead of failing the whole run.
-ci: lint test smoke bench-kernel bench-solver cold-start-check dynamic-smoke \
+ci: lint test perfbench-check smoke bench-kernel bench-solver cold-start-check dynamic-smoke \
 		serve-smoke shard-smoke credit-smoke regret-smoke bench-serve
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(MAKE) coverage; \

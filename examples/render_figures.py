@@ -7,26 +7,17 @@ no plotting stack required.
 Run:  python examples/render_figures.py
 """
 
-from repro import weighted_system_throughput
 from repro.core import classify_many
-from repro.optimize import MECHANISMS
+from repro.experiments.throughput import throughput_rows
 from repro.profiling import OfflineProfiler
 from repro.viz import grouped_bars, hbar_chart, line_plot, stacked_shares
 from repro.workloads import (
     BENCHMARK_ORDER,
     EIGHT_CORE_MIXES,
     FOUR_CORE_MIXES,
-    build_mix_problem,
     get_mix,
     get_workload,
 )
-
-MECHANISM_ORDER = [
-    "Max Welfare w/ Fairness",
-    "Proportional Elasticity w/ Fairness",
-    "Max Welfare w/o Fairness",
-    "Equal Slowdown w/o Fairness",
-]
 
 
 def main() -> None:
@@ -72,14 +63,12 @@ def main() -> None:
         print("=" * 72)
         print(title)
         print("=" * 72)
-        series = {name: [] for name in MECHANISM_ORDER}
-        labels = []
-        for mix_name in mixes:
-            problem = build_mix_problem(mix_name, profiler=profiler)
-            labels.append(f"{mix_name} ({get_mix(mix_name).characterization})")
-            for name in MECHANISM_ORDER:
-                allocation = MECHANISMS[name](problem)
-                series[name].append(weighted_system_throughput(allocation))
+        rows = throughput_rows(profiler, mixes)
+        labels = [f"{mix} ({get_mix(mix).characterization})" for mix in mixes]
+        # Rows are keyed by legend label, already in legend order.
+        series = {
+            mechanism: [rows[mix][mechanism] for mix in mixes] for mechanism in rows[mixes[0]]
+        }
         print(grouped_bars(labels, series))
 
 

@@ -330,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: ref, closed form)",
     )
     dynamic.add_argument(
-        "--no-batch-refit", action="store_true",
-        help="refit each profiler eagerly per sample instead of one "
-        "batched fit per epoch (slower; same fits)",
-    )
-    dynamic.add_argument(
         "--fault-drop", type=float, default=0.0, metavar="P",
         help="probability a measurement is dropped (retried, then skipped)",
     )
@@ -631,8 +626,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .core import check_fairness, weighted_system_throughput
-    from .optimize import MECHANISMS
+    from .core import check_fairness, create_mechanism, weighted_system_throughput
+    from .experiments.throughput import MECHANISM_ORDER
     from .workloads import get_mix, get_workload, problem_from_fits
 
     mix = get_mix(args.mix)
@@ -640,11 +635,12 @@ def _cmd_evaluate(args) -> int:
         fits = profiler.fit_suite(get_workload(m) for m in set(mix.members))
     problem = problem_from_fits(mix, fits)
     print(f"{args.mix} ({mix.characterization}), {problem.n_agents} agents")
-    for name, mechanism in MECHANISMS.items():
-        allocation = mechanism(problem)
+    for name in MECHANISM_ORDER:
+        mechanism = create_mechanism(name)
+        allocation = mechanism.solve(problem)
         report = check_fairness(allocation, pe_rtol=1e-2)
         print(
-            f"{name:<38} throughput {weighted_system_throughput(allocation):7.4f}  "
+            f"{mechanism.label:<38} throughput {weighted_system_throughput(allocation):7.4f}  "
             f"SI={report.sharing_incentives} EF={report.envy_free}"
         )
     _export_metrics(args)
@@ -856,7 +852,6 @@ def _cmd_dynamic(args) -> int:
         seed=args.seed,
         faults=faults if faults.is_active else None,
         mechanism=args.mechanism,
-        batch_refit=not args.no_batch_refit,
         learn_demands=args.learn_demands,
         prior=args.prior,
     )

@@ -6,7 +6,14 @@ from .classify import ResourceGroup, ResourcePreference, classify, classify_many
 from .edgeworth import CurveSegment, EdgeworthBox
 from .fitting import CobbDouglasFit, fit_cobb_douglas, fit_cobb_douglas_batch
 from .leontief_fit import LeontiefFit, fit_leontief
-from .mechanism import Agent, Allocation, AllocationProblem, proportional_elasticity
+from .mechanism import (
+    Agent,
+    Allocation,
+    AllocationProblem,
+    proportional_elasticity,
+    proportional_split,
+    water_fill,
+)
 from .registry import (
     MECHANISM_REGISTRY,
     CreditMechanism,
@@ -93,11 +100,13 @@ __all__ = [
     "nash_bargaining",
     "nash_welfare",
     "proportional_elasticity",
+    "proportional_split",
     "register_mechanism",
     "rescale_elasticities",
     "satisfies_sharing_incentives",
     "sharing_incentive_margins",
     "unfairness_index",
+    "water_fill",
     "weighted_system_throughput",
     "weighted_utilities",
     "weighted_utility",

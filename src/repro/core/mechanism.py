@@ -12,6 +12,11 @@ This allocation coincides with the Nash bargaining solution and the
 Competitive Equilibrium from Equal Incomes, and therefore provides
 sharing incentives, envy-freeness and Pareto efficiency (§4.2), plus
 strategy-proofness in the large (§4.3).
+
+Two kernels here serve every allocation path in the package:
+:func:`proportional_split` is Eq. 13 with its degenerate-column rule,
+and :func:`water_fill` is the bounded projection behind allocation
+floors, demand caps, exploration and the coordinator's minimum grants.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ __all__ = [
     "AllocationProblem",
     "Allocation",
     "proportional_elasticity",
-    "project_to_floors",
+    "proportional_split",
+    "water_fill",
     "apply_allocation_floors",
 ]
 
@@ -202,6 +208,142 @@ class Allocation:
         return "\n".join(lines)
 
 
+def proportional_split(
+    weights: np.ndarray,
+    capacities: np.ndarray,
+    fallback: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Eq. 13 along the agent axis: ``x_ir = w_ir / sum_j w_jr * C_r``.
+
+    This is the one copy of the closed form every caller shares: REF
+    itself, the credit mechanism's biased weights, the unfair Nash
+    optimum's raw elasticities, the coordinator's split of capacity
+    across cells and the rescale step of :func:`water_fill`.
+
+    Parameters
+    ----------
+    weights:
+        ``(N, R)`` per-agent weights, or an ``(S, N, R)`` stack of
+        independent problems; the sum runs over the agent axis.
+    capacities:
+        ``(R,)`` capacities, or ``(S, R)`` for a stack (an ``(R,)``
+        vector is shared by every problem of a stack).
+    fallback:
+        Weights, broadcastable to ``weights``, that split a
+        *degenerate* column: one whose sum is non-finite or ``<= 0``,
+        so its weights say nothing.  Must have a positive sum in every
+        column it is used for.  The default is the equal split
+        ``C_r / N``, the unique symmetric choice.
+
+    Returns
+    -------
+    numpy.ndarray
+        Shares with the shape of ``weights``.  A stacked call equals the
+        per-problem calls bit for bit.
+    """
+    w = np.asarray(weights, dtype=float)
+    caps = np.asarray(capacities, dtype=float)[..., None, :]
+    denom = w.sum(axis=-2, keepdims=True)
+    degenerate = ~np.isfinite(denom) | (denom <= 0.0)
+    shares = w / np.where(degenerate, 1.0, denom) * caps
+    if degenerate.any():
+        if fallback is None:
+            even = caps / w.shape[-2]
+        else:
+            fb = np.asarray(fallback, dtype=float)
+            even = fb / fb.sum(axis=-2, keepdims=True) * caps
+        shares = np.where(degenerate, even, shares)
+    return shares
+
+
+def water_fill(
+    x: np.ndarray,
+    targets: np.ndarray,
+    lower=0.0,
+    upper=np.inf,
+) -> np.ndarray:
+    """Bounded proportional projection, one water level per column.
+
+    For every column returns ``y = clip(lam * x, lower, upper)`` with
+    ``sum(y) == target``: entries keep the proportions of ``x`` except
+    where a bound binds.  This is the feasible way to impose minimum
+    allocations (floors take the excess from richer agents instead of
+    over-committing the resource) and the limited-demands way to impose
+    caps (a capped agent's surplus flows to the uncapped ones).
+
+    Parameters
+    ----------
+    x:
+        ``(N, R)`` (or ``(S, N, R)``) non-negative weights, usually a
+        share matrix.  Non-positive or non-finite entries count as 0.
+    targets:
+        Per-column sums, ``(R,)`` (or ``(S, R)``).
+    lower, upper:
+        Per-entry bounds with ``lower <= upper``, broadcastable to
+        ``x``; an ``(R,)`` vector is a per-resource floor or cap shared
+        by every agent.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``y`` with the shape of ``x``.  Two column rules take over where
+        no water level exists: if ``sum(lower) >= target`` the column is
+        the equal split ``target / N``; if ``sum(upper) <= target`` the
+        column is ``upper``.  Free entries are rescaled through
+        :func:`proportional_split`, so a column whose free entries all
+        have zero weight splits its free budget equally.
+    """
+    x = np.asarray(x, dtype=float)
+    x = np.where(np.isfinite(x) & (x > 0.0), x, 0.0)
+    target = np.asarray(targets, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    free = np.ones(x.shape, dtype=bool)
+    y = proportional_split(x, target, fallback=free)
+    if not ((y < lo).any() or (y > hi).any()):
+        return y  # no bound binds: one rescale is the whole answer
+
+    # Pin-and-rescale.  Lower pins lower the water level, so they are
+    # taken first, until none is left; an upper pin then raises the
+    # level, which frees the lower pins of its column to be re-found.
+    # Upper pins only grow and lower pins only grow between them, so
+    # the loop is bounded.  Re-scaling a column whose pins did not
+    # change reproduces it bit for bit.  (An entry whose lower bound
+    # exceeds its upper one ends at the lower; the loop still ends.)
+    n = x.shape[-2]
+    t = target[..., None, :]
+    floor_bound = _column_total(lo, x.shape) >= t
+    cap_bound = _column_total(hi, x.shape) <= t
+    active = ~(floor_bound | cap_bound)
+    at_lo = np.zeros(x.shape, dtype=bool)
+    at_hi = np.zeros(x.shape, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while True:
+            below = (y < lo) & active
+            if below.any():
+                at_lo |= below
+            else:
+                above = (y > hi) & active & ~at_hi
+                if not above.any():
+                    break
+                at_hi |= above
+                at_lo &= ~above.any(axis=-2, keepdims=True)
+            free = ~(at_lo | at_hi)
+            bounds = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+            budget = target - bounds.sum(axis=-2)
+            rescaled = proportional_split(np.where(free, x, 0.0), budget, fallback=free)
+            y = np.where(free, rescaled, bounds)
+    y = np.where(cap_bound, hi, y)
+    return np.where(floor_bound, t / n, y)
+
+
+def _column_total(bound: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Per-column sum of a bound broadcast over ``shape``'s agent axis."""
+    if bound.ndim < 2:  # one value per resource: N copies of it
+        return shape[-2] * bound
+    return np.broadcast_to(bound, shape).sum(axis=-2, keepdims=True)
+
+
 def proportional_elasticity(
     problem: AllocationProblem, weights: Optional[Sequence[float]] = None
 ) -> Allocation:
@@ -230,7 +372,9 @@ def proportional_elasticity(
     -------
     Allocation
         With default weights: the fair allocation, provably satisfying
-        SI, EF, PE and SPL for Cobb-Douglas agents.
+        SI, EF, PE and SPL for Cobb-Douglas agents.  A resource nobody
+        reports a (finite, positive) elasticity for is split equally
+        (:func:`proportional_split`'s degenerate-column rule).
     """
     alpha = problem.rescaled_alpha_matrix()
     if weights is not None:
@@ -243,97 +387,9 @@ def proportional_elasticity(
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         alpha = alpha * w[:, None]
-    denom = alpha.sum(axis=0)
-    # Degenerate columns — every agent's (weighted, re-scaled) elasticity
-    # for a resource is zero, or some report is non-finite — would turn
-    # Eq. 13 into 0/0 = NaN.  Nobody expressed a preference for such a
-    # resource, so equal-splitting it is the unique symmetric choice (and
-    # keeps SI/EF trivially for that column).
-    degenerate = ~np.isfinite(denom) | (denom <= 0.0)
-    safe_denom = np.where(degenerate, 1.0, denom)
-    shares = alpha / safe_denom * problem.capacity_vector
-    if np.any(degenerate):
-        equal = problem.capacity_vector / problem.n_agents
-        shares[:, degenerate] = equal[degenerate]
+    shares = proportional_split(alpha, problem.capacity_vector)
     mechanism = "proportional_elasticity" if weights is None else "weighted_proportional_elasticity"
     return Allocation(problem=problem, shares=shares, mechanism=mechanism)
-
-
-def project_to_floors(
-    shares: np.ndarray, capacities: Sequence[float], floors: Sequence[float]
-) -> np.ndarray:
-    """Project per-resource shares onto the floor-constrained simplex.
-
-    For every resource ``r`` the returned column satisfies
-    ``y_ir >= floors[r]`` and ``sum_i y_ir <= capacities[r]`` while
-    staying proportional to the input shares among agents that are not
-    pinned at the floor.  This is the *feasible* way to impose minimum
-    allocations: naively clamping starved agents up to a floor without
-    taking the excess from anyone else over-commits the resource.
-
-    When the floors themselves are infeasible (``N * floors[r]`` exceeds
-    ``capacities[r]``) the column degrades to an equal split — the
-    closest uniform point, still capacity-feasible.
-
-    Parameters
-    ----------
-    shares:
-        ``(N, R)`` non-negative share matrix (need not be feasible).
-    capacities:
-        Total capacity per resource.
-    floors:
-        Per-resource minimum each agent must receive.
-
-    Returns
-    -------
-    numpy.ndarray
-        An ``(N, R)`` matrix with every column summing to exactly its
-        capacity and every entry at or above its (feasible) floor.
-    """
-    x = np.asarray(shares, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"shares must be 2-D (agents x resources), got shape {x.shape}")
-    n_agents, n_resources = x.shape
-    caps = np.asarray(capacities, dtype=float)
-    mins = np.asarray(floors, dtype=float)
-    if caps.shape != (n_resources,) or mins.shape != (n_resources,):
-        raise ValueError(
-            f"capacities and floors must have one entry per resource "
-            f"({n_resources}), got {caps.shape} and {mins.shape}"
-        )
-    if np.any(caps <= 0):
-        raise ValueError(f"capacities must be strictly positive, got {caps.tolist()}")
-    if np.any(mins < 0):
-        raise ValueError(f"floors must be non-negative, got {mins.tolist()}")
-
-    out = np.empty_like(x)
-    for r in range(n_resources):
-        capacity, floor = float(caps[r]), float(mins[r])
-        column = np.nan_to_num(x[:, r], nan=0.0, posinf=0.0, neginf=0.0)
-        column = np.maximum(column, 0.0)
-        if n_agents * floor >= capacity:
-            # Floors are infeasible; equal split is the best uniform point.
-            out[:, r] = capacity / n_agents
-            continue
-        # Iteratively pin at the floor every agent whose proportional
-        # share of the remaining capacity falls below it; at most N
-        # rounds since the pinned set only grows.
-        pinned = np.zeros(n_agents, dtype=bool)
-        while True:
-            free = ~pinned
-            budget = capacity - floor * int(pinned.sum())
-            total = float(column[free].sum())
-            scaled = np.empty(n_agents)
-            if total > 0:
-                scaled[free] = column[free] / total * budget
-            else:
-                scaled[free] = budget / max(int(free.sum()), 1)
-            newly = free & (scaled < floor)
-            if not newly.any():
-                out[:, r] = np.where(pinned, floor, scaled)
-                break
-            pinned |= newly
-    return out
 
 
 def apply_allocation_floors(
@@ -341,12 +397,22 @@ def apply_allocation_floors(
 ) -> Allocation:
     """Return a feasible copy of an allocation with per-resource floors.
 
-    The projection (:func:`project_to_floors`) redistributes rather than
-    clamps, so the result always satisfies :meth:`Allocation.is_feasible`.
+    Every column is water-filled (:func:`water_fill`) onto its capacity
+    with ``floors[r]`` as the lower bound: agents whose proportional
+    share falls below the floor are lifted to it and the excess comes
+    out of the others, so the result always satisfies
+    :meth:`Allocation.is_feasible`.  Infeasible floors
+    (``N * floors[r] >= C_r``) degrade that column to the equal split.
     """
-    shares = project_to_floors(
-        allocation.shares, allocation.problem.capacity_vector, floors
-    )
+    mins = np.asarray(floors, dtype=float)
+    n_resources = allocation.problem.n_resources
+    if mins.shape != (n_resources,):
+        raise ValueError(
+            f"floors must have one entry per resource ({n_resources}), got {mins.shape}"
+        )
+    if np.any(mins < 0):
+        raise ValueError(f"floors must be non-negative, got {mins.tolist()}")
+    shares = water_fill(allocation.shares, allocation.problem.capacity_vector, lower=mins)
     return Allocation(
         problem=allocation.problem,
         shares=shares,

@@ -50,7 +50,12 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from ..obs import MetricsRegistry
-from .mechanism import Allocation, AllocationProblem, proportional_elasticity
+from .mechanism import (
+    Allocation,
+    AllocationProblem,
+    proportional_elasticity,
+    proportional_split,
+)
 
 __all__ = [
     "Mechanism",
@@ -90,6 +95,8 @@ class Mechanism:
     """Base strategy object: one allocation mechanism, registered by name."""
 
     name: ClassVar[str] = ""
+    #: Legend label in the paper's Figs. 13-14 (empty when not plotted).
+    label: ClassVar[str] = ""
     fast_path: ClassVar[bool] = False
     warm_startable: ClassVar[bool] = False
     stateful: ClassVar[bool] = False
@@ -238,6 +245,7 @@ class RefMechanism(Mechanism):
     """Proportional elasticity (Eq. 13): the paper's closed form."""
 
     name = "ref"
+    label = "Proportional Elasticity w/ Fairness"
     fast_path = True
     hierarchical = True
 
@@ -250,6 +258,7 @@ class MaxWelfareUnfairMechanism(Mechanism):
     """Unconstrained Nash-welfare optimum (closed form on raw elasticities)."""
 
     name = "max-welfare-unfair"
+    label = "Max Welfare w/o Fairness"
     fast_path = True
 
     def _solve(self, problem: AllocationProblem, context: SolveContext) -> Allocation:
@@ -263,6 +272,7 @@ class MaxWelfareFairMechanism(Mechanism):
     """Nash welfare subject to SI/EF/PE (Eq. 11), via log-space SLSQP."""
 
     name = "max-welfare-fair"
+    label = "Max Welfare w/ Fairness"
     warm_startable = True
 
     def _solve(self, problem: AllocationProblem, context: SolveContext) -> Allocation:
@@ -282,6 +292,7 @@ class EqualSlowdownMechanism(Mechanism):
     """Max-min weighted utility (the equal-slowdown status quo, §4.5)."""
 
     name = "equal-slowdown"
+    label = "Equal Slowdown w/o Fairness"
     warm_startable = True
 
     def _solve(self, problem: AllocationProblem, context: SolveContext) -> Allocation:
@@ -388,17 +399,10 @@ class CreditMechanism(Mechanism):
         alpha = problem.rescaled_alpha_matrix()
         alpha = np.where(np.isfinite(alpha) & (alpha > 0.0), alpha, 0.0)
         weights = self._weights(problem)
-        biased = alpha * weights
-        denom = biased.sum(axis=0)
-        degenerate = ~np.isfinite(denom) | (denom <= 0.0)
-        safe = np.where(degenerate, 1.0, denom)
-        shares = biased / safe * problem.capacity_vector
-        if np.any(degenerate):
-            # Nobody values the resource: split it by credit weight
-            # alone, so banked credit is still honored (equal split
-            # when nobody holds credit either).
-            fallback = weights / weights.sum(axis=0) * problem.capacity_vector
-            shares[:, degenerate] = fallback[:, degenerate]
+        # A resource nobody values is split by credit weight alone, so
+        # banked credit is still honored (equal split when nobody holds
+        # credit either).
+        shares = proportional_split(alpha * weights, problem.capacity_vector, fallback=weights)
         return Allocation(problem=problem, shares=shares, mechanism="credit")
 
     def observe(

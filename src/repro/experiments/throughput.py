@@ -2,44 +2,42 @@
 
 from __future__ import annotations
 
-from ..core import weighted_system_throughput
-from ..optimize import MECHANISMS
+from ..core import create_mechanism, weighted_system_throughput
 from ..profiling import OfflineProfiler
 from ..workloads import EIGHT_CORE_MIXES, FOUR_CORE_MIXES, build_mix_problem, get_mix
 from .base import ExperimentResult, experiment
 
 __all__ = ["MECHANISM_ORDER", "throughput_rows", "fig13_four_core", "fig14_eight_core"]
 
-MECHANISM_ORDER = [
-    "Max Welfare w/ Fairness",
-    "Proportional Elasticity w/ Fairness",
-    "Max Welfare w/o Fairness",
-    "Equal Slowdown w/o Fairness",
-]
+#: The four mechanisms of Figs. 13-14 (registry names), in legend order.
+MECHANISM_ORDER = ("max-welfare-fair", "ref", "max-welfare-unfair", "equal-slowdown")
 
 
 def throughput_rows(profiler, mix_names):
-    """Weighted system throughput for every (mix, mechanism) pair."""
+    """Weighted system throughput for every (mix, mechanism) pair.
+
+    Rows are keyed by mix, then by the mechanism's legend label.
+    """
     profiler = profiler if profiler is not None else OfflineProfiler()
+    mechanisms = [create_mechanism(name) for name in MECHANISM_ORDER]
     rows = {}
     for mix_name in mix_names:
         problem = build_mix_problem(mix_name, profiler=profiler)
         rows[mix_name] = {
-            name: weighted_system_throughput(MECHANISMS[name](problem))
-            for name in MECHANISM_ORDER
+            mechanism.label: weighted_system_throughput(mechanism.solve(problem))
+            for mechanism in mechanisms
         }
     return rows
 
 
 def _table(rows, title):
     lines = [f"=== {title} ==="]
-    lines.append(f"{'mix':<14}" + "".join(f"{name:>38}" for name in MECHANISM_ORDER))
+    labels = [create_mechanism(name).label for name in MECHANISM_ORDER]
+    lines.append(f"{'mix':<14}" + "".join(f"{label:>38}" for label in labels))
     worst_penalty = 0.0
     for mix_name, values in rows.items():
         label = f"{mix_name} ({get_mix(mix_name).characterization})"
-        lines.append(
-            f"{label:<14}" + "".join(f"{values[m]:>38.4f}" for m in MECHANISM_ORDER)
-        )
+        lines.append(f"{label:<14}" + "".join(f"{values[m]:>38.4f}" for m in labels))
         penalty = 1.0 - (
             values["Proportional Elasticity w/ Fairness"]
             / values["Max Welfare w/o Fairness"]

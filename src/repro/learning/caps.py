@@ -14,12 +14,14 @@ Two pieces implement that here:
   flat resource it derives a cap — a small margin above the cheapest
   allocation at which the agent already achieved near-best performance.
 * :func:`apply_demand_caps` clips the allocation to those caps and
-  redistributes the released surplus to the un-capped agents,
-  column-by-column, with the same pin-and-rescale iteration as
-  :func:`~repro.optimize.hierarchy.split_capacity`: as long as one
-  agent in a resource column is below its cap, the column sum is
-  preserved **exactly**; only when every agent is capped is capacity
-  left on the table (sum of caps < capacity means nobody wants it).
+  redistributes the released surplus to the un-capped agents: each
+  column is one bounded water-fill
+  (:func:`~repro.core.mechanism.water_fill` with the caps as upper
+  bounds), the standard tool of the limited-demands setting.  As long
+  as one agent in a resource column is below its cap, the column sum
+  is preserved **exactly**; only when every agent is capped is
+  capacity left on the table (sum of caps < capacity means nobody
+  wants it).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..core.mechanism import water_fill
 
 __all__ = ["CapResult", "DemandCapEstimator", "apply_demand_caps"]
 
@@ -77,7 +81,7 @@ def apply_demand_caps(
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:
         raise ValueError(f"shares must be (N, R), got shape {shares.shape}")
-    n_agents, n_resources = shares.shape
+    n_resources = shares.shape[1]
     caps = np.asarray(caps, dtype=float)
     if caps.shape != shares.shape:
         raise ValueError(f"caps must have shape {shares.shape}, got {caps.shape}")
@@ -89,44 +93,18 @@ def apply_demand_caps(
     # Degenerate caps (NaN, zero, negative) carry no information: treat
     # them as un-capped rather than starving the agent.
     caps = np.where(np.isnan(caps) | (caps <= 0.0), np.inf, caps)
-
-    out = shares.copy()
-    capped_entries = 0
-    released = np.zeros(n_resources)
-    for r in range(n_resources):
-        column = out[:, r]
-        target = float(column.sum())
-        cap_r = caps[:, r]
-        if target <= 0 or np.all(column <= cap_r):
-            continue
-        # Pin-and-rescale (split_capacity idiom): clip the over-cap
-        # agents, then scale the free agents up to absorb the surplus;
-        # scaling can push a free agent over *its* cap, so iterate.
-        # Each round pins at least one new agent, so N rounds bound it.
-        pinned = np.zeros(n_agents, dtype=bool)
-        for _ in range(n_agents):
-            over = ~pinned & (column > cap_r)
-            if not over.any():
-                break
-            pinned |= over
-            column = np.where(pinned, np.minimum(column, cap_r), column)
-            if pinned.all():
-                break
-            free_target = target - column[pinned].sum()
-            free_total = column[~pinned].sum()
-            if free_target <= 0 or free_total <= 0:
-                break
-            column = np.where(pinned, column, column * (free_target / free_total))
-        column = np.minimum(column, cap_r)
-        if pinned.all() or column[~pinned].sum() <= 0:
-            released[r] = target - float(column.sum())
-        else:
-            # Exact column sum: absorb fp drift into the free agents.
-            free_total = column[~pinned].sum()
-            free_target = target - column[pinned].sum()
-            column = np.where(pinned, column, column * (free_target / free_total))
-        out[:, r] = column
-        capped_entries += int(pinned.sum())
+    over = shares > caps
+    if not over.any():
+        return CapResult(shares.copy(), capped_entries=0, released=np.zeros(n_resources))
+    # Only columns with an entry over its cap are filled; the others
+    # stay exactly as they were.
+    targets = shares.sum(axis=0)
+    filled = water_fill(shares, targets, upper=caps)
+    touched = over.any(axis=0)
+    out = np.where(touched, filled, shares)
+    capped_entries = int(np.count_nonzero(touched & (filled >= caps)))
+    cap_total = caps.sum(axis=0)
+    released = np.where(touched & (cap_total <= targets), targets - cap_total, 0.0)
     return CapResult(shares=out, capped_entries=capped_entries, released=released)
 
 

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.mechanism import water_fill
 from ..obs import MetricsRegistry
 from ..profiling.online import OnlineProfiler
 from .caps import DemandCapEstimator, apply_demand_caps
@@ -249,9 +250,10 @@ class DemandLearner:
         Each learning agent is perturbed with its current probability
         ``ε``; chosen agents' entries are multiplied by log-uniform
         factors in ``exp(±perturb_width)``.  Columns are then
-        renormalized to their pre-perturbation sums and clamped to the
-        floors (pin-and-rescale), so the result allocates exactly what
-        the input did and never leaves the profiled regime.
+        water-filled (:func:`~repro.core.mechanism.water_fill`) back to
+        their pre-perturbation sums with the floors as lower bounds, so
+        the result allocates exactly what the input did and never
+        leaves the profiled regime.
 
         Returns the perturbed matrix and the names actually explored
         this epoch (their measurements must be tagged
@@ -276,9 +278,7 @@ class DemandLearner:
         ).set(len(explored) / total if total else 0.0)
         if not explored:
             return shares, ()
-        column_sums = shares.sum(axis=0)
-        out = shares * factors
-        out = _renormalize_with_floors(out, column_sums, np.asarray(floors, dtype=float))
+        out = water_fill(shares * factors, shares.sum(axis=0), lower=floors)
         return out, tuple(explored)
 
     # ------------------------------------------------------------------
@@ -338,43 +338,3 @@ class DemandLearner:
                 self.config.epsilon_min, state.epsilon * self.config.epsilon_decay
             )
         return tuple(newly_converged)
-
-
-def _renormalize_with_floors(
-    shares: np.ndarray, column_sums: np.ndarray, floors: np.ndarray
-) -> np.ndarray:
-    """Scale each column back to its target sum, keeping entries >= floors.
-
-    Same pin-and-rescale iteration as
-    :func:`~repro.optimize.hierarchy.split_capacity`: entries at or
-    below the floor are pinned there and the free entries absorb the
-    remainder; each round pins at least one new entry, so N rounds
-    bound the loop.
-    """
-    out = shares.copy()
-    n_agents = out.shape[0]
-    for r in range(out.shape[1]):
-        target = float(column_sums[r])
-        floor = float(floors[r])
-        column = out[:, r]
-        if target <= 0:
-            continue
-        total = column.sum()
-        if total > 0:
-            column = column * (target / total)
-        pinned = np.zeros(n_agents, dtype=bool)
-        for _ in range(n_agents):
-            below = ~pinned & (column < floor)
-            if not below.any():
-                break
-            pinned |= below
-            column = np.where(pinned, floor, column)
-            if pinned.all():
-                break
-            free_target = target - floor * pinned.sum()
-            free_total = column[~pinned].sum()
-            if free_target <= 0 or free_total <= 0:
-                break
-            column = np.where(pinned, column, column * (free_target / free_total))
-        out[:, r] = column
-    return out

@@ -1,10 +1,6 @@
 """Numeric allocation mechanisms: log-space convex programs (§4.5, §5.5)."""
 
-from .batch import (
-    FAST_PATH_MECHANISMS,
-    proportional_elasticity_batch,
-    solve_batch,
-)
+from .batch import FAST_PATH_MECHANISMS, solve_batch
 from .logspace import (
     LogSpaceSolution,
     capacity_constraints,
@@ -26,22 +22,13 @@ from .drf import (
     dominant_resource_fairness,
     drf_allocation,
 )
-from .mechanisms import (
-    MECHANISMS,
-    MechanismError,
-    equal_slowdown,
-    max_nash_welfare,
-    run_mechanism,
-    utilitarian_welfare,
-)
+from .mechanisms import equal_slowdown, max_nash_welfare, utilitarian_welfare
 
 __all__ = [
     "FAST_PATH_MECHANISMS",
     "LogSpaceSolution",
-    "MECHANISMS",
     "DrfAgent",
     "DrfResult",
-    "MechanismError",
     "capacity_constraints",
     "envy_free_constraints",
     "demand_vector_from_elasticities",
@@ -52,8 +39,6 @@ __all__ = [
     "log_weighted_utilities",
     "max_nash_welfare",
     "pareto_constraints",
-    "proportional_elasticity_batch",
-    "run_mechanism",
     "sharing_incentive_constraints",
     "solve",
     "solve_batch",

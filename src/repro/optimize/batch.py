@@ -11,10 +11,11 @@ instead of once per *problem*; constrained mechanisms that genuinely
 need SLSQP fall back to the per-problem path, so one entry point serves
 every mechanism.
 
-The stacked kernels replicate the scalar paths' operation order exactly
-(including :func:`~repro.core.mechanism.proportional_elasticity`'s
-degenerate-column equal split), so batched and looped results are
-bit-identical, not merely close.
+Both paths run the same kernel,
+:func:`~repro.core.mechanism.proportional_split`, whose stacked call
+equals its per-problem calls bit for bit (degenerate-column equal split
+included), so batched and looped results are bit-identical, not merely
+close.
 """
 
 from __future__ import annotations
@@ -24,65 +25,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.mechanism import Allocation, AllocationProblem
+from ..core.mechanism import Allocation, AllocationProblem, proportional_split
 from ..obs import MetricsRegistry, global_registry
 
-__all__ = ["FAST_PATH_MECHANISMS", "proportional_elasticity_batch", "solve_batch"]
+__all__ = ["FAST_PATH_MECHANISMS", "solve_batch"]
 
 #: Mechanisms `solve_batch` vectorizes; the rest loop over SLSQP solves.
 FAST_PATH_MECHANISMS = ("ref", "max-welfare-unfair")
 
 #: Batch-size buckets for the batch-solve histogram.
 _SIZE_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
-
-
-def proportional_elasticity_batch(
-    alpha: np.ndarray, capacities: np.ndarray
-) -> np.ndarray:
-    """Eq. 13 across a stack of problems in one shot.
-
-    Parameters
-    ----------
-    alpha:
-        ``(S, N, R)`` stack of **re-scaled** (Eq. 12) elasticity
-        matrices, one per problem.
-    capacities:
-        ``(S, R)`` per-problem capacities, or a single ``(R,)`` vector
-        shared by every problem.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(S, N, R)`` shares, bit-identical to calling
-        :func:`~repro.core.mechanism.proportional_elasticity` per
-        problem — including the degenerate-column rule: a resource
-        nobody has a (finite, positive) elasticity for is split
-        equally.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 3:
-        raise ValueError(
-            f"alpha must be (scenarios, agents, resources), got shape {alpha.shape}"
-        )
-    s, n_agents, n_resources = alpha.shape
-    caps = np.asarray(capacities, dtype=float)
-    if caps.ndim == 1:
-        caps = np.broadcast_to(caps, (s, n_resources))
-    if caps.shape != (s, n_resources):
-        raise ValueError(
-            f"capacities must have shape ({s}, {n_resources}) or ({n_resources},), "
-            f"got {caps.shape}"
-        )
-    denom = alpha.sum(axis=1)
-    degenerate = ~np.isfinite(denom) | (denom <= 0.0)
-    safe_denom = np.where(degenerate, 1.0, denom)
-    shares = alpha / safe_denom[:, None, :] * caps[:, None, :]
-    if np.any(degenerate):
-        equal = caps / n_agents
-        shares = np.where(
-            degenerate[:, None, :], np.broadcast_to(equal[:, None, :], shares.shape), shares
-        )
-    return shares
 
 
 def _group_key(problem: AllocationProblem):
@@ -174,12 +126,12 @@ def _solve_closed_form(
         if mechanism == "ref":
             # Stacked Eq. 12 rescale: same per-row `alpha / alpha.sum()`
             # the scalar path computes, so results stay bit-identical.
-            alpha = raw / raw.sum(axis=2, keepdims=True)
-            shares = proportional_elasticity_batch(alpha, caps)
+            weights = raw / raw.sum(axis=2, keepdims=True)
             label = "proportional_elasticity"
         else:  # max-welfare-unfair: closed form on *raw* elasticities
-            shares = raw / raw.sum(axis=1)[:, None, :] * caps[:, None, :]
+            weights = raw
             label = "max_welfare_unfair"
+        shares = proportional_split(weights, caps)
         for position, i in enumerate(indices):
             results[i] = Allocation(
                 problem=problems[i], shares=shares[position], mechanism=label

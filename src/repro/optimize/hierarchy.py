@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.mechanism import Allocation, AllocationProblem
+from ..core.mechanism import Allocation, AllocationProblem, proportional_split, water_fill
 from ..obs import MetricsRegistry
 from .batch import solve_batch
 
@@ -92,48 +92,16 @@ def split_capacity(
     if np.any(~np.isfinite(caps)) or np.any(caps <= 0):
         raise ValueError(f"capacities must be positive and finite, got {capacities}")
 
-    # Same degenerate-column rule as proportional_elasticity{,_batch}:
-    # a non-positive or non-finite denominator means the elasticities
-    # carry no information, so fall back to weights that reproduce the
-    # flat equal-per-agent split.
+    # A non-positive or non-finite aggregate carries no information and
+    # counts as zero; a column with no information left falls back to
+    # agent counts, which reproduces the flat equal-per-agent split.
     agg = np.where(np.isfinite(agg) & (agg > 0.0), agg, 0.0)
-    denom = agg.sum(axis=0)
-    degenerate = ~np.isfinite(denom) | (denom <= 0.0)
-    share = np.empty_like(agg)
-    safe = np.where(degenerate, 1.0, denom)
-    share[:, :] = agg / safe
-    if np.any(degenerate):
-        equal = (weights / weights.sum())[:, None]
-        share[:, degenerate] = np.broadcast_to(
-            equal, (n_cells, int(degenerate.sum()))
-        )
-    grants = share * caps
+    grants = proportional_split(agg, caps, fallback=weights[:, None])
     # Floor zero/tiny grants so every sub-problem keeps strictly
-    # positive capacities — then renormalize the *unfloored* entries so
-    # each column still sums exactly to C_r.  Flooring alone would
-    # over-commit: K cells of which F sit at the floor would sum to
-    # C_r * (1 + F * MIN_GRANT_FRACTION), handing workers more capacity
-    # than exists.  Lifting an entry to the floor can in principle push
-    # another below it, so iterate pin-and-rescale (same idiom as
-    # ``project_to_floors``); with floors this small one pass suffices
-    # in practice, and K rounds is a hard upper bound.
-    floor = caps * MIN_GRANT_FRACTION
-    for _ in range(n_cells):
-        pinned = grants <= floor
-        if pinned.all(axis=0).any():  # pragma: no cover - floors are ~1e-12 * C
-            raise ValueError(
-                "MIN_GRANT_FRACTION floors are infeasible for this cell count"
-            )
-        free_target = caps - pinned.sum(axis=0) * floor
-        free_total = np.where(pinned, 0.0, grants).sum(axis=0)
-        safe_total = np.where(free_total > 0.0, free_total, 1.0)
-        scale = np.where(free_total > 0.0, free_target / safe_total, 1.0)
-        rescaled = np.where(pinned, floor, grants * scale)
-        if np.all(rescaled >= floor):
-            grants = rescaled
-            break
-        grants = np.where(rescaled < floor, 0.0, rescaled)  # pin and retry
-    return grants
+    # positive capacities, taking the floor out of the other cells so
+    # each column still sums exactly to C_r (flooring alone would hand
+    # workers C_r * (1 + F * MIN_GRANT_FRACTION)).
+    return water_fill(grants, caps, lower=caps * MIN_GRANT_FRACTION)
 
 
 def _partition(

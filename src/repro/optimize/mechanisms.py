@@ -27,29 +27,20 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.mechanism import Allocation, AllocationProblem, proportional_elasticity
+from ..core.mechanism import (
+    Allocation,
+    AllocationProblem,
+    proportional_elasticity,
+    proportional_split,
+)
 from ..obs import global_registry
 from . import logspace
 
 __all__ = [
-    "MECHANISMS",
-    "MechanismError",
     "equal_slowdown",
     "max_nash_welfare",
-    "run_mechanism",
     "utilitarian_welfare",
 ]
-
-
-class MechanismError(RuntimeError):
-    """A numeric mechanism failed to converge.
-
-    Retained for backward compatibility and for callers that opt back
-    into raising; since 1.3.0 the numeric mechanisms no longer raise it
-    by default — an unconverged (or capacity-infeasible) solve falls
-    back to the equal split, mirroring ``DynamicAllocator``'s
-    mechanism-failure path, so infeasible shares are never propagated.
-    """
 
 
 def _equal_split_fallback(problem: AllocationProblem, label: str, failures) -> Allocation:
@@ -145,10 +136,7 @@ def _default_starts(problem: AllocationProblem, seed: int = 0) -> List[Optional[
     rng = np.random.default_rng(seed)
     for base in [s for s in starts if s is not None]:
         noise = rng.uniform(0.8, 1.2, size=base.shape)
-        jittered = base * noise
-        column_totals = jittered.sum(axis=0)
-        if np.all(column_totals > 0):
-            starts.append(jittered / column_totals * problem.capacity_vector)
+        starts.append(proportional_split(base * noise, problem.capacity_vector))
     return starts
 
 
@@ -191,8 +179,7 @@ def max_nash_welfare(
     Allocation
     """
     if not fair and not numeric:
-        alpha = problem.raw_alpha_matrix()
-        shares = alpha / alpha.sum(axis=0) * problem.capacity_vector
+        shares = proportional_split(problem.raw_alpha_matrix(), problem.capacity_vector)
         return Allocation(problem=problem, shares=shares, mechanism="max_welfare_unfair")
 
     def objective(v: np.ndarray) -> float:
@@ -304,7 +291,7 @@ def utilitarian_welfare(
     starts: List[Optional[np.ndarray]] = [None]  # equal split first
     for _ in range(max(n_starts - 1, 0)):
         noise = rng.uniform(0.2, 1.0, size=shape)
-        starts.append(noise / noise.sum(axis=0) * problem.capacity_vector)
+        starts.append(proportional_split(noise, problem.capacity_vector))
     for start in starts:
         solution = logspace.solve(
             problem,
@@ -323,35 +310,3 @@ def utilitarian_welfare(
 def _nz(problem: AllocationProblem) -> int:
     """Number of log-allocation variables."""
     return problem.n_agents * problem.n_resources
-
-
-def _ref(problem: AllocationProblem) -> Allocation:
-    return proportional_elasticity(problem)
-
-
-def _max_welfare_fair(problem: AllocationProblem) -> Allocation:
-    return max_nash_welfare(problem, fair=True)
-
-
-def _max_welfare_unfair(problem: AllocationProblem) -> Allocation:
-    return max_nash_welfare(problem, fair=False)
-
-
-#: The four mechanisms of Figs. 13-14, keyed by their legend labels.
-MECHANISMS = {
-    "Max Welfare w/ Fairness": _max_welfare_fair,
-    "Proportional Elasticity w/ Fairness": _ref,
-    "Max Welfare w/o Fairness": _max_welfare_unfair,
-    "Equal Slowdown w/o Fairness": equal_slowdown,
-}
-
-
-def run_mechanism(name: str, problem: AllocationProblem) -> Allocation:
-    """Run one of the named evaluation mechanisms (Figs. 13-14 legend)."""
-    try:
-        mechanism = MECHANISMS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown mechanism {name!r}; expected one of {sorted(MECHANISMS)}"
-        ) from None
-    return mechanism(problem)

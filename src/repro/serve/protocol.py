@@ -304,15 +304,7 @@ class BulkSampleRequest:
     def as_dict(self) -> Dict[str, object]:
         return {
             "version": PROTOCOL_VERSION,
-            "samples": [
-                {
-                    "agent": sample.agent,
-                    "bandwidth_gbps": sample.bandwidth_gbps,
-                    "cache_kb": sample.cache_kb,
-                    "ipc": sample.ipc,
-                }
-                for sample in self.samples
-            ],
+            "samples": [sample.as_dict() for sample in self.samples],
         }
 
 

@@ -406,7 +406,11 @@ class ShardCoordinator(HttpServerBase):
         while True:
             await asyncio.sleep(period)
             await self._reap_dead_cells()
-            await self._grant_round()
+            # Shielded: stopping the server cancels this loop, but a
+            # round's capacity pushes keep running in executor threads.
+            # The round must hold the lock until they land, so the final
+            # merge in _on_stop never sees cells on different rounds.
+            await asyncio.shield(self._grant_round())
 
     def summary_line(self) -> str:
         """Greppable one-line health summary (printed on shutdown)."""

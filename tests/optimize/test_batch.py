@@ -6,12 +6,7 @@ import pytest
 from repro.core.mechanism import Agent, AllocationProblem, proportional_elasticity
 from repro.core.utility import CobbDouglasUtility
 from repro.obs import MetricsRegistry
-from repro.optimize import (
-    FAST_PATH_MECHANISMS,
-    max_nash_welfare,
-    proportional_elasticity_batch,
-    solve_batch,
-)
+from repro.optimize import FAST_PATH_MECHANISMS, max_nash_welfare, solve_batch
 
 CAPACITIES = (128.0, 96.0 * 1024)
 
@@ -23,39 +18,6 @@ def make_problem(n_agents, seed):
         for i in range(n_agents)
     ]
     return AllocationProblem(agents, CAPACITIES)
-
-
-class TestProportionalElasticityBatch:
-    def test_matches_scalar_path_bitwise(self):
-        problems = [make_problem(4, s) for s in range(10)]
-        alpha = np.stack([p.rescaled_alpha_matrix() for p in problems])
-        caps = np.stack([p.capacity_vector for p in problems])
-        shares = proportional_elasticity_batch(alpha, caps)
-        for k, problem in enumerate(problems):
-            expected = proportional_elasticity(problem).shares
-            assert np.array_equal(shares[k], expected)
-
-    def test_shared_capacity_vector_broadcasts(self):
-        problems = [make_problem(3, s) for s in range(4)]
-        alpha = np.stack([p.rescaled_alpha_matrix() for p in problems])
-        shares = proportional_elasticity_batch(alpha, np.asarray(CAPACITIES))
-        assert shares.shape == (4, 3, 2)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError, match="scenarios, agents, resources"):
-            proportional_elasticity_batch(np.ones((3, 2)), np.asarray(CAPACITIES))
-
-    def test_rejects_bad_capacity_shape(self):
-        with pytest.raises(ValueError, match="capacities"):
-            proportional_elasticity_batch(np.ones((2, 3, 2)), np.ones((5, 2)))
-
-    def test_degenerate_column_equal_split(self):
-        # A resource column with non-finite demand sums is split equally,
-        # exactly like the scalar path's degenerate rule.
-        alpha = np.full((1, 4, 2), 0.5)
-        alpha[0, :, 1] = np.nan
-        shares = proportional_elasticity_batch(alpha, np.asarray(CAPACITIES))
-        assert shares[0, :, 1] == pytest.approx(CAPACITIES[1] / 4)
 
 
 class TestSolveBatch:

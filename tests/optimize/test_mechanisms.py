@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.mechanism import Agent, AllocationProblem, proportional_elasticity
+from repro.core.registry import MECHANISM_REGISTRY, create_mechanism
 from repro.core.properties import (
     check_fairness,
     is_envy_free,
@@ -11,13 +12,8 @@ from repro.core.properties import (
 )
 from repro.core.utility import CobbDouglasUtility
 from repro.core.welfare import nash_welfare, weighted_system_throughput, weighted_utilities
-from repro.optimize.mechanisms import (
-    MECHANISMS,
-    equal_slowdown,
-    max_nash_welfare,
-    run_mechanism,
-    utilitarian_welfare,
-)
+from repro.experiments.throughput import MECHANISM_ORDER
+from repro.optimize.mechanisms import equal_slowdown, max_nash_welfare, utilitarian_welfare
 
 
 @pytest.fixture
@@ -66,8 +62,8 @@ class TestMaxNashWelfare:
 
     def test_unfair_is_welfare_upper_bound(self, paper_problem):
         unfair = max_nash_welfare(paper_problem, fair=False)
-        for name in ("Proportional Elasticity w/ Fairness", "Equal Slowdown w/o Fairness"):
-            other = run_mechanism(name, paper_problem)
+        for name in ("ref", "equal-slowdown"):
+            other = create_mechanism(name).solve(paper_problem)
             assert nash_welfare(unfair) >= nash_welfare(other) * (1 - 1e-6)
 
     def test_fair_variant_satisfies_fairness(self, paper_problem):
@@ -136,26 +132,23 @@ class TestUtilitarian:
         assert a.shares == pytest.approx(b.shares)
 
 
-class TestMechanismRegistry:
-    def test_four_paper_mechanisms_registered(self):
-        assert set(MECHANISMS) == {
+class TestFigureMechanisms:
+    def test_four_paper_mechanisms_in_legend_order(self):
+        labels = [MECHANISM_REGISTRY.get(name).label for name in MECHANISM_ORDER]
+        assert labels == [
             "Max Welfare w/ Fairness",
             "Proportional Elasticity w/ Fairness",
             "Max Welfare w/o Fairness",
             "Equal Slowdown w/o Fairness",
-        }
-
-    def test_run_mechanism_unknown_name(self, paper_problem):
-        with pytest.raises(KeyError, match="unknown mechanism"):
-            run_mechanism("Nonsense", paper_problem)
+        ]
 
     def test_all_mechanisms_feasible(self, paper_problem):
-        for name in MECHANISMS:
-            allocation = run_mechanism(name, paper_problem)
+        for name in MECHANISM_ORDER:
+            allocation = create_mechanism(name).solve(paper_problem)
             assert allocation.is_feasible(tol=1e-6), name
 
     def test_fair_mechanisms_are_fair(self, paper_problem):
-        for name in ("Max Welfare w/ Fairness", "Proportional Elasticity w/ Fairness"):
-            allocation = run_mechanism(name, paper_problem)
+        for name in ("max-welfare-fair", "ref"):
+            allocation = create_mechanism(name).solve(paper_problem)
             assert satisfies_sharing_incentives(allocation, rtol=1e-4), name
             assert is_envy_free(allocation, rtol=1e-4), name

@@ -182,14 +182,26 @@ class TestResponses:
 
 
 class TestBulkSamples:
-    def sample(self, agent="web", ipc=0.8):
-        return SampleRequest(agent=agent, bandwidth_gbps=4.0, cache_kb=512.0, ipc=ipc)
+    def sample(self, agent="web", ipc=0.8, exploration=False):
+        return SampleRequest(
+            agent=agent, bandwidth_gbps=4.0, cache_kb=512.0, ipc=ipc, exploration=exploration
+        )
 
     def test_bulk_request_round_trip(self):
         request = BulkSampleRequest(samples=(self.sample("web"), self.sample("db")))
         rebuilt = BulkSampleRequest.from_dict(request.as_dict())
         assert rebuilt == request
         assert [s.agent for s in rebuilt.samples] == ["web", "db"]
+
+    def test_bulk_request_round_trip_keeps_exploration(self):
+        # The coordinator re-encodes bulk posts for its cells: a dropped
+        # flag would send exploration samples into the outlier gate.
+        request = BulkSampleRequest(
+            samples=(self.sample("web", exploration=True), self.sample("db"))
+        )
+        rebuilt = BulkSampleRequest.from_dict(request.as_dict())
+        assert rebuilt == request
+        assert [s.exploration for s in rebuilt.samples] == [True, False]
 
     def test_bulk_request_rejects_empty_array(self):
         with pytest.raises(ProtocolError, match="non-empty"):

@@ -75,6 +75,42 @@ class TestRoundLock:
         asyncio.run(scenario())
         assert log == ["read_start", "read_end", "round"]
 
+    def test_stop_lets_an_inflight_round_finish_before_the_merge(self):
+        # Stopping the server cancels the tick loop mid-round.  The
+        # round's capacity pushes still land (executor threads), so the
+        # round must keep the lock until it ends: the final merge may
+        # not read cells under grants from two different rounds.
+        coordinator = _coordinator()
+        coordinator.grant_ms = 1.0
+        log = []
+
+        async def slow_round():
+            log.append("round_start")
+            await asyncio.sleep(0.02)
+            log.append("round_end")
+
+        async def read():
+            log.append("read")
+
+        async def no_reap():
+            pass
+
+        coordinator._grant_round_locked = slow_round
+        coordinator._merged_allocation_locked = read
+        coordinator._reap_dead_cells = no_reap
+
+        async def scenario():
+            ticker = asyncio.create_task(coordinator._tick_loop())
+            while not log:  # wait for the round to start
+                await asyncio.sleep(0.001)
+            ticker.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await ticker
+            await coordinator._merged_allocation()
+
+        asyncio.run(scenario())
+        assert log == ["round_start", "round_end", "read"]
+
     def test_capacity_swap_is_atomic_with_its_regrant(self):
         # POST /v1/capacity must replace the vector and re-grant under
         # one lock acquisition: a queued read sees either the old

@@ -481,7 +481,6 @@ class TestMechanismFlag:
     def test_dynamic_defaults_to_ref(self):
         args = build_parser().parse_args(["dynamic"])
         assert args.mechanism == "ref"
-        assert args.no_batch_refit is False
 
     def test_dynamic_rejects_unknown_mechanism(self):
         with pytest.raises(SystemExit):
