@@ -1,10 +1,10 @@
 # Convenience targets for the REF reproduction.
 #
 # The CI workflow (.github/workflows/ci.yml) runs these same targets —
-# lint, test, perfbench-check, coverage, smoke, bench-kernel,
-# bench-solver, cold-start-check, dynamic-smoke, serve-smoke,
-# shard-smoke, credit-smoke, regret-smoke — so `make ci` reproduces a
-# full CI run locally with zero drift.
+# lint, test, perfbench-check, perfbench-smoke, coverage, smoke,
+# bench-kernel, bench-solver, cold-start-check, dynamic-smoke,
+# serve-smoke, shard-smoke, credit-smoke, regret-smoke — so `make ci`
+# reproduces a full CI run locally with zero drift.
 
 PYTHON ?= python
 JOBS ?= 2
@@ -15,7 +15,7 @@ SMOKE_ARTIFACTS := fig8a fig8b fig8c fig9 table1 table2
 # at the measured baseline rounded down; ratchet up, never down.
 COV_FLOOR ?= 80
 
-.PHONY: install test perfbench-check coverage bench bench-kernel bench-serve \
+.PHONY: install test perfbench-check perfbench-smoke coverage bench bench-kernel bench-serve \
 	bench-solver cold-start-check examples reproduce \
 	lint smoke dynamic-smoke metrics-smoke serve-smoke shard-smoke \
 	credit-smoke regret-smoke ci clean
@@ -37,6 +37,20 @@ perfbench-check:
 		$(PYTHON) -c "import importlib, sitecustomize; \
 		[importlib.import_module(name) for name in sitecustomize.PATCHES]; \
 		print('perfbench-check OK:', len(sitecustomize.PATCHES), 'patched modules import')"
+
+# One short traced run of the open-loop benchmark against the real
+# server.  perfbench-check only imports the hooked modules; this calls
+# the wrapped bindings an ingest-heavy tick runs through, so one that
+# imports but breaks at call time (e.g. `OnlineProfiler.needs_refit`
+# ceasing to be a property) fails here.  Passes only when the run's
+# final JSON line reports "correct": true.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload ingest-heavy --seed 1 --seconds 3 --trace 1 \
+		> $(SMOKE_CACHE).perfbench.txt
+	tail -n 1 $(SMOKE_CACHE).perfbench.txt | $(PYTHON) -c "import json, sys; \
+		sys.exit(0 if json.loads(sys.stdin.read())['correct'] is True \
+		else 'perfbench-smoke: the run is not correct')"
+	@echo "perfbench-smoke OK: traced ingest-heavy run correct"
 
 # The CI coverage job, runnable locally (needs pytest-cov installed):
 # line coverage over src/repro with a hard fail-under floor and an HTML
@@ -169,8 +183,8 @@ credit-smoke:
 # Mirrors .github/workflows/ci.yml job for job.  Coverage needs
 # pytest-cov; when it is missing locally the leg is skipped with a
 # notice instead of failing the whole run.
-ci: lint test perfbench-check smoke bench-kernel bench-solver cold-start-check dynamic-smoke \
-		serve-smoke shard-smoke credit-smoke regret-smoke bench-serve
+ci: lint test perfbench-check perfbench-smoke smoke bench-kernel bench-solver cold-start-check \
+		dynamic-smoke serve-smoke shard-smoke credit-smoke regret-smoke bench-serve
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(MAKE) coverage; \
 	else \

@@ -170,9 +170,20 @@ class CobbDouglasUtility(Utility):
 
         Re-scaling preserves the preference ordering (it is a monotone
         transformation) while making the function homogeneous of degree
-        one, the property the SI/EF/PE proofs rely on.
+        one, the property the SI/EF/PE proofs rely on.  The result is
+        memoized on the instance; the class is frozen, so the memo can
+        never go stale.
         """
-        return CobbDouglasUtility(rescale_elasticities(self.elasticities), scale=1.0)
+        memo = self.__dict__.get("_rescaled")
+        if memo is None:
+            memo = CobbDouglasUtility(rescale_elasticities(self.elasticities), scale=1.0)
+            object.__setattr__(self, "_rescaled", memo)
+        return memo
+
+    def __getstate__(self) -> dict:
+        # The memo is derived state: leave it out so pickles (and
+        # copies) carry exactly the two fields.
+        return {"elasticities": self.elasticities, "scale": self.scale}
 
     def is_rescaled(self, tol: float = 1e-9) -> bool:
         """True when elasticities already sum to one and scale is one."""

@@ -31,7 +31,7 @@ imperfect measurement pipeline:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,18 +93,22 @@ class OnlineProfiler:
         when — not what — the profiler learns.
     """
 
-    #: Internal counter key -> (metric name, extra labels) mirror map.
-    _COUNTER_METRICS = {
+    #: Mirror key -> (registry method, metric name, extra labels).
+    _METRICS = {
         "rejected_non_positive": (
+            "counter",
             "repro_online_samples_rejected_total",
             {"reason": "non_positive"},
         ),
         "rejected_outliers": (
+            "counter",
             "repro_online_samples_rejected_total",
             {"reason": "outlier"},
         ),
-        "fit_fallbacks": ("repro_online_fit_fallbacks_total", {}),
-        "trimmed_samples": ("repro_online_samples_trimmed_total", {}),
+        "fit_fallbacks": ("counter", "repro_online_fit_fallbacks_total", {}),
+        "trimmed_samples": ("counter", "repro_online_samples_trimmed_total", {}),
+        "refits": ("counter", "repro_online_refits_total", {}),
+        "condition": ("gauge", "repro_online_fit_condition_number", {}),
     }
 
     def __init__(
@@ -159,14 +163,31 @@ class OnlineProfiler:
         else:
             self.max_history = None
         self.auto_refit = auto_refit
-        self._allocations: List[np.ndarray] = []
-        self._performance: List[float] = []
+        # The accepted history, oldest first, lives in rows
+        # [_start, _end) of two contiguous buffers.  Trimming advances
+        # _start; an append at the end of the buffer moves the live rows
+        # to the front, or doubles the buffer when more than half of it
+        # is live, so each sample costs O(1) amortised.
+        capacity = 2 * (self.max_history or min_samples)
+        self._allocations = np.empty((capacity, n_resources))
+        self._performance = np.empty(capacity)
+        self._start = 0
+        self._end = 0
+        # _has_variation's verdict, cached until the history next changes.
+        self._variation: Optional[bool] = None
+        # decay ** age for ages max_history - 1 .. 0: a history of n
+        # samples is weighted by the last n entries.
+        self._weights = (
+            decay ** np.arange(self.max_history - 1, -1, -1, dtype=float) if decay < 1.0 else None
+        )
+        self._naive = CobbDouglasUtility([1.0 / n_resources] * n_resources)
         self._fit: Optional[CobbDouglasFit] = None
         self._dirty = False
         self._last_condition = float("nan")
         self._consecutive_outliers = 0
         self._metrics = metrics
         self._metric_labels = dict(metric_labels or {})
+        self._handles: Dict[str, object] = {}
         self._counters: Dict[str, int] = {
             "rejected_non_positive": 0,
             "rejected_outliers": 0,
@@ -174,16 +195,28 @@ class OnlineProfiler:
             "trimmed_samples": 0,
         }
 
+    def _metric(self, key: str):
+        """The registry child mirroring ``key``, looked up at first use.
+
+        Held afterwards, so a hot path pays no locked registry lookup,
+        while a series still appears only once it is first touched.
+        """
+        handle = self._handles.get(key)
+        if handle is None:
+            kind, name, extra = self._METRICS[key]
+            handle = getattr(self._metrics, kind)(name, **{**self._metric_labels, **extra})
+            self._handles[key] = handle
+        return handle
+
     def _count(self, key: str, n: int = 1) -> None:
         """Bump an internal counter and its metric mirror (if any)."""
         self._counters[key] += n
         if self._metrics is not None:
-            name, extra = self._COUNTER_METRICS[key]
-            self._metrics.counter(name, **{**self._metric_labels, **extra}).inc(n)
+            self._metric(key).inc(n)
 
     @property
     def n_samples(self) -> int:
-        return len(self._performance)
+        return self._end - self._start
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -198,7 +231,7 @@ class OnlineProfiler:
     @property
     def naive_utility(self) -> CobbDouglasUtility:
         """The §4.4 prior: all resources contribute equally."""
-        return CobbDouglasUtility([1.0 / self.n_resources] * self.n_resources)
+        return self._naive
 
     @property
     def utility(self) -> CobbDouglasUtility:
@@ -224,9 +257,12 @@ class OnlineProfiler:
         fit; the arrays are copies, mutating them cannot corrupt the
         profiler.
         """
-        if not self._performance:
+        if self._end == self._start:
             return None
-        return np.vstack(self._allocations), np.asarray(self._performance, dtype=float)
+        return (
+            self._allocations[self._start : self._end].copy(),
+            self._performance[self._start : self._end].copy(),
+        )
 
     def observe(
         self,
@@ -268,9 +304,9 @@ class OnlineProfiler:
             self._count("rejected_outliers")
             return self.utility
         self._consecutive_outliers = 0
-        self._allocations.append(arr)
-        self._performance.append(float(performance))
+        self._append(arr, float(performance))
         self._trim_history()
+        self._variation = None
         self._dirty = True
         if (
             self.auto_refit
@@ -299,13 +335,27 @@ class OnlineProfiler:
             return False
         return True
 
+    def _append(self, allocation: np.ndarray, performance: float) -> None:
+        if self._end == len(self._performance):
+            live = self.n_samples
+            allocations, performances = self._allocations, self._performance
+            if 2 * live > len(performances):
+                allocations = np.empty((2 * len(performances), self.n_resources))
+                performances = np.empty(2 * len(performances))
+            allocations[:live] = self._allocations[self._start : self._end]
+            performances[:live] = self._performance[self._start : self._end]
+            self._allocations, self._performance = allocations, performances
+            self._start, self._end = 0, live
+        self._allocations[self._end] = allocation
+        self._performance[self._end] = performance
+        self._end += 1
+
     def _trim_history(self) -> None:
         if self.max_history is None:
             return
         excess = self.n_samples - self.max_history
         if excess > 0:
-            del self._allocations[:excess]
-            del self._performance[:excess]
+            self._start += excess
             self._count("trimmed_samples", excess)
 
     @property
@@ -330,11 +380,13 @@ class OnlineProfiler:
         :func:`~repro.core.fitting.fit_cobb_douglas`; batched drivers
         collect these across agents for one stacked solve.
         """
-        return (
-            np.vstack(self._allocations),
-            np.asarray(self._performance),
-            self._sample_weights(),
-        )
+        history = self.samples()
+        if history is None:
+            raise ValueError("no accepted samples to fit")
+        weights = None
+        if self._weights is not None:
+            weights = self._weights[len(self._weights) - self.n_samples :].copy()
+        return (*history, weights)
 
     def apply_fit(self, fit: Optional[CobbDouglasFit]) -> None:
         """Accept or reject an externally computed re-fit.
@@ -364,9 +416,7 @@ class OnlineProfiler:
         if alpha_ok and condition_ok:
             self._fit = fit
             if self._metrics is not None:
-                self._metrics.counter(
-                    "repro_online_refits_total", **self._metric_labels
-                ).inc()
+                self._metric("refits").inc()
         else:
             self._count("fit_fallbacks")
 
@@ -392,15 +442,7 @@ class OnlineProfiler:
 
     def _record_condition(self) -> None:
         if self._metrics is not None:
-            self._metrics.gauge(
-                "repro_online_fit_condition_number", **self._metric_labels
-            ).set(self._last_condition)
-
-    def _sample_weights(self) -> Optional[np.ndarray]:
-        if self.decay == 1.0:
-            return None
-        ages = np.arange(self.n_samples - 1, -1, -1, dtype=float)
-        return self.decay ** ages
+            self._metric("condition").set(self._last_condition)
 
     def _has_variation(self) -> bool:
         """True when every resource axis has been sampled at >= 2 levels.
@@ -408,5 +450,7 @@ class OnlineProfiler:
         With all samples at a single allocation the design matrix is
         rank-deficient and the fit would be meaningless.
         """
-        allocations = np.vstack(self._allocations)
-        return bool(np.all(np.ptp(allocations, axis=0) > 0))
+        if self._variation is None:
+            live = self._allocations[self._start : self._end]
+            self._variation = bool(np.all(np.ptp(live, axis=0) > 0))
+        return self._variation

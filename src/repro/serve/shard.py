@@ -506,6 +506,7 @@ class ShardCoordinator(HttpServerBase):
 
         async def push(cell: CellWorker) -> None:
             request = CapacityRequest(capacities=dict(cell.grant))
+            placed = set(cell.agents)
             started = self._loop.time() if self._loop is not None else 0.0
             try:
                 response = await self._call(
@@ -533,9 +534,10 @@ class ShardCoordinator(HttpServerBase):
             )
             # The worker's own membership is ground truth for *its*
             # agents' benchmarks being live; keep placement in sync with
-            # any churn that raced this round.
-            stale = set(cell.agents) - set(response.agents)
-            for agent in stale:
+            # any churn that raced this round.  Only agents placed before
+            # the grant went out can be judged by its reply: a register
+            # acked while the grant was in flight may postdate the reply.
+            for agent in placed - set(response.agents):
                 cell.agents.pop(agent, None)
 
         await asyncio.gather(*[push(cell) for cell in live])

@@ -271,6 +271,60 @@ class TestMetricsMirror:
         profiler.observe((1.0, 1.0), -5.0)
         assert profiler.counters["rejected_non_positive"] == 1  # no crash, no registry
 
+    def test_handles_held_after_first_use(self):
+        # The profiler resolves each labelled child once and holds it.
+        # Against a profiler that looks its child up on every bump, the
+        # same series must exist after every step (a series appears only
+        # when first touched) and the exposition must match byte for byte.
+        from repro.obs import MetricsRegistry, to_prometheus
+
+        class CountingRegistry(MetricsRegistry):
+            lookups = 0
+
+            def counter(self, name, help="", **labels):
+                self.lookups += 1
+                return super().counter(name, help, **labels)
+
+            def gauge(self, name, help="", **labels):
+                self.lookups += 1
+                return super().gauge(name, help, **labels)
+
+        class LookupEveryBump(OnlineProfiler):
+            def _metric(self, key):
+                kind, name, extra = self._METRICS[key]
+                labels = {**self._metric_labels, **extra}
+                return getattr(self._metrics, kind)(name, **labels)
+
+        held_registry, lookup_registry = CountingRegistry(), CountingRegistry()
+        kwargs = dict(
+            decay=0.5,
+            weight_floor=0.1,
+            outlier_log_threshold=0.5,
+            metric_labels={"agent": "a1"},
+        )
+        held = OnlineProfiler(metrics=held_registry, **kwargs)
+        lookup = LookupEveryBump(metrics=lookup_registry, **kwargs)
+
+        def series(registry):
+            return [(metric.name, metric.labels) for metric in registry.metrics()]
+
+        rng = np.random.default_rng(5)
+        truth = CobbDouglasUtility((0.6, 0.4))
+        steps = [((1.0, 1.0), -1.0)]  # the rejection series alone
+        for _ in range(60):
+            allocation = tuple(rng.uniform(0.5, 20.0, size=2))
+            steps.append((allocation, truth.value(allocation)))
+        steps += [((2.0, 2.0), 1e4)] * 2  # outliers once a fit exists
+        for allocation, ipc in steps:
+            held.observe(allocation, ipc)
+            lookup.observe(allocation, ipc)
+            assert series(held_registry) == series(lookup_registry)
+        held.apply_fit(None)
+        lookup.apply_fit(None)
+        assert len(series(held_registry)) == 6
+        assert to_prometheus(held_registry) == to_prometheus(lookup_registry)
+        assert held_registry.lookups == 6 < lookup_registry.lookups
+
 
 class TestExplorationBypass:
     """Exploration-tagged samples skip the fit-relative outlier gate.

@@ -3,16 +3,19 @@
 A ``/v1/allocation`` read that runs while a grant round is mid-flight
 would union some cells re-solved under this round's grants with others
 still on the previous round's — a transiently capacity-infeasible view
-even though every cell is feasible.  These tests pin the serialization
-without booting worker subprocesses.
+even though every cell is feasible.  These tests pin the serialization,
+and the grant reply's membership sync against registers that race a
+round, without booting worker subprocesses.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve import ShardCoordinator
+from repro.serve.protocol import CapacityResponse
 
 WORKLOADS = {"freqmine": "freqmine", "dedup": "dedup"}
 
@@ -149,3 +152,66 @@ class TestRoundLock:
         a, b = _coordinator(), _coordinator()
         assert isinstance(a._round_lock, asyncio.Lock)
         assert a._round_lock is not b._round_lock
+
+
+class TestGrantRaceWithRegister:
+    def test_register_acked_mid_round_stays_placed(self):
+        # A cell answers the grant, then applies a register and acks it;
+        # the coordinator handles the (older) grant reply only after the
+        # ack.  The reply does not list the new agent, but the agent was
+        # not placed when the grant went out, so it must stay placed.
+        coordinator = _coordinator()
+        coordinator._seed_placement()
+        members = {cell.name: set(cell.agents) for cell in coordinator.cells}
+        for cell in coordinator.cells:
+            cell.alive = True
+            cell.grant = {"membw_gbps": 12.8, "cache_kb": 2048.0}
+        answered = asyncio.Event()
+        release = asyncio.Event()
+
+        class StubClient:
+            def __init__(self, cell):
+                self.members = members[cell.name]
+
+            def grant_capacity(self, capacities):
+                return CapacityResponse(
+                    epoch=0,
+                    agents=tuple(sorted(self.members)),
+                    capacities=dict(capacities),
+                    aggregate_elasticity={name: 1.0 for name in capacities},
+                )
+
+            def register(self, agent, workload=None, workload_class=None):
+                self.members.add(agent)
+
+            def deregister(self, agent):
+                self.members.remove(agent)
+
+        async def call(cell, fn):
+            result = fn(StubClient(cell))
+            if isinstance(result, CapacityResponse):
+                answered.set()  # the cell has answered the grant...
+                await release.wait()  # ...the reply is still in flight
+            return result
+
+        coordinator._call = call
+
+        def agents_request(**payload):
+            return coordinator._dispatch("POST", "/v1/agents", json.dumps(payload).encode())
+
+        async def scenario():
+            round_task = asyncio.create_task(coordinator._grant_round())
+            await answered.wait()
+            registered = await agents_request(action="register", agent="newbie", workload="canneal")
+            release.set()
+            await round_task
+            owner = coordinator._owner("newbie")
+            deregistered = await agents_request(action="deregister", agent="newbie")
+            return registered, owner, deregistered
+
+        registered, owner, deregistered = asyncio.run(scenario())
+        assert registered[0] == 200
+        assert deregistered[0] == 200, deregistered  # not 404 unknown_agent
+        assert owner is not None
+        assert all("newbie" not in agents for agents in members.values())
+        assert coordinator._owner("newbie") is None
