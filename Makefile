@@ -1,7 +1,7 @@
 # Convenience targets for the REF reproduction.
 #
 # The CI workflow (.github/workflows/ci.yml) runs these same targets —
-# lint, test, perfbench-check, perfbench-smoke, coverage, smoke,
+# lint, test, serve-devmode, perfbench-check, perfbench-smoke, coverage, smoke,
 # bench-kernel, bench-solver, cold-start-check, dynamic-smoke,
 # serve-smoke, shard-smoke, credit-smoke, regret-smoke — so `make ci`
 # reproduces a full CI run locally with zero drift.
@@ -15,8 +15,8 @@ SMOKE_ARTIFACTS := fig8a fig8b fig8c fig9 table1 table2
 # at the measured baseline rounded down; ratchet up, never down.
 COV_FLOOR ?= 80
 
-.PHONY: install test perfbench-check perfbench-smoke coverage bench bench-kernel bench-serve \
-	bench-solver cold-start-check examples reproduce \
+.PHONY: install test serve-devmode perfbench-check perfbench-smoke coverage bench bench-kernel \
+	bench-serve bench-solver cold-start-check examples reproduce \
 	lint smoke dynamic-smoke metrics-smoke serve-smoke shard-smoke \
 	credit-smoke regret-smoke ci clean
 
@@ -25,6 +25,17 @@ install:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The serve tests under asyncio debug mode (python -X dev).  A socket or
+# transport left unclosed (ResourceWarning, raised as an error inside
+# __del__ and reported by pytest as an unraisable exception) fails the
+# run, and so does an asyncio error report such as a task exception
+# that is never retrieved (tests/conftest.py).  Guards the lifetimes of
+# the HTTP front end's transports, timers and handler tasks.
+serve-devmode:
+	$(PYTHON) -X dev -W error::ResourceWarning -m pytest tests/serve \
+		tests/integration/test_keepalive.py tests/integration/test_serve.py -q \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 # The open-loop benchmark's self-tests, then an import of every module
 # its trace hook (perfbench/tracehook/sitecustomize.py) patches, with
@@ -183,8 +194,9 @@ credit-smoke:
 # Mirrors .github/workflows/ci.yml job for job.  Coverage needs
 # pytest-cov; when it is missing locally the leg is skipped with a
 # notice instead of failing the whole run.
-ci: lint test perfbench-check perfbench-smoke smoke bench-kernel bench-solver cold-start-check \
-		dynamic-smoke serve-smoke shard-smoke credit-smoke regret-smoke bench-serve
+ci: lint test serve-devmode perfbench-check perfbench-smoke smoke bench-kernel bench-solver \
+		cold-start-check dynamic-smoke serve-smoke shard-smoke credit-smoke regret-smoke \
+		bench-serve
 	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
 		$(MAKE) coverage; \
 	else \

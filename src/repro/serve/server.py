@@ -1,7 +1,8 @@
 """The asyncio HTTP allocation server.
 
-A deliberately small HTTP/1.1 implementation on ``asyncio.start_server``
-(stdlib only, persistent connections) wrapping a
+A deliberately small HTTP/1.1 implementation — one buffered
+``asyncio.Protocol`` per connection on ``loop.create_server`` (stdlib
+only, persistent connections, pipelining) — wrapping a
 :class:`~repro.dynamic.controller.DynamicAllocator` as a long-lived
 service:
 
@@ -32,8 +33,11 @@ Samples are coalesced by a :class:`~repro.serve.batching.SampleBatcher`;
 an epoch tick applies the batch through
 ``DynamicAllocator.observe_sample`` and solves the mechanism exactly
 once (``step(measure=False)``), so the solve rate is bounded by the
-batch policy, not by the client count.  Agent churn triggers an
-immediate tick so ``GET /v1/allocation`` reflects the new membership.
+batch policy, not by the client count.  The tick task sleeps until the
+oldest pending sample's deadline and, with nothing pending, until a
+sample arrives: an idle server does not wake at all.  Agent churn
+triggers an immediate tick so ``GET /v1/allocation`` reflects the new
+membership.
 ``POST /v1/capacity`` is the hierarchical hook: a shard coordinator
 (:mod:`repro.serve.shard`) re-slices the global capacity vector across
 cell workers each epoch, and a grant both updates this cell's
@@ -71,7 +75,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..dynamic.controller import DynamicAllocator, EpochRecord
 from ..obs import MetricsRegistry, global_registry, to_prometheus
@@ -99,7 +103,12 @@ __all__ = ["AllocationServer", "HttpServerBase", "ServerThread"]
 #: Hard request-parsing limits; anything beyond them is a 4xx, not a crash.
 MAX_REQUEST_LINE = 8192
 MAX_HEADERS = 100
+MAX_HEAD_BYTES = 1 << 16
 MAX_BODY_BYTES = 1 << 20
+
+#: Unparsed bytes a connection buffers before it stops reading: more
+#: than the largest request can only pile up behind a pending reply.
+_MAX_UNPARSED = MAX_HEAD_BYTES + MAX_BODY_BYTES
 
 _REASONS = {
     200: "OK",
@@ -139,6 +148,265 @@ class _HttpError(Exception):
         self.detail = detail
 
 
+#: A parsed request: ``(end, method, path, body, keep_alive)``, where
+#: ``end`` is the buffer offset just past it.
+_Request = Tuple[int, str, str, bytes, bool]
+
+
+def _parse_request(buffer: bytearray, start: int) -> Optional[_Request]:
+    """Parse the request that begins at ``buffer[start]``.
+
+    Returns None while the request is incomplete, and raises
+    :class:`_HttpError` as soon as the bytes cannot become a request
+    within the limits.  Lines end in CRLF or a bare LF.  ``keep_alive``
+    follows HTTP/1.1: persistent by default, ``Connection: close`` opts
+    out; HTTP/1.0 is one-shot unless the client asks for
+    ``Connection: keep-alive``.
+    """
+    limit = start + MAX_HEAD_BYTES
+    blank = buffer.find(b"\n\r\n", start, limit)
+    bare = buffer.find(b"\n\n", start, blank + 2 if blank >= 0 else limit)
+    if bare >= 0:
+        head_end = bare + 2
+    elif blank >= 0:
+        head_end = blank + 3
+    else:
+        pending = len(buffer) - start
+        if pending >= MAX_REQUEST_LINE and buffer.find(b"\n", start, start + MAX_REQUEST_LINE) < 0:
+            raise _HttpError(431, "header_too_large", "request line too long")
+        if pending >= MAX_HEAD_BYTES:
+            raise _HttpError(431, "header_too_large", "request line or header too large")
+        return None
+    lines = buffer[start:head_end].decode("latin-1").split("\n")[:-2]
+    if len(lines[0]) + 1 > MAX_REQUEST_LINE:
+        raise _HttpError(431, "header_too_large", "request line too long")
+    parts = lines[0].split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise _HttpError(400, "bad_request", "malformed request line")
+    method, target, version = parts
+    if len(lines) - 1 > MAX_HEADERS:
+        raise _HttpError(431, "header_too_large", "too many headers")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, colon, value = line.rstrip("\r").partition(":")
+        if not colon:
+            raise _HttpError(400, "bad_request", f"malformed header {name!r}")
+        headers[name.strip().lower()] = value.strip()
+    end = head_end
+    body = b""
+    if method in ("POST", "PUT", "PATCH"):
+        length_text = headers.get("content-length")
+        if length_text is None:
+            raise _HttpError(411, "length_required", "POST needs Content-Length")
+        try:
+            length = int(length_text)
+        except ValueError:
+            raise _HttpError(400, "bad_request", "bad Content-Length") from None
+        if length < 0:
+            raise _HttpError(400, "bad_request", "bad Content-Length")
+        if length > MAX_BODY_BYTES:
+            raise _HttpError(413, "payload_too_large", f"body > {MAX_BODY_BYTES}B")
+        end = head_end + length
+        if len(buffer) < end:
+            return None
+        body = bytes(buffer[head_end:end])
+    connection = headers.get("connection", "").lower()
+    if version == "HTTP/1.0":
+        keep_alive = connection == "keep-alive"
+    else:
+        keep_alive = connection != "close"
+    return end, method, target.split("?", 1)[0], body, keep_alive
+
+
+def _response(status: int, payload: object, content_type: str, keep_alive: bool) -> bytes:
+    """One framed response; ``payload`` is bytes, text, or a JSON-able dict."""
+    if isinstance(payload, str):
+        body = payload.encode()
+    elif isinstance(payload, (bytes, bytearray)):
+        body = payload
+    else:
+        body = json.dumps(payload).encode()
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+class _Connection(asyncio.Protocol):
+    """One persistent HTTP/1.1 connection, answered from a byte buffer.
+
+    ``data_received`` appends to the buffer and answers every complete
+    request in it, in order.  A sync handler's reply is written inline.
+    An async handler (the coordinator's proxies) runs as the one held
+    task, and the next buffered request is parsed only after its reply
+    is written, so pipelined replies keep request order.  Nothing is
+    parsed while the transport's write buffer is over its high-water
+    mark (``pause_writing`` until ``resume_writing``), and reading pauses
+    while more than one largest request waits unparsed.
+
+    One timer, re-armed rather than replaced, closes a connection whose
+    next request is not complete ``FIRST_REQUEST_TIMEOUT`` after it was
+    accepted, or ``idle_timeout`` after the previous reply.
+    """
+
+    def __init__(self, server: "HttpServerBase"):
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._handled = 0
+        #: The async handler whose reply is due next, if any.
+        self._task: Optional[asyncio.Task] = None
+        self._paused = False  # write buffer over its high-water mark
+        self._reading = True
+        self._closing = False  # answer no further request
+        self._eof = False  # the client half-closed: close once idle
+        self._deadline = 0.0
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    # ------------------------------------------------------------------
+    # asyncio.Protocol callbacks
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._server._connections.add(self)
+        self._server._metric("connections").inc()
+        self._wait(self._loop.time() + FIRST_REQUEST_TIMEOUT)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closing = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._server._connections.discard(self)
+        self._server._metric("per_connection").observe(self._handled)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._process()
+
+    def eof_received(self) -> bool:
+        # Keep the write side open while a reply is still due.
+        self._eof = True
+        return self._task is not None or self._paused
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._process()
+
+    # ------------------------------------------------------------------
+    # Requests and replies
+
+    def _process(self) -> None:
+        """Answer every complete buffered request, in order."""
+        buffer = self._buffer
+        start = 0
+        try:
+            while not (self._closing or self._paused or self._task is not None):
+                try:
+                    request = _parse_request(buffer, start)
+                except _HttpError as error:
+                    # Framing is untrusted now: answer and poison only
+                    # this connection.  Counted before the write so a
+                    # client that read the reply sees the counter bumped.
+                    self._handled += 1
+                    self._server._count_request("unparsed", error.status, self._loop.time())
+                    payload = ErrorResponse(error.error, error.detail).as_dict()
+                    self._send(_response(error.status, payload, "application/json", False))
+                    self._closing = True
+                    break
+                if request is None:
+                    break
+                start, method, path, body, keep_alive = request
+                self._answer(method, path, body, keep_alive)
+        finally:
+            del buffer[:start]
+        if self._task is None and (self._closing or self._eof and not self._paused):
+            self._close()
+        elif self._reading != (len(buffer) <= _MAX_UNPARSED):
+            self._reading = not self._reading
+            if self._reading:
+                self._transport.resume_reading()
+            else:
+                self._transport.pause_reading()
+
+    def _answer(self, method: str, path: str, body: bytes, keep_alive: bool) -> None:
+        # The latency clock starts here, with the request complete:
+        # keep-alive idle time before it is the client's, not ours.
+        started = self._loop.time()
+        result = self._server._dispatch(method, path, body)
+        if isinstance(result, tuple):
+            self._reply(path, result, keep_alive, started)
+        else:
+            self._task = self._loop.create_task(self._finish(path, result, keep_alive, started))
+
+    async def _finish(self, path: str, pending, keep_alive: bool, started: float) -> None:
+        result = await pending
+        self._task = None
+        self._reply(path, result, keep_alive, started)
+        self._process()
+
+    def _reply(self, path: str, result, keep_alive: bool, started: float) -> None:
+        server = self._server
+        status, payload, content_type = result
+        self._handled += 1
+        route = path if path in server._route_table else "unknown"
+        now = server._count_request(route, status, started)
+        self._send(_response(status, payload, content_type, keep_alive))
+        if not keep_alive:
+            self._closing = True
+        elif not self._closing:
+            self._wait(now + server.idle_timeout)
+
+    def _send(self, data: bytes) -> None:
+        if not self._transport.is_closing():
+            self._transport.write(data)
+
+    # ------------------------------------------------------------------
+    # Timeouts and shutdown
+
+    def _wait(self, deadline: float) -> None:
+        """Give the next request until ``deadline`` to complete."""
+        self._deadline = deadline
+        if self._timer is None or self._timer.when() > deadline:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        now = self._loop.time()
+        if self._task is not None or self._paused:
+            # A reply is still being produced or delivered; the wait for
+            # the next request starts only after it.
+            self._timer = self._loop.call_at(now + self._server.idle_timeout, self._expire)
+        elif now < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+        else:
+            # Idle keep-alive expiry or a stalled request: nothing to
+            # answer, and no request to count.
+            self._timer = None
+            self._close()
+
+    def _close(self) -> None:
+        self._closing = True
+        self._transport.close()
+
+    def shutdown(self) -> None:
+        """Answer the request in flight, if any, then close."""
+        self._closing = True
+        if self._task is None:
+            self._close()
+
+    def abort(self) -> None:
+        self._transport.abort()
+
+
 class HttpServerBase:
     """Shared asyncio HTTP/1.1 plumbing for the serve-layer processes.
 
@@ -148,28 +416,69 @@ class HttpServerBase:
     * :meth:`_on_start` — runs before the socket binds (e.g. epoch 0,
       worker spawning);
     * :meth:`_tick_loop` — the background task started after binding
-      (batch polling, capacity-grant rounds); the default sleeps
-      forever;
+      (epoch ticks, capacity-grant rounds); the default sleeps forever;
     * :meth:`_on_stop` — runs after the listener closed (final flush,
       worker teardown).
 
     Handlers are sync or async callables ``body -> (status, payload,
-    content_type)``; async handlers let a proxying subclass await
-    upstream workers without blocking the dispatcher contract.  A
-    handler may return pre-rendered ``bytes`` as the payload (the
-    snapshot read path) — they are written as-is.  All request hygiene
-    (size limits, timeouts, error mapping, the
-    ``repro_serve_requests_total`` / request-latency metrics) lives
+    content_type)``.  A sync handler is answered inline, while the bytes
+    are still in hand; an async one lets a proxying subclass await
+    upstream workers, and a handler may also be sync on its fast path
+    and return a coroutine otherwise.  A handler may return pre-rendered
+    ``bytes`` as the payload (the snapshot read path) — they are written
+    as-is.  All request hygiene (size limits, timeouts, error mapping,
+    the ``repro_serve_requests_total`` / request-latency metrics) lives
     here, so every server speaking this dialect gets the same hardening.
 
-    Connections are persistent by default (HTTP/1.1): each connection
-    handler loops reading requests until the client sends
-    ``Connection: close``, goes quiet for ``idle_timeout`` seconds, or
-    sends bytes that cannot be parsed (the framing is then untrusted,
-    so the connection is answered with its 4xx and closed — poisoning
-    only itself).  Snapshot byte caching for the hot read routes is
-    provided by :meth:`_snapshot` / :meth:`_invalidate_snapshots`.
+    Each connection is one :class:`_Connection` protocol (no asyncio
+    streams): persistent by default (HTTP/1.1), it answers buffered
+    requests in order until the client sends ``Connection: close``,
+    goes quiet for ``idle_timeout`` seconds, or sends bytes that cannot
+    be parsed (the framing is then untrusted, so the connection is
+    answered with its 4xx and closed — poisoning only itself).  Snapshot
+    byte caching for the hot read routes is provided by
+    :meth:`_snapshot` / :meth:`_invalidate_snapshots`.
     """
+
+    #: Metrics the request path touches, resolved per label set at first
+    #: use by :meth:`_metric`: ``(kind, name, help, label names, options)``.
+    _METRICS = {
+        "connections": (
+            "counter",
+            "repro_serve_connections_total",
+            "TCP connections accepted by the HTTP listener.",
+            (),
+            {},
+        ),
+        "per_connection": (
+            "histogram",
+            "repro_serve_requests_per_connection",
+            "Requests served over each connection before it closed.",
+            (),
+            {"buckets": _CONNECTION_BUCKETS},
+        ),
+        "requests": (
+            "counter",
+            "repro_serve_requests_total",
+            "HTTP requests handled, by route and status.",
+            ("route", "status"),
+            {},
+        ),
+        "latency": (
+            "histogram",
+            "repro_serve_request_latency_seconds",
+            "Server-side request handling latency.",
+            ("route",),
+            {},
+        ),
+        "snapshots": (
+            "counter",
+            "repro_serve_snapshots_total",
+            "Snapshot-served reads, by route and cache result.",
+            ("route", "result"),
+            {},
+        ),
+    }
 
     def __init__(
         self,
@@ -192,8 +501,12 @@ class HttpServerBase:
         self._stopped = False
         #: Route -> rendered response bytes, dropped by _invalidate_snapshots.
         self._snapshots: Dict[str, bytes] = {}
-        #: Writers of currently open connections, for graceful shutdown.
-        self._open_writers: set = set()
+        #: Open connections, for graceful shutdown.
+        self._connections: Set[_Connection] = set()
+        #: Path -> (method, handler); _routes() names only bound methods.
+        self._route_table = self._routes()
+        #: Request-path metric children held by _metric.
+        self._handles: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -205,8 +518,8 @@ class HttpServerBase:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         await self._on_start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = self._loop.time()
@@ -228,7 +541,7 @@ class HttpServerBase:
         await self._stop_event.wait()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop listening, then run :meth:`_on_stop`."""
+        """Graceful shutdown: stop listening, drain, then run :meth:`_on_stop`."""
         if self._stopped:
             return
         self._stopped = True
@@ -241,16 +554,19 @@ class HttpServerBase:
                 pass
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Nudge parked keep-alive connections to exit before the loop is
-        # torn down: closing the transport wakes their pending reads
-        # with EOF, so the handlers return instead of being cancelled.
-        for open_writer in list(self._open_writers):
-            open_writer.close()
+        # A connection mid-handler closes after its reply, an idle one at
+        # once.  A handler still running after a second loses its reply:
+        # the listener's wait_closed (3.12+) waits for every connection.
+        for connection in list(self._connections):
+            connection.shutdown()
         for _ in range(100):
-            if not self._open_writers:
+            if not self._connections:
                 break
             await asyncio.sleep(0.01)
+        for connection in list(self._connections):
+            connection.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
         await self._on_stop()
 
     async def _on_start(self) -> None:
@@ -265,202 +581,32 @@ class HttpServerBase:
             await asyncio.sleep(3600.0)
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # Request metrics
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve a persistent connection: loop requests until close.
+    def _metric(self, key: str, *labels):
+        """The registry child for ``key`` and ``labels``, held after first use.
 
-        The loop ends when the client opts out (``Connection: close`` or
-        HTTP/1.0 without keep-alive), goes idle past ``idle_timeout``,
-        disconnects, or sends something unparseable — a parse failure is
-        answered with its 4xx and then the connection is closed, because
-        the request framing can no longer be trusted.
+        Like ``OnlineProfiler._metric``: a request pays one dict lookup,
+        not a locked, label-validating registry lookup, and a series
+        still appears only once it is first touched.
         """
-        self.metrics.counter(
-            "repro_serve_connections_total",
-            help="TCP connections accepted by the HTTP listener.",
-        ).inc()
-        handled = 0
-        self._open_writers.add(writer)
-        try:
-            while True:
-                started = self._loop.time() if self._loop is not None else 0.0
-                timeout = (
-                    FIRST_REQUEST_TIMEOUT if handled == 0 else self.idle_timeout
-                )
-                try:
-                    method, path, body, keep_alive = await asyncio.wait_for(
-                        self._read_request(reader), timeout=timeout
-                    )
-                except _HttpError as error:
-                    # Counted before the write so a client that has read
-                    # the response observes the counter already bumped.
-                    handled += 1
-                    self._count_request("unparsed", error.status, started)
-                    await self._write_json(
-                        writer,
-                        error.status,
-                        ErrorResponse(error.error, error.detail).as_dict(),
-                        close=True,
-                    )
-                    return  # framing untrusted: poison only this connection
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    asyncio.TimeoutError,
-                ):
-                    # Idle keep-alive expiry or a client that went away
-                    # between requests: nothing to answer, and no
-                    # request to count.
-                    return
-                route = path if path in self._routes() else "unknown"
-                status, payload, content_type = await self._dispatch(
-                    method, path, body
-                )
-                handled += 1
-                self._count_request(route, status, started)
-                close = not keep_alive
-                if (
-                    isinstance(payload, (bytes, bytearray))
-                    or content_type != "application/json"
-                ):
-                    await self._write_raw(
-                        writer, status, payload, content_type, close=close
-                    )
-                else:
-                    await self._write_json(writer, status, payload, close=close)
-                if not keep_alive:
-                    return
-        except (ConnectionError, BrokenPipeError):
-            pass  # response could not be delivered; the client's problem
-        except asyncio.CancelledError:
-            # Event-loop teardown with the connection parked between
-            # requests: exit quietly (3.11's asyncio streams logs a
-            # cancelled connection handler as an unhandled error).
-            pass
-        finally:
-            self._open_writers.discard(writer)
-            self.metrics.histogram(
-                "repro_serve_requests_per_connection",
-                help="Requests served over each connection before it closed.",
-                buckets=_CONNECTION_BUCKETS,
-            ).observe(handled)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
-                pass
+        handle = self._handles.get((key, *labels))
+        if handle is None:
+            kind, name, text, names, options = self._METRICS[key]
+            handle = getattr(self.metrics, kind)(
+                name, help=text, **options, **dict(zip(names, map(str, labels)))
+            )
+            self._handles[(key, *labels)] = handle
+        return handle
 
-    def _count_request(self, route: str, status: int, started: float) -> None:
-        """Count one handled request into the request metrics."""
+    def _count_request(self, route: str, status: int, started: float) -> float:
+        """Count one handled request into the request metrics; returns now."""
         if self._loop is None:
-            return
-        self.metrics.counter(
-            "repro_serve_requests_total",
-            help="HTTP requests handled, by route and status.",
-            route=route,
-            status=str(status),
-        ).inc()
-        self.metrics.histogram(
-            "repro_serve_request_latency_seconds",
-            help="Server-side request handling latency.",
-            route=route,
-        ).observe(self._loop.time() - started)
-
-    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
-        """One header/request line, with stream-limit overruns mapped to 431.
-
-        ``StreamReader.readline`` raises ``ValueError`` (wrapping
-        ``LimitOverrunError``) when a line exceeds the reader's buffer
-        limit.  Left uncaught that escaped ``_handle_connection``
-        entirely: the client hung with no response and the server task
-        died with an unhandled traceback.  A header that does not fit is
-        a client error, not a server crash.
-        """
-        try:
-            return await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError) as error:
-            raise _HttpError(
-                431, "header_too_large", f"request line or header too large: {error}"
-            ) from None
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, bytes, bool]:
-        """Read one framed request: ``(method, path, body, keep_alive)``.
-
-        ``keep_alive`` follows HTTP/1.1 semantics: persistent by default,
-        ``Connection: close`` opts out; HTTP/1.0 is one-shot unless the
-        client asks for ``Connection: keep-alive``.
-        """
-        request_line = await self._read_line(reader)
-        if not request_line:
-            raise asyncio.IncompleteReadError(partial=b"", expected=1)
-        if len(request_line) > MAX_REQUEST_LINE:
-            raise _HttpError(431, "header_too_large", "request line too long")
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _HttpError(400, "bad_request", "malformed request line")
-        method, target, version = parts
-        path = target.split("?", 1)[0]
-        headers: Dict[str, str] = {}
-        for _ in range(MAX_HEADERS + 1):
-            line = await self._read_line(reader)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(headers) >= MAX_HEADERS:
-                raise _HttpError(431, "header_too_large", "too many headers")
-            text = line.decode("latin-1").rstrip("\r\n")
-            if ":" not in text:
-                raise _HttpError(400, "bad_request", f"malformed header {text!r}")
-            name, _, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        if method in ("POST", "PUT", "PATCH"):
-            length_text = headers.get("content-length")
-            if length_text is None:
-                raise _HttpError(411, "length_required", "POST needs Content-Length")
-            try:
-                length = int(length_text)
-            except ValueError:
-                raise _HttpError(400, "bad_request", "bad Content-Length") from None
-            if length < 0:
-                raise _HttpError(400, "bad_request", "bad Content-Length")
-            if length > MAX_BODY_BYTES:
-                raise _HttpError(413, "payload_too_large", f"body > {MAX_BODY_BYTES}B")
-            body = await reader.readexactly(length)
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.0":
-            keep_alive = connection == "keep-alive"
-        else:
-            keep_alive = connection != "close"
-        return method, path, body, keep_alive
-
-    async def _write_json(
-        self, writer, status: int, payload: Dict[str, object], close: bool = True
-    ) -> None:
-        await self._write_raw(
-            writer, status, json.dumps(payload).encode(), "application/json",
-            close=close,
-        )
-
-    async def _write_raw(
-        self, writer, status: int, body, content_type: str, close: bool = True
-    ) -> None:
-        if isinstance(body, str):
-            body = body.encode()
-        reason = _REASONS.get(status, "Unknown")
-        connection = "close" if close else "keep-alive"
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+            return started
+        now = self._loop.time()
+        self._metric("requests", route, status).inc()
+        self._metric("latency", route).observe(now - started)
+        return now
 
     # ------------------------------------------------------------------
     # Snapshot read path
@@ -482,12 +628,7 @@ class HttpServerBase:
             result = "miss"
             body = json.dumps(build().as_dict()).encode()
             self._snapshots[route] = body
-        self.metrics.counter(
-            "repro_serve_snapshots_total",
-            help="Snapshot-served reads, by route and cache result.",
-            route=route,
-            result=result,
-        ).inc()
+        self._metric("snapshots", route, result).inc()
         return 200, body, "application/json"
 
     def _invalidate_snapshots(self) -> None:
@@ -500,9 +641,14 @@ class HttpServerBase:
     def _routes(self) -> Dict[str, Tuple[str, Callable[[bytes], Tuple[int, object, str]]]]:
         raise NotImplementedError
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, object, str]:
-        routes = self._routes()
-        entry = routes.get(path)
+    def _dispatch(self, method: str, path: str, body: bytes):
+        """Route one request to ``(status, payload, content_type)``.
+
+        A sync handler's result comes back as is; an async handler's as
+        a coroutine resolving to it.  Either way handler errors are
+        mapped to their 4xx/5xx result, never raised.
+        """
+        entry = self._route_table.get(path)
         if entry is None:
             return (
                 404,
@@ -520,31 +666,31 @@ class HttpServerBase:
             )
         try:
             result = handler(body)
-            if asyncio.iscoroutine(result):
-                result = await result
-            return result
-        except ProtocolError as error:
-            return (
-                400,
-                ErrorResponse("bad_request", str(error)).as_dict(),
-                "application/json",
-            )
-        except _HttpError as error:
-            return (
-                error.status,
-                ErrorResponse(error.error, error.detail).as_dict(),
-                "application/json",
-            )
         except Exception as error:  # the service must outlive a broken handler
+            return self._error_result(error)
+        if asyncio.iscoroutine(result):
+            return self._settle(result)
+        return result
+
+    async def _settle(self, pending) -> Tuple[int, object, str]:
+        try:
+            return await pending
+        except Exception as error:
+            return self._error_result(error)
+
+    def _error_result(self, error: Exception) -> Tuple[int, object, str]:
+        if isinstance(error, ProtocolError):
+            status, payload = 400, ErrorResponse("bad_request", str(error))
+        elif isinstance(error, _HttpError):
+            status, payload = error.status, ErrorResponse(error.error, error.detail)
+        else:
             self.metrics.counter(
                 "repro_serve_internal_errors_total",
                 help="Unexpected exceptions while handling a request.",
             ).inc()
-            return (
-                500,
-                ErrorResponse("internal_error", f"{type(error).__name__}: {error}").as_dict(),
-                "application/json",
-            )
+            detail = f"{type(error).__name__}: {error}"
+            status, payload = 500, ErrorResponse("internal_error", detail)
+        return status, payload.as_dict(), "application/json"
 
 
 class AllocationServer(HttpServerBase):
@@ -584,6 +730,8 @@ class AllocationServer(HttpServerBase):
         self.allocator = allocator
         self.policy = policy if policy is not None else BatchPolicy()
         self._batcher: SampleBatcher[SampleRequest] = SampleBatcher(self.policy)
+        #: Set when the batcher gains samples; the idle tick task waits on it.
+        self._samples_waiting = asyncio.Event()
         self._epoch = 0
         self._current: Optional[EpochRecord] = None
 
@@ -636,13 +784,32 @@ class AllocationServer(HttpServerBase):
     # Epoch ticking
 
     async def _tick_loop(self) -> None:
-        poll = min(max(self.policy.max_delay / 4.0, 0.001), 0.05)
-        assert self._loop is not None
+        """Flush each batch at its max-delay deadline, waking only then.
+
+        With nothing pending the task waits for :meth:`_queued` to signal
+        a first sample.  A batch flushed earlier (max-batch, churn, a
+        grant) makes the wake-up at its old deadline a no-op: ``poll``
+        finds nothing due and the loop re-reads the deadline.
+        """
+        loop = self._loop
+        assert loop is not None
         while True:
-            await asyncio.sleep(poll)
-            batch = self._batcher.poll(self._loop.time())
+            self._samples_waiting.clear()
+            deadline = self._batcher.next_deadline(loop.time())
+            if deadline is None:
+                await self._samples_waiting.wait()
+                continue
+            await asyncio.sleep(deadline - loop.time())
+            batch = self._batcher.poll(loop.time())
             if batch is not None:
                 self._run_epoch(batch, trigger="max_delay")
+
+    def _queued(self, batch) -> None:
+        """After an enqueue: run a max-batch flush, or wake the tick task."""
+        if batch is not None:
+            self._run_epoch(batch, trigger="max_batch")
+        elif self._batcher.pending:
+            self._samples_waiting.set()
 
     def _run_epoch(self, batch, trigger: str) -> EpochRecord:
         """Apply one sample batch and solve the mechanism exactly once.
@@ -777,8 +944,7 @@ class AllocationServer(HttpServerBase):
         fold_epoch = self._epoch
         batch = self._batcher.add(request, self._loop.time())
         pending = self._batcher.pending
-        if batch is not None:
-            self._run_epoch(batch, trigger="max_batch")
+        self._queued(batch)
         response = SampleResponse(
             agent=request.agent, queued=True, epoch=fold_epoch, pending=pending
         )
@@ -808,8 +974,7 @@ class AllocationServer(HttpServerBase):
         fold_epoch = self._epoch
         batch = self._batcher.add_many(accepted, self._loop.time())
         pending = self._batcher.pending
-        if batch is not None:
-            self._run_epoch(batch, trigger="max_batch")
+        self._queued(batch)
         for outcome, count in (("queued", len(accepted)), ("rejected", rejected)):
             if count:
                 self.metrics.counter(

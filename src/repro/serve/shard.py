@@ -702,6 +702,7 @@ class ShardCoordinator(HttpServerBase):
                         request.bandwidth_gbps,
                         request.cache_kb,
                         request.ipc,
+                        exploration=request.exploration,
                     ),
                 )
             except ServeError as error:
@@ -857,24 +858,23 @@ class ShardCoordinator(HttpServerBase):
             shares=shares,
         )
 
-    async def _route_allocation(self, _body: bytes):
-        # Snapshot-served like the worker's read path, but the build is
+    def _route_allocation(self, _body: bytes):
+        # Snapshot-served like the worker's read path, but a miss is
         # async (it fans out to the cells), so the byte cache is managed
-        # here instead of through _snapshot.  Staleness bound: one grant
+        # here instead of through _snapshot.  A hit is answered inline;
+        # only a miss returns a coroutine.  Staleness bound: one grant
         # round — every grant/reap/churn/capacity change invalidates.
         body = self._snapshots.get("/v1/allocation")
-        result = "hit"
         if body is None:
-            result = "miss"
-            response = await self._merged_allocation()
-            body = json.dumps(response.as_dict()).encode()
-            self._snapshots["/v1/allocation"] = body
-        self.metrics.counter(
-            "repro_serve_snapshots_total",
-            help="Snapshot-served reads, by route and cache result.",
-            route="/v1/allocation",
-            result=result,
-        ).inc()
+            return self._allocation_miss()
+        self._metric("snapshots", "/v1/allocation", "hit").inc()
+        return 200, body, "application/json"
+
+    async def _allocation_miss(self):
+        response = await self._merged_allocation()
+        body = json.dumps(response.as_dict()).encode()
+        self._snapshots["/v1/allocation"] = body
+        self._metric("snapshots", "/v1/allocation", "miss").inc()
         return 200, body, "application/json"
 
     def _route_cells(self, _body: bytes):

@@ -189,6 +189,24 @@ class TestPersistentConnections:
             assert status == 200
 
 
+class TestRequestLatency:
+    def test_latency_excludes_keep_alive_idle_time(self, service):
+        """The clock starts when a request is complete, not when the
+        connection begins waiting for it."""
+        server, _, registry = service
+        before = registry.get("repro_serve_request_latency_seconds", route="/healthz")
+        before_count, before_sum = (before.count, before.sum) if before else (0, 0.0)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            for pause in (0.0, 0.3):
+                time.sleep(pause)
+                sock.sendall(_request_blob("GET", "/healthz"))
+                status, _, _ = _read_response(sock)
+                assert status == 200
+        latency = registry.get("repro_serve_request_latency_seconds", route="/healthz")
+        assert latency.count == before_count + 2
+        assert latency.sum - before_sum < 0.05
+
+
 class TestSnapshotReads:
     def test_repeated_reads_hit_the_snapshot_cache(self, service):
         _, client, registry = service

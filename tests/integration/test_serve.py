@@ -39,6 +39,7 @@ def service():
     client = ServeClient("127.0.0.1", server.port)
     client.wait_ready(timeout=10)
     yield server, client, registry
+    client.close()
     thread.stop()
 
 
@@ -245,9 +246,9 @@ class TestCliSubprocess:
             line = process.stdout.readline()
             assert "listening on http://" in line, line
             port = int(line.rsplit(":", 1)[1].split()[0])
-            client = ServeClient("127.0.0.1", port)
-            client.wait_ready(timeout=15)
-            client.submit_sample("freqmine", 3.0, 512.0, 1.0)
+            with ServeClient("127.0.0.1", port) as client:
+                client.wait_ready(timeout=15)
+                client.submit_sample("freqmine", 3.0, 512.0, 1.0)
             time.sleep(0.1)
             process.send_signal(signal.SIGTERM)
             output, _ = process.communicate(timeout=30)
@@ -283,16 +284,15 @@ def slow_service():
     client = ServeClient("127.0.0.1", server.port)
     client.wait_ready(timeout=10)
     yield server, client, registry
+    client.close()
     thread.stop()
 
 
 class TestOversizedRequestRegression:
     """An oversized header/request line must be a clean 4xx, not a hang.
 
-    ``StreamReader.readline`` raises ``ValueError`` (wrapping
-    ``LimitOverrunError``) past the 64 KiB stream limit; before the fix
-    that escaped ``_handle_connection`` — the client hung with no
-    response and the handler task died with an unhandled traceback.
+    A request line past 8 KiB, a head past 64 KiB or more than 100
+    headers is answered 431 and closes only its connection.
     """
 
     def test_oversized_header_is_a_431(self, service):
@@ -432,6 +432,7 @@ def learning_service():
     client = ServeClient("127.0.0.1", server.port)
     client.wait_ready(timeout=10)
     yield server, client, registry
+    client.close()
     thread.stop()
 
 
