@@ -18,7 +18,7 @@ COV_FLOOR ?= 80
 .PHONY: install test serve-devmode perfbench-check perfbench-smoke coverage bench bench-kernel \
 	bench-serve bench-solver cold-start-check examples reproduce \
 	lint smoke dynamic-smoke metrics-smoke serve-smoke shard-smoke \
-	credit-smoke regret-smoke ci clean
+	credit-smoke regret-smoke perf-ab ci clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -94,11 +94,26 @@ bench-serve:
 
 # Times the solver/fit hot path: batched Cobb-Douglas fitting vs the
 # per-agent loop, the Eq. 13 closed form vs SLSQP, the 64-agent
-# controller tick with eager vs batched refits, and solve_batch vs the
-# scalar loop.  Writes BENCH_solver.json; exits non-zero when parity
+# controller tick vs an eager per-sample-refit reference fed the same
+# samples, and solve_batch vs the scalar loop.  Writes BENCH_solver.json; exits non-zero when parity
 # breaks or a speedup falls below its acceptance floor (tick >= 3x).
 bench-solver:
 	$(PYTHON) benchmarks/bench_solver.py
+
+# Paired A/B of the serve benchmark against a base revision: 10
+# alternating pairs per workload of `perfbench/run.py --seconds 18
+# --trace 0` (about 40 minutes), the paired table, the claim's verdict
+# (better in >= 9/10 pairs and beyond the base's quartile spread) and
+# BENCHMARK.json's bound on everything else.  SEED_BASE numbers the
+# pairs' seeds and has no default: name seeds not used while writing
+# the change.  Usage:
+#   make perf-ab BASE=<rev> CLAIM=<metric>:<workload> SEED_BASE=<n> [LEDGER=ledger/<name>.json]
+LEDGER ?= ledger/perf-ab.json
+perf-ab:
+	@test -n "$(BASE)" -a -n "$(CLAIM)" -a -n "$(SEED_BASE)" || \
+		{ echo "usage: make perf-ab BASE=<rev> CLAIM=<metric>:<workload> SEED_BASE=<n>"; exit 2; }
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --claim $(CLAIM) \
+		--seed-base $(SEED_BASE) --ledger $(LEDGER)
 
 # Hard budget on `python -m repro --help` in a fresh interpreter, plus
 # a probe that building the parser imports neither NumPy nor SciPy.

@@ -8,10 +8,11 @@ Measures the four legs of the batched solver work and hard-gates each:
 2. **Closed form vs SLSQP** — ``max_nash_welfare`` unconstrained via
    the Eq. 14 closed form versus the forced numeric path; gates on
    1e-6 share agreement and reports the (large) speedup.
-3. **Controller tick** — a 64-agent ``DynamicAllocator`` run with
-   eager per-sample refits (the old hot path) versus one batched refit
-   per epoch; gates on identical final enforced shares and the
-   acceptance speedup floor (>= 3x).
+3. **Controller tick** — a 64-agent ``DynamicAllocator`` (one batched
+   refit per epoch) versus an eager reference fed the same samples: one
+   per-sample-refitting ``OnlineProfiler`` per agent, then Eq. 13 and
+   the floor projection each epoch; gates on identical final enforced
+   shares and the acceptance speedup floor (>= 3x).
 4. **Scenario batching** — ``solve_batch`` over 50 independent
    problems versus the scalar loop; gates on exact parity.
 
@@ -35,10 +36,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.fitting import fit_cobb_douglas, fit_cobb_douglas_batch
-from repro.core.mechanism import Agent, AllocationProblem, proportional_elasticity
+from repro.core.mechanism import (
+    Agent,
+    AllocationProblem,
+    apply_allocation_floors,
+    proportional_elasticity,
+)
 from repro.core.utility import CobbDouglasUtility
 from repro.dynamic import DynamicAllocator
+from repro.dynamic.controller import RESOURCE_NAMES
 from repro.optimize import max_nash_welfare, solve_batch
+from repro.profiling.online import OnlineProfiler
 from repro.workloads import BENCHMARKS, get_workload
 
 #: Acceptance floors from the issue: the batched controller tick must
@@ -141,7 +149,7 @@ def bench_agreement(n_agents: int, repeats: int) -> dict:
     }
 
 
-def _make_allocator(n_agents: int, batch_refit: bool):
+def _make_allocator(n_agents: int):
     names = sorted(BENCHMARKS)
     workloads = {
         f"{names[i % len(names)]}_{i}": get_workload(names[i % len(names)])
@@ -151,8 +159,35 @@ def _make_allocator(n_agents: int, batch_refit: bool):
         workloads,
         capacities=(6.4 * n_agents, 1024.0 * n_agents),
         seed=2014,
-        batch_refit=batch_refit,
     )
+
+
+def _eager_reference(allocator: DynamicAllocator, ticks) -> np.ndarray:
+    """What re-fitting every agent on every sample enforces, run on
+    ``ticks``: one ``OnlineProfiler`` per agent (configured as the
+    allocator's table rows), then Eq. 13 and the floor projection per
+    epoch.  Returns the last epoch's enforced shares."""
+    table = allocator.table
+    names = list(allocator.agent_names)
+    profilers = [
+        OnlineProfiler(
+            n_resources=table.n_resources,
+            decay=table.decay,
+            max_condition=table.max_condition,
+            outlier_log_threshold=table.outlier_log_threshold,
+        )
+        for _ in names
+    ]
+    for tick in ticks:
+        for k, bundle, ipc in tick:
+            profilers[k].observe(bundle, ipc)
+        problem = AllocationProblem(
+            [Agent(name, profiler.utility) for name, profiler in zip(names, profilers)],
+            allocator.capacities,
+            RESOURCE_NAMES,
+        )
+        enforced = apply_allocation_floors(proportional_elasticity(problem), allocator.floors)
+    return enforced.shares
 
 
 def _tick_samples(n_agents: int, epochs: int, samples_per_tick: int):
@@ -180,29 +215,29 @@ def bench_tick(n_agents: int, epochs: int, samples_per_tick: int, repeats: int) 
 
     Mirrors the serve ingestion path: several externally measured
     samples per agent arrive between ticks (``observe_sample``), then
-    the tick allocates and enforces (``step(measure=False)``).  Eager
-    mode refits an agent's model on every accepted sample
-    (``n_agents * samples_per_tick`` SVD solves per tick); batched mode
-    defers to exactly one stacked fit per tick.  The fits are pure
-    functions of the sample history, so both runs must land on
+    the tick allocates and enforces (``step(measure=False)``).  The
+    eager reference refits an agent's model on every accepted sample
+    (``n_agents * samples_per_tick`` SVD solves per tick); the
+    allocator defers to exactly one stacked fit per tick.  The fits are
+    pure functions of the sample history, so both must land on
     identical shares.
     """
     ticks = _tick_samples(n_agents, epochs, samples_per_tick)
     final_shares = {}
-    timings = {}
-    for label, batch_refit in (("eager", False), ("batched", True)):
-        best = float("inf")
-        for _ in range(repeats):
-            allocator = _make_allocator(n_agents, batch_refit)
-            names = list(allocator.agent_names)
-            start = time.perf_counter()
-            for epoch, tick in enumerate(ticks):
-                for k, bundle, ipc in tick:
-                    allocator.observe_sample(names[k], bundle, ipc)
-                record = allocator.step(epoch, measure=False)
-            best = min(best, time.perf_counter() - start)
-        timings[label] = best
-        final_shares[label] = (record.enforced or record.allocation).shares
+    timings = {"eager": float("inf"), "batched": float("inf")}
+    for _ in range(repeats):
+        allocator = _make_allocator(n_agents)
+        names = list(allocator.agent_names)
+        start = time.perf_counter()
+        final_shares["eager"] = _eager_reference(allocator, ticks)
+        timings["eager"] = min(timings["eager"], time.perf_counter() - start)
+        start = time.perf_counter()
+        for epoch, tick in enumerate(ticks):
+            for k, bundle, ipc in tick:
+                allocator.observe_sample(names[k], bundle, ipc)
+            record = allocator.step(epoch, measure=False)
+        timings["batched"] = min(timings["batched"], time.perf_counter() - start)
+        final_shares["batched"] = record.enforced.shares
 
     parity = float(np.max(np.abs(final_shares["eager"] - final_shares["batched"])))
     return {

@@ -1,0 +1,311 @@
+"""Paired A/B of the serve benchmark: a base revision against this checkout.
+
+Run from the repository root (``make perf-ab BASE=<rev>
+CLAIM=<metric>:<workload> SEED_BASE=<n>``)::
+
+    python3 benchmarks/perf_ab.py --base HEAD~1 \\
+        --claim server_cpu_ms_per_op:ingest-heavy --seed-base 2000
+
+The tree of the base revision is written by ``git archive`` into a
+temporary directory, removed again when the runs end.  For every
+workload of ``BENCHMARK.json`` the tool runs ten pairs of the
+benchmark's real entry point, ``python3 perfbench/run.py --workload W
+--seed S --seconds 18 --trace 0``, once per side, alternating which
+side runs first, each pair on its own seed.  The seeds are numbered
+from ``--seed-base``, which has no default: a claim must be measured
+on seeds not used while the change was written, so every run names
+them.  It prints the paired table of ``docs/performance.md`` (median
+[q1–q3] per side, the ratio, and how often the change read better)
+and a verdict:
+
+* the **claim** holds when the change is better in at least 9 of 10
+  pairs and the medians differ by more than the base's quartile spread;
+* every other metric and workload is **within bound** unless its
+  median is worse by more than its ``BENCHMARK.json`` bound
+  (**regressed**), and **unresolved** when either side's quartile
+  spread is wider than that bound;
+* every run must be correct with no failed operation.
+
+The runs, the table and the verdicts are written to ``--ledger``.  The
+exit status is 0 only when the claim holds and nothing regressed or
+failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = ROOT / "BENCHMARK.json"
+
+#: The claim's win rule: better in at least this share of the pairs.
+WIN_SHARE = 0.9
+#: Pairs per workload, and the benchmark's own run length.
+PAIRS = 10
+SECONDS = 18.0
+
+
+@dataclass(frozen=True)
+class Summary:
+    """Order statistics of one side's runs of one metric."""
+
+    median: float
+    q1: float
+    q3: float
+
+    @classmethod
+    def of(cls, values: Sequence[float]) -> "Summary":
+        if len(values) == 1:
+            return cls(values[0], values[0], values[0])
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return cls(median, q1, q3)
+
+    @property
+    def spread(self) -> float:
+        return self.q3 - self.q1
+
+
+def better(change: float, base: float, direction: str) -> bool:
+    return change < base if direction == "lower" else change > base
+
+
+def claim_verdict(
+    base: Sequence[float], change: Sequence[float], direction: str
+) -> Tuple[bool, str]:
+    """The claim holds: better in >= 90% of pairs and beyond the base's spread."""
+    wins = sum(better(c, b, direction) for b, c in zip(base, change))
+    need = math.ceil(WIN_SHARE * len(base))
+    base_stats, change_stats = Summary.of(base), Summary.of(change)
+    gap = base_stats.median - change_stats.median
+    if direction != "lower":
+        gap = -gap
+    holds = wins >= need and gap > base_stats.spread
+    detail = (
+        f"better in {wins}/{len(base)} pairs (need {need}); medians differ by "
+        f"{gap:+.4g} against a base quartile spread of {base_stats.spread:.4g}"
+    )
+    return holds, detail
+
+
+def bound_verdict(
+    base: Sequence[float], change: Sequence[float], direction: str, bound: float
+) -> Tuple[str, str]:
+    """``within bound``, ``regressed`` or ``unresolved`` against a relative bound."""
+    base_stats, change_stats = Summary.of(base), Summary.of(change)
+    ratio = change_stats.median / base_stats.median if base_stats.median else math.inf
+    worse_by = ratio - 1.0 if direction == "lower" else 1.0 - ratio
+    spreads = [
+        stats.spread / abs(stats.median) if stats.median else math.inf
+        for stats in (base_stats, change_stats)
+    ]
+    detail = f"change/base {ratio:.3f}, relative spreads {spreads[0]:.3f}/{spreads[1]:.3f}"
+    if max(spreads) > bound:
+        return "unresolved", detail
+    if worse_by > bound:
+        return "regressed", detail
+    return "within bound", detail
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run through the real entry point."""
+    command = [
+        sys.executable, "perfbench/run.py",
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", f"{seconds:g}", "--trace", "0",
+    ]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "failed": None, "attempted": None, "metrics": {},
+                "error": (proc.stderr or proc.stdout)[-400:]}
+    result = json.loads(lines[-1])
+    return {
+        "correct": bool(result["correct"]),
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def extract(rev: str, into: Path) -> Path:
+    """Write the tree of ``rev`` into the new directory ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    into.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def measure(base: Path, workloads: Sequence[str], pairs: int, seed_base: int,
+            seconds: float, log=print) -> Dict[str, List[dict]]:
+    """``{workload: [{"seed", "base", "change"}, ...]}``, sides alternating."""
+    runs: Dict[str, List[dict]] = {}
+    for w, workload in enumerate(workloads):
+        runs[workload] = []
+        for k in range(pairs):
+            seed = seed_base + 10 * w + k
+            order = [("base", base), ("change", ROOT)]
+            if k % 2:
+                order.reverse()
+            pair = {"seed": seed, "first": order[0][0]}
+            for side, checkout in order:
+                pair[side] = run_once(checkout, workload, seed, seconds)
+            log(f"[perf-ab] {workload} seed {seed}: "
+                + ", ".join(f"{side} correct={pair[side]['correct']}" for side, _ in order))
+            runs[workload].append(pair)
+    return runs
+
+
+def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -> dict:
+    """The paired rows and every verdict."""
+    rows, verdicts = [], []
+    failures = []
+    claim_metric, claim_workload = claim
+    claim_result = None
+    for workload, pairs in runs.items():
+        for pair in pairs:
+            for side in ("base", "change"):
+                run = pair[side]
+                if not run["correct"] or run["failed"]:
+                    failures.append(f"{workload} seed {pair['seed']} {side}: "
+                                    f"correct={run['correct']} failed={run['failed']}")
+        for metric in spec["end_to_end"]:
+            name, direction = metric["name"], metric["better"]
+            measured = [
+                (p["base"]["metrics"].get(name), p["change"]["metrics"].get(name))
+                for p in pairs
+            ]
+            measured = [(b, c) for b, c in measured if b is not None and c is not None]
+            if not measured:
+                continue
+            base, change = (list(side) for side in zip(*measured))
+            b, c = Summary.of(base), Summary.of(change)
+            wins = sum(better(y, x, direction) for x, y in zip(base, change))
+            rows.append({
+                "workload": workload, "metric": name, "unit": metric["unit"],
+                "pairs": len(base), "base": vars(b), "change": vars(c),
+                "ratio": c.median / b.median if b.median else None,
+                "change_better": wins,
+            })
+            if (name, workload) == (claim_metric, claim_workload):
+                holds, detail = claim_verdict(base, change, direction)
+                claim_result = {"holds": holds, "detail": detail}
+            else:
+                verdict, detail = bound_verdict(base, change, direction, metric["bound"])
+                verdicts.append({"workload": workload, "metric": name,
+                                 "verdict": verdict, "detail": detail})
+    return {"rows": rows, "claim": claim_result, "verdicts": verdicts, "failures": failures}
+
+
+def table(rows: Sequence[dict]) -> str:
+    lines = [
+        "| workload (pairs) | metric | parent median [q1–q3] | change median [q1–q3] "
+        "| change/parent | change lower in |",
+        "|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        fmt = _fmt(row["base"]["median"])
+        cells = [
+            f"`{row['workload']}` ({row['pairs']})",
+            f"`{row['metric']}` ({row['unit']})",
+            *(f"{fmt(s['median'])} [{fmt(s['q1'])}–{fmt(s['q3'])}]"
+              for s in (row["base"], row["change"])),
+            f"{row['ratio']:.2f}" if row["ratio"] is not None else "n/a",
+            f"{row['change_better']}/{row['pairs']}",
+        ]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
+def _fmt(scale: float):
+    digits = 3 if abs(scale) < 10 else 2
+    return lambda value: f"{value:.{digits}f}"
+
+
+def report(summary: dict, claim: Tuple[str, str]) -> str:
+    lines = [table(summary["rows"]), ""]
+    if summary["claim"] is None:
+        lines.append(f"claim {claim[0]}:{claim[1]}: no data")
+    else:
+        verdict = "HOLDS" if summary["claim"]["holds"] else "DOES NOT HOLD"
+        lines.append(f"claim {claim[0]}:{claim[1]}: {verdict} ({summary['claim']['detail']})")
+    for entry in summary["verdicts"]:
+        lines.append(f"{entry['metric']}:{entry['workload']}: {entry['verdict']} "
+                     f"({entry['detail']})")
+    lines += [f"FAILED RUN: {failure}" for failure in summary["failures"]]
+    return "\n".join(lines)
+
+
+def passed(summary: dict) -> bool:
+    return (
+        summary["claim"] is not None
+        and summary["claim"]["holds"]
+        and not summary["failures"]
+        and all(v["verdict"] != "regressed" for v in summary["verdicts"])
+    )
+
+
+def parse_claim(text: str) -> Tuple[str, str]:
+    metric, sep, workload = text.partition(":")
+    if not sep or not metric or not workload:
+        raise argparse.ArgumentTypeError("--claim expects METRIC:WORKLOAD")
+    return metric, workload
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--claim", required=True, type=parse_claim,
+                        help="the claimed gain, METRIC:WORKLOAD")
+    parser.add_argument("--seed-base", type=int, required=True,
+                        help="pair k of workload w runs on seed SEED_BASE + 10 w + k")
+    parser.add_argument("--ledger", type=Path, default=ROOT / "ledger" / "perf-ab.json")
+    args = parser.parse_args(argv)
+
+    spec = json.loads(SPEC.read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    metric_names = {m["name"] for m in spec["end_to_end"]}
+    if args.claim[0] not in metric_names or args.claim[1] not in workloads:
+        parser.error("--claim must name an end-to-end metric and a workload of BENCHMARK.json")
+
+    with tempfile.TemporaryDirectory(prefix="perf-ab-") as scratch:
+        base = extract(args.base, Path(scratch) / "base")
+        runs = measure(base, workloads, PAIRS, args.seed_base, SECONDS)
+
+    summary = summarize(runs, spec, args.claim)
+    print(report(summary, args.claim))
+    args.ledger.parent.mkdir(parents=True, exist_ok=True)
+    args.ledger.write_text(json.dumps(ledger(args, summary, runs), indent=1) + "\n")
+    print(f"wrote {args.ledger}")
+    return 0 if passed(summary) else 1
+
+
+def ledger(args, summary: dict, runs: Dict[str, List[dict]]) -> dict:
+    """The committed record: how the runs were made, the verdicts, every run."""
+    return {
+        "base": args.base,
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {SECONDS:g} --trace 0",
+        "pairs": PAIRS,
+        "seed_base": args.seed_base,
+        "passed": passed(summary),
+        "rows": summary["rows"],
+        "claim": {"metric": args.claim[0], "workload": args.claim[1], **(summary["claim"] or {})},
+        "verdicts": summary["verdicts"],
+        "failures": summary["failures"],
+        "runs": runs,
+    }
+
+
+if __name__ == "__main__":
+    sys.exit(main())

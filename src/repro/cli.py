@@ -823,12 +823,17 @@ def _serve_agent_benchmarks(args) -> "dict[str, str]":
 
 
 def _parse_capacities(text: Optional[str], n_agents: int):
-    if text:
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise SystemExit("--capacities expects 'bandwidth_gbps,cache_kb'")
-        return (float(parts[0]), float(parts[1]))
-    return (6.4 * n_agents, 1024.0 * n_agents)
+    from .dynamic.controller import validate_capacities
+
+    if not text:
+        return (6.4 * n_agents, 1024.0 * n_agents)
+    try:
+        return validate_capacities(text.split(","))
+    except ValueError:
+        raise SystemExit(
+            f"--capacities expects 'bandwidth_gbps,cache_kb', two positive "
+            f"finite numbers; got {text!r}"
+        ) from None
 
 
 def _cmd_dynamic(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .utility import CobbDouglasUtility
 
-__all__ = ["CobbDouglasFit", "fit_cobb_douglas", "fit_cobb_douglas_batch"]
+__all__ = ["CobbDouglasFit", "StackedFit", "fit_cobb_douglas", "fit_cobb_douglas_batch"]
 
 #: Elasticities fitted below this value are clamped to it so the resulting
 #: utility stays inside the (strictly positive exponent) Cobb-Douglas domain.
@@ -99,7 +99,7 @@ def _validate_fit_inputs(
     performance: Sequence[float],
     weights: Optional[Sequence[float]],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Shared input validation for the single and batched fitters."""
+    """Input validation for the single-agent fitter."""
     x = np.asarray(allocations, dtype=float)
     u = np.asarray(performance, dtype=float)
     if x.ndim != 2:
@@ -212,11 +212,49 @@ def _assemble_fit(
     )
 
 
+@dataclass(frozen=True)
+class StackedFit:
+    """Every agent's fit from one stacked solve, as arrays (row ``k`` = agent ``k``).
+
+    The array form of a batch of :class:`CobbDouglasFit`: the epoch tick
+    gates and stores these columns directly, and :meth:`fits` packages
+    them per agent for everyone else.
+    """
+
+    #: ``(A, R)`` fitted elasticities, clamped to :data:`MIN_ELASTICITY`.
+    alpha: np.ndarray
+    #: ``(A,)`` fitted scales ``a0``.
+    scale: np.ndarray
+    #: ``(A,)`` condition numbers of the weighted log-space designs.
+    condition: np.ndarray
+    r_squared: np.ndarray
+    r_squared_linear: np.ndarray
+    #: ``(A, m)`` log-space residuals, zero past each agent's sample count.
+    residuals: np.ndarray = field(repr=False)
+    #: ``(A,)`` sample counts.
+    counts: np.ndarray = field(repr=False)
+
+    def fits(self) -> List[CobbDouglasFit]:
+        """One :class:`CobbDouglasFit` per agent, in row order."""
+        return [
+            CobbDouglasFit(
+                utility=CobbDouglasUtility(self.alpha[k], scale=float(self.scale[k])),
+                r_squared=float(self.r_squared[k]),
+                r_squared_linear=float(self.r_squared_linear[k]),
+                residuals=self.residuals[k, : int(m)],
+                n_samples=int(m),
+                condition_number=float(self.condition[k]),
+            )
+            for k, m in enumerate(self.counts)
+        ]
+
+
 def fit_cobb_douglas_batch(
-    allocations: Sequence[Sequence[Sequence[float]]],
-    performance: Sequence[Sequence[float]],
-    weights: Optional[Sequence[Optional[Sequence[float]]]] = None,
-) -> List[CobbDouglasFit]:
+    allocations,
+    performance,
+    weights=None,
+    counts: Optional[Sequence[int]] = None,
+):
     """Fit every agent's Cobb-Douglas utility in one stacked lstsq solve.
 
     Semantically equivalent to calling :func:`fit_cobb_douglas` once per
@@ -227,24 +265,25 @@ def fit_cobb_douglas_batch(
     solution — coefficients, singular values, and therefore the
     condition number — matches the per-agent SVD-based ``lstsq`` up to
     floating-point noise.  This is the serving hot path: an epoch tick
-    refits every live agent with one call regardless of agent count.
+    refits every dirty agent with one call regardless of agent count.
 
-    Parameters
-    ----------
-    allocations:
-        One ``(n_k, n_resources)`` array-like per agent.  Sample counts
-        ``n_k`` may differ across agents; the resource count may not.
-    performance:
-        One strictly positive ``(n_k,)`` array-like per agent.
-    weights:
-        Optional per-agent weight vectors (entries may be ``None`` for
-        unweighted agents), as produced by the online profiler's decay.
+    Two input forms:
 
-    Returns
-    -------
-    list of CobbDouglasFit
-        One fit per agent, in input order, with the same diagnostics
-        (R², residuals, condition number) as the per-agent path.
+    * **ragged** (``counts=None``): ``allocations`` holds one
+      ``(n_k, R)`` array-like per agent, ``performance`` one strictly
+      positive ``(n_k,)`` array-like, ``weights`` optional per-agent
+      vectors (entries may be ``None`` for unweighted agents).  Returns
+      a list of :class:`CobbDouglasFit`, one per agent in input order.
+    * **stacked** (``counts`` given): ``allocations`` is an
+      ``(A, m, R)`` block, ``performance`` and ``weights`` (or ``None``)
+      are ``(A, m)``, and agent ``k``'s samples are its first
+      ``counts[k]`` rows, oldest first; entries past them are ignored.
+      Returns a :class:`StackedFit`.  This is the form the epoch tick
+      uses: no per-agent object is built.
+
+    Both forms pad to the largest sample count and solve through the
+    same kernel, so they agree bit for bit.  Inputs are checked in one
+    vectorised pass over the padded block.
 
     Raises
     ------
@@ -253,6 +292,17 @@ def fit_cobb_douglas_batch(
         index), mismatched outer lengths, or inconsistent resource
         counts across agents.
     """
+    if counts is None:
+        x, u, w, n = _pad_ragged(allocations, performance, weights)
+        if x is None:
+            return []
+        return _solve_stacked(x, u, w, n).fits()
+    x, u, w, n = _check_stacked(allocations, performance, weights, counts)
+    return _solve_stacked(x, u, w, n)
+
+
+def _pad_ragged(allocations, performance, weights):
+    """Stack per-agent samples into zero-padded blocks (one Python pass)."""
     n_agents = len(allocations)
     if len(performance) != n_agents:
         raise ValueError(
@@ -265,55 +315,129 @@ def fit_cobb_douglas_batch(
             f"expected {n_agents}, got {len(weights)}"
         )
     if n_agents == 0:
-        return []
-
-    xs: List[np.ndarray] = []
-    us: List[np.ndarray] = []
-    ws: List[Optional[np.ndarray]] = []
-    n_resources: Optional[int] = None
-    for k in range(n_agents):
-        try:
-            x, u, w = _validate_fit_inputs(
-                allocations[k], performance[k], None if weights is None else weights[k]
+        return None, None, None, None
+    xs = [np.asarray(a, dtype=float) for a in allocations]
+    for k, x in enumerate(xs):
+        if x.ndim != 2:
+            raise ValueError(
+                f"agent {k}: allocations must be 2-D (samples x resources), "
+                f"got shape {x.shape}"
             )
-        except ValueError as error:
-            raise ValueError(f"agent {k}: {error}") from None
-        if n_resources is None:
-            n_resources = x.shape[1]
-        elif x.shape[1] != n_resources:
+        if x.shape[1] != xs[0].shape[1]:
             raise ValueError(
                 f"agent {k}: every agent in a batch must share the resource "
-                f"count; expected {n_resources}, got {x.shape[1]}"
+                f"count; expected {xs[0].shape[1]}, got {x.shape[1]}"
             )
-        xs.append(x)
-        us.append(u)
-        ws.append(w)
-
-    p = n_resources + 1
-    counts = np.array([x.shape[0] for x in xs])
+    counts = np.array([x.shape[0] for x in xs], dtype=np.intp)
     m_max = int(counts.max())
-
-    # Zero-padded stacked design/target.  `plain` keeps the unweighted
-    # design for diagnostics (R² must be weight-invariant, as in the
-    # per-agent path).
-    design = np.zeros((n_agents, m_max, p))
-    plain = np.zeros((n_agents, m_max, p))
-    target = np.zeros((n_agents, m_max))
-    plain_target = np.zeros((n_agents, m_max))
-    u_padded = np.zeros((n_agents, m_max))
-    for k, (x, u, w) in enumerate(zip(xs, us, ws)):
+    x_block = np.zeros((n_agents, m_max, xs[0].shape[1]))
+    u_block = np.zeros((n_agents, m_max))
+    w_block = None
+    if weights is not None and any(wk is not None for wk in weights):
+        w_block = np.zeros((n_agents, m_max))
+    for k, x in enumerate(xs):
         m = x.shape[0]
-        d = np.column_stack([np.ones(m), np.log(x)])
-        t = np.log(u)
-        plain[k, :m] = d
-        plain_target[k, :m] = t
-        u_padded[k, :m] = u
-        if w is not None:
-            sqrt_w = np.sqrt(w)
-            d = d * sqrt_w[:, None]
-            t = t * sqrt_w
-        design[k, :m] = d
-        target[k, :m] = t
+        u = np.asarray(performance[k], dtype=float)
+        if u.shape != (m,):
+            raise ValueError(
+                f"agent {k}: performance must have one entry per allocation "
+                f"row: expected {m}, got {u.shape}"
+            )
+        x_block[k, :m] = x
+        u_block[k, :m] = u
+        if w_block is not None:
+            if weights[k] is None:
+                # Weight one is exact: sqrt(1) * d == d bit for bit.
+                w_block[k, :m] = 1.0
+            else:
+                wk = np.asarray(weights[k], dtype=float)
+                if wk.shape != (m,):
+                    raise ValueError(
+                        f"agent {k}: weights must have shape ({m},), got {wk.shape}"
+                    )
+                w_block[k, :m] = wk
+    _check_values(x_block, u_block, w_block, counts)
+    return x_block, u_block, w_block, counts
+
+
+def _check_stacked(allocations, performance, weights, counts):
+    """Shape- and value-check a stacked block in one vectorised pass."""
+    x = np.asarray(allocations, dtype=float)
+    u = np.asarray(performance, dtype=float)
+    n = np.asarray(counts, dtype=np.intp)
+    if x.ndim != 3:
+        raise ValueError(
+            f"stacked allocations must be (agents, samples, resources), got shape {x.shape}"
+        )
+    if u.shape != x.shape[:2] or n.shape != x.shape[:1]:
+        raise ValueError(
+            f"stacked performance {u.shape} and counts {n.shape} must match "
+            f"allocations {x.shape}"
+        )
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != u.shape:
+            raise ValueError(f"stacked weights must have shape {u.shape}, got {w.shape}")
+    if np.any(n > x.shape[1]):
+        raise ValueError("a sample count exceeds the stacked block")
+    _check_values(x, u, w, n)
+    return x, u, w, n
+
+
+def _check_values(x, u, w, counts) -> None:
+    """`fit_cobb_douglas`'s value rules over every agent of a padded block."""
+    n_resources = x.shape[2]
+    mask = np.arange(x.shape[1]) < counts[:, None]
+    checks = [
+        (
+            counts < n_resources + 1,
+            f"need at least n_resources + 1 = {n_resources + 1} samples to fit",
+        ),
+        (
+            np.any((x <= 0) & mask[:, :, None], axis=(1, 2)),
+            "allocations must be strictly positive for the log transform",
+        ),
+        (
+            np.any((u <= 0) & mask, axis=1),
+            "performance must be strictly positive for the log transform",
+        ),
+    ]
+    if w is not None:
+        checks.append((np.any((w < 0) & mask, axis=1), "weights must be non-negative"))
+    for bad, message in checks:
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"agent {k}: {message} (it has {int(counts[k])} sample(s))")
+
+
+def _solve_stacked(
+    x: np.ndarray, u: np.ndarray, w: Optional[np.ndarray], counts: np.ndarray
+) -> StackedFit:
+    """The stacked kernel: one batched SVD over the zero-padded designs.
+
+    Only each agent's first ``counts[k]`` rows are read.  The padded
+    design, target and performance blocks are built exactly as a
+    per-agent loop would fill zero arrays (``log 1 == 0`` pads the log
+    blocks), so the SVD sees the same bits either way.
+    """
+    n_agents, m_max, n_resources = x.shape
+    p = n_resources + 1
+    mask = np.arange(m_max)[None, :] < counts[:, None]
+
+    # `plain` keeps the unweighted design for diagnostics (R² must be
+    # weight-invariant, as in the per-agent path).
+    plain = np.empty((n_agents, m_max, p))
+    plain[:, :, 0] = mask
+    plain[:, :, 1:] = np.log(np.where(mask[:, :, None], x, 1.0))
+    plain_target = np.log(np.where(mask, u, 1.0))
+    u_padded = np.where(mask, u, 0.0)
+    if w is None:
+        design, target = plain, plain_target
+    else:
+        sqrt_w = np.sqrt(np.where(mask, w, 0.0))
+        design = plain * sqrt_w[:, :, None]
+        target = plain_target * sqrt_w
 
     # One batched SVD solves every regression at once.  The minimum-norm
     # least-squares solution with `lstsq`'s default cutoff (machine eps
@@ -328,8 +452,7 @@ def fit_cobb_douglas_batch(
     coef = np.einsum("akp,ak->ap", vt, sigma_inv * projected)
 
     # Clamp and diagnose every agent in stacked form (matching
-    # `_assemble_fit` exactly); the final loop only slices padded rows
-    # off and packages dataclasses — no per-agent linear algebra.
+    # `_assemble_fit` exactly).
     log_scale = coef[:, 0]
     alpha = np.maximum(coef[:, 1:], MIN_ELASTICITY)
     smallest = sigma[:, -1]
@@ -343,29 +466,18 @@ def fit_cobb_douglas_batch(
     # Masked, stacked R² in log and linear space (same degenerate-variance
     # semantics as `_r_squared`).  Padded rows carry zero design, target,
     # and performance, so they vanish under the mask.
-    mask = np.arange(m_max)[None, :] < counts[:, None]
     residuals = (plain_target - log_pred) * mask
-    scales = np.exp(log_scale)
-    r_squared = _r_squared_stacked(plain_target, log_pred, counts, mask)
-    r_squared_linear = _r_squared_stacked(
-        u_padded, np.exp(log_pred) * mask, counts, mask
+    return StackedFit(
+        alpha=alpha,
+        scale=np.exp(log_scale),
+        condition=condition,
+        r_squared=_r_squared_stacked(plain_target, log_pred, counts, mask),
+        r_squared_linear=_r_squared_stacked(
+            u_padded, np.exp(log_pred) * mask, counts, mask
+        ),
+        residuals=residuals,
+        counts=counts,
     )
-
-    fits: List[CobbDouglasFit] = []
-    for k in range(n_agents):
-        m = int(counts[k])
-        utility = CobbDouglasUtility(alpha[k], scale=float(scales[k]))
-        fits.append(
-            CobbDouglasFit(
-                utility=utility,
-                r_squared=float(r_squared[k]),
-                r_squared_linear=float(r_squared_linear[k]),
-                residuals=residuals[k, :m],
-                n_samples=m,
-                condition_number=float(condition[k]),
-            )
-        )
-    return fits
 
 
 def _r_squared_stacked(

@@ -52,7 +52,6 @@ class Agent:
         return self.utility.rescaled().alpha
 
 
-@dataclass(frozen=True)
 class AllocationProblem:
     """An N-agent, R-resource fair-division instance.
 
@@ -67,11 +66,11 @@ class AllocationProblem:
         recurring example).
     resource_names:
         Optional human-readable labels, defaulting to ``r0, r1, ...``.
-    """
 
-    agents: Tuple[Agent, ...]
-    capacities: Tuple[float, ...]
-    resource_names: Tuple[str, ...] = ()
+    :meth:`from_arrays` builds the same instance from an ``(N, R)``
+    elasticity array instead, as the epoch tick does: its ``Agent``
+    objects are then built only when a consumer asks for :attr:`agents`.
+    """
 
     def __init__(
         self,
@@ -80,13 +79,9 @@ class AllocationProblem:
         resource_names: Optional[Iterable[str]] = None,
     ):
         agents = tuple(agents)
-        capacities = tuple(float(c) for c in capacities)
+        capacities = _problem_capacities(capacities)
         if not agents:
             raise ValueError("an allocation problem needs at least one agent")
-        if not capacities:
-            raise ValueError("an allocation problem needs at least one resource")
-        if any(c <= 0 for c in capacities):
-            raise ValueError(f"capacities must be strictly positive, got {capacities}")
         for agent in agents:
             if agent.utility.n_resources != len(capacities):
                 raise ValueError(
@@ -94,7 +89,46 @@ class AllocationProblem:
                     f"{agent.utility.n_resources} resources but the problem "
                     f"has {len(capacities)}"
                 )
-        names = tuple(agent.name for agent in agents)
+        self._init(tuple(agent.name for agent in agents), capacities, resource_names)
+        self._agents: Optional[Tuple[Agent, ...]] = agents
+        self._alpha: Optional[np.ndarray] = None
+        self._scale: Optional[np.ndarray] = None
+        self._rescaled: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        names: Sequence[str],
+        alpha: np.ndarray,
+        capacities: Iterable[float],
+        resource_names: Optional[Iterable[str]] = None,
+        scale: Optional[np.ndarray] = None,
+        rescaled: Optional[np.ndarray] = None,
+    ) -> "AllocationProblem":
+        """An instance whose agent ``i`` has utility ``scale[i] * prod x**alpha[i]``.
+
+        ``alpha`` is ``(N, R)``, strictly positive; ``scale`` defaults
+        to ones.  ``rescaled``, when given, is the caller's Eq. 12
+        re-scaling of ``alpha`` (rows summing to one), returned as is by
+        :meth:`rescaled_alpha_matrix`.  The arrays are kept, not copied.
+        """
+        problem = cls.__new__(cls)
+        alpha = np.asarray(alpha, dtype=float)
+        capacities = _problem_capacities(capacities)
+        if alpha.ndim != 2 or alpha.shape[0] != len(names) or alpha.shape[1] != len(capacities):
+            raise ValueError(
+                f"alpha must have shape ({len(names)}, {len(capacities)}), got {alpha.shape}"
+            )
+        if not names:
+            raise ValueError("an allocation problem needs at least one agent")
+        problem._init(tuple(names), capacities, resource_names)
+        problem._agents = None
+        problem._alpha = _frozen(alpha)
+        problem._scale = _frozen(np.ones(len(names)) if scale is None else scale)
+        problem._rescaled = None if rescaled is None else _frozen(rescaled)
+        return problem
+
+    def _init(self, names, capacities, resource_names) -> None:
         if len(set(names)) != len(names):
             raise ValueError(f"agent names must be unique, got {names}")
         if resource_names is None:
@@ -105,13 +139,39 @@ class AllocationProblem:
                 raise ValueError(
                     f"expected {len(capacities)} resource names, got {len(resource_names)}"
                 )
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "capacities", capacities)
-        object.__setattr__(self, "resource_names", resource_names)
+        self.names: Tuple[str, ...] = names
+        self.capacities: Tuple[float, ...] = capacities
+        self.resource_names: Tuple[str, ...] = resource_names
+        self._index: Optional[Dict[str, int]] = None
+
+    def __repr__(self) -> str:
+        return (
+            f"AllocationProblem(agents={list(self.names)}, capacities={self.capacities}, "
+            f"resource_names={self.resource_names})"
+        )
+
+    @property
+    def agents(self) -> Tuple[Agent, ...]:
+        """The agents, built from the arrays on first use."""
+        if self._agents is None:
+            self._agents = tuple(
+                Agent(name, CobbDouglasUtility(alpha, scale=float(scale)))
+                for name, alpha, scale in zip(self.names, self._alpha, self._scale)
+            )
+        return self._agents
+
+    def index(self, name: str) -> int:
+        """Agent ``name``'s row in every ``(N, R)`` array of the problem."""
+        if self._index is None:
+            self._index = {agent: i for i, agent in enumerate(self.names)}
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"no agent named {name!r}") from None
 
     @property
     def n_agents(self) -> int:
-        return len(self.agents)
+        return len(self.names)
 
     @property
     def n_resources(self) -> int:
@@ -128,11 +188,32 @@ class AllocationProblem:
 
     def rescaled_alpha_matrix(self) -> np.ndarray:
         """``(N, R)`` matrix of re-scaled elasticities, one row per agent."""
-        return np.vstack([agent.rescaled_alpha for agent in self.agents])
+        if self._rescaled is None:
+            alpha = self.raw_alpha_matrix()
+            self._rescaled = _frozen(alpha / alpha.sum(axis=1, keepdims=True))
+        return self._rescaled
 
     def raw_alpha_matrix(self) -> np.ndarray:
         """``(N, R)`` matrix of raw (as-fitted) elasticities."""
-        return np.vstack([agent.utility.alpha for agent in self.agents])
+        if self._alpha is None:
+            self._alpha = _frozen(np.vstack([agent.utility.alpha for agent in self._agents]))
+        return self._alpha
+
+
+def _frozen(array) -> np.ndarray:
+    """A read-only float view: a problem's arrays are shared, never mutated."""
+    view = np.asarray(array, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+def _problem_capacities(capacities: Iterable[float]) -> Tuple[float, ...]:
+    capacities = tuple(float(c) for c in capacities)
+    if not capacities:
+        raise ValueError("an allocation problem needs at least one resource")
+    if any(c <= 0 for c in capacities):
+        raise ValueError(f"capacities must be strictly positive, got {capacities}")
+    return capacities
 
 
 @dataclass(frozen=True)
@@ -163,10 +244,7 @@ class Allocation:
 
     def __getitem__(self, agent_name: str) -> np.ndarray:
         """Allocation vector for the named agent."""
-        for i, agent in enumerate(self.problem.agents):
-            if agent.name == agent_name:
-                return self.shares[i]
-        raise KeyError(f"no agent named {agent_name!r}")
+        return self.shares[self.problem.index(agent_name)]
 
     def utilities(self) -> np.ndarray:
         """Each agent's utility of her own bundle, in agent order."""
@@ -185,12 +263,10 @@ class Allocation:
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Nested ``{agent: {resource: amount}}`` mapping for reporting."""
+        resources = self.problem.resource_names
         return {
-            agent.name: {
-                name: float(self.shares[i, r])
-                for r, name in enumerate(self.problem.resource_names)
-            }
-            for i, agent in enumerate(self.problem.agents)
+            agent: dict(zip(resources, row))
+            for agent, row in zip(self.problem.names, self.shares.tolist())
         }
 
     def summary(self) -> str:
@@ -200,8 +276,8 @@ class Allocation:
             f"{name:>14}" for name in self.problem.resource_names
         )
         lines.append(header)
-        for i, agent in enumerate(self.problem.agents):
-            row = f"{agent.name:<20}" + "".join(
+        for i, name in enumerate(self.problem.names):
+            row = f"{name:<20}" + "".join(
                 f"{self.shares[i, r]:>14.4f}" for r in range(self.problem.n_resources)
             )
             lines.append(row)

@@ -42,21 +42,31 @@ __all__ = [
 DEFAULT_RTOL = 1e-6
 
 
+def _log_utility_ratios(alpha: np.ndarray, bundles: np.ndarray, reference: np.ndarray):
+    """``alpha_i . (log bundles_i - log reference)``: log of ``u_i(b_i) / u_i(ref)``.
+
+    ``-inf`` where a bundle holds none of some resource (the scale
+    ``a0`` cancels in every utility ratio).
+    """
+    return np.sum(alpha * (_log_shares(bundles) - np.log(reference)), axis=-1)
+
+
+def _log_shares(shares: np.ndarray) -> np.ndarray:
+    """``log x``, with a zero (or round-off negative) amount as ``-inf``."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(shares, 0.0))
+
+
 def sharing_incentive_margins(allocation: Allocation) -> np.ndarray:
     """Per-agent SI margin: ``u_i(x_i) / u_i(C/N) - 1``.
 
     Positive margins mean the agent strictly gains from sharing; a
     negative margin is an SI violation (the agent would rather take the
-    equal split).
+    equal split).  Computed for every agent at once in log space.
     """
     problem = allocation.problem
-    equal = problem.equal_split
-    margins = np.empty(problem.n_agents)
-    for i, agent in enumerate(problem.agents):
-        u_equal = agent.utility.value(equal)
-        u_own = agent.utility.value(allocation.shares[i])
-        margins[i] = u_own / u_equal - 1.0
-    return margins
+    alpha = problem.raw_alpha_matrix()
+    return np.expm1(_log_utility_ratios(alpha, allocation.shares, problem.equal_split))
 
 
 def satisfies_sharing_incentives(allocation: Allocation, rtol: float = DEFAULT_RTOL) -> bool:
@@ -68,23 +78,32 @@ def envy_matrix(allocation: Allocation) -> np.ndarray:
     """``(N, N)`` matrix ``E[i, j] = u_i(x_j) / u_i(x_i) - 1``.
 
     ``E[i, j] > 0`` means agent ``i`` envies agent ``j`` — she would be
-    strictly happier with ``j``'s bundle.  The diagonal is zero.
+    strictly happier with ``j``'s bundle.  The diagonal is zero.  An
+    agent with zero utility of her own bundle envies (``inf``) every
+    bundle she values, and no other.  Computed as
+    ``exp(alpha . log x^T - own) - 1`` over all pairs at once.
     """
-    problem = allocation.problem
-    n = problem.n_agents
-    matrix = np.zeros((n, n))
-    for i, agent in enumerate(problem.agents):
-        u_own = agent.utility.value(allocation.shares[i])
-        for j in range(n):
-            if i == j:
-                continue
-            u_other = agent.utility.value(allocation.shares[j])
-            if u_own == 0.0:
-                # Zero own-utility: the agent envies any bundle she values.
-                matrix[i, j] = np.inf if u_other > 0 else 0.0
-            else:
-                matrix[i, j] = u_other / u_own - 1.0
+    alpha = allocation.problem.raw_alpha_matrix()
+    # log u_i(x_j), up to agent i's scale (which cancels).
+    cross = _pairwise_log_utilities(alpha, _log_shares(allocation.shares))
+    own = np.diag(cross)[:, None]
+    with np.errstate(invalid="ignore"):
+        matrix = np.expm1(cross - own)
+    # Zero own-utility: inf against a valued bundle, 0 against a worthless one.
+    matrix = np.where(np.isneginf(own) & np.isneginf(cross), 0.0, matrix)
+    np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def _pairwise_log_utilities(alpha: np.ndarray, log_shares: np.ndarray) -> np.ndarray:
+    """``cross[i, j] = alpha_i . log x_j``; ``-inf`` where ``x_j`` lacks a resource."""
+    finite = np.where(np.isfinite(log_shares), log_shares, 0.0)
+    cross = alpha @ finite.T
+    missing = ~np.isfinite(log_shares)
+    if missing.any():
+        # alpha > 0, so any missing resource zeroes u_i(x_j).
+        cross = np.where(missing.any(axis=1)[None, :], -np.inf, cross)
+    return cross
 
 
 def is_envy_free(allocation: Allocation, rtol: float = DEFAULT_RTOL) -> bool:
@@ -108,16 +127,13 @@ def mrs_spread(allocation: Allocation) -> float:
         If any agent holds a zero amount of some resource (the gradient
         direction is undefined at the boundary).
     """
-    problem = allocation.problem
     if np.any(allocation.shares <= 0):
         raise ValueError(
             "MRS spread is only defined for interior allocations "
             "(all shares strictly positive)"
         )
-    directions = np.empty_like(allocation.shares)
-    for i, agent in enumerate(problem.agents):
-        grad = agent.utility.alpha / allocation.shares[i]
-        directions[i] = grad / grad.sum()
+    grad = allocation.problem.raw_alpha_matrix() / allocation.shares
+    directions = grad / grad.sum(axis=1, keepdims=True)
     mean_dir = directions.mean(axis=0)
     return float(np.max(np.abs(directions - mean_dir) / mean_dir))
 
@@ -147,12 +163,10 @@ def unfairness_index(allocation: Allocation) -> float:
     proxy, exactly as §5.5 does.
     """
     problem = allocation.problem
-    capacity = problem.capacity_vector
-    weighted = np.array(
-        [
-            agent.utility.value(allocation.shares[i]) / agent.utility.value(capacity)
-            for i, agent in enumerate(problem.agents)
-        ]
+    weighted = np.exp(
+        _log_utility_ratios(
+            problem.raw_alpha_matrix(), allocation.shares, problem.capacity_vector
+        )
     )
     if np.any(weighted == 0):
         return float("inf")

@@ -389,8 +389,8 @@ class CreditMechanism(Mechanism):
 
     def _weights(self, problem: AllocationProblem) -> np.ndarray:
         rows = [
-            self._balances.get(agent.name, np.zeros(problem.n_resources))
-            for agent in problem.agents
+            self._balances.get(name, np.zeros(problem.n_resources))
+            for name in problem.names
         ]
         balances = np.vstack(rows)
         return np.exp(self.spend_rate * balances)
@@ -416,13 +416,13 @@ class CreditMechanism(Mechanism):
         entitlement = 1.0 / problem.n_agents
         fractions = enforced.shares / problem.capacity_vector
         events: List[ObserveEvent] = []
-        for i, agent in enumerate(problem.agents):
+        for i, name in enumerate(problem.names):
             delta = entitlement - fractions[i]
-            before = self._balances.get(agent.name, np.zeros(problem.n_resources))
+            before = self._balances.get(name, np.zeros(problem.n_resources))
             raw = before + delta
             clipped = np.clip(raw, -self.max_balance, self.max_balance)
             forfeited = float(np.abs(raw - clipped).sum())
-            self._balances[agent.name] = clipped
+            self._balances[name] = clipped
             if metrics is not None:
                 banked = float(delta[delta > 0].sum())
                 spent = float(-delta[delta < 0].sum())
@@ -430,32 +430,32 @@ class CreditMechanism(Mechanism):
                     metrics.counter(
                         "repro_credit_banked_total",
                         help="Credit banked by under-served agents (capacity fractions).",
-                        agent=agent.name,
+                        agent=name,
                     ).inc(banked)
                 if spent > 0:
                     metrics.counter(
                         "repro_credit_spent_total",
                         help="Credit spent by over-served agents (capacity fractions).",
-                        agent=agent.name,
+                        agent=name,
                     ).inc(spent)
                 if forfeited > 0:
                     metrics.counter(
                         "repro_credit_forfeited_total",
                         help="Credit lost to the balance clip (capacity fractions).",
-                        agent=agent.name,
+                        agent=name,
                     ).inc(forfeited)
                 for r, resource in enumerate(problem.resource_names):
                     metrics.gauge(
                         "repro_credit_balance",
                         help="Per-agent credit balance in capacity fractions.",
-                        agent=agent.name,
+                        agent=name,
                         resource=resource,
                     ).set(float(clipped[r]))
             if forfeited > 1e-12:
                 events.append(
                     (
                         "credit_clipped",
-                        agent.name,
+                        name,
                         f"forfeited {forfeited:.3g} at |balance| = {self.max_balance:g}",
                     )
                 )

@@ -8,7 +8,7 @@ function."
 Every epoch the controller
 
 1. collects each agent's currently reported elasticities (naive
-   ``x^0.5 y^0.5`` until the on-line profiler has enough samples),
+   ``x^0.5 y^0.5`` until on-line profiling has enough samples),
 2. computes the REF allocation for the reports (closed form, so the
    per-epoch control cost is negligible), falling back to an equal
    split if the mechanism cannot produce a valid allocation,
@@ -20,8 +20,8 @@ Every epoch the controller
    measurement faults — plus a configurable number of log-uniform
    exploration measurements, retrying failed measurements with bounded
    backoff and skipping (and counting) samples whose retries exhaust,
-5. feeds the observations back into the agents' profilers, which
-   themselves reject non-positive samples and ill-conditioned fits.
+5. feeds the observations back into the agents' rows of the agent
+   table, which rejects non-positive samples and ill-conditioned fits.
 
 Between epochs agents may arrive (:meth:`DynamicAllocator.add_agent`)
 or depart (:meth:`DynamicAllocator.remove_agent`) — directly or through
@@ -38,29 +38,24 @@ that goes wrong along the way is recorded as structured
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fitting import fit_cobb_douglas_batch
-from ..core.mechanism import (
-    Agent,
-    Allocation,
-    AllocationProblem,
-    apply_allocation_floors,
-)
+from ..core.mechanism import Allocation, AllocationProblem, apply_allocation_floors
 from ..core.registry import (
     SolveContext,
     controller_mechanism_names,
     create_mechanism,
     mechanism_names,
 )
-from ..core.utility import CobbDouglasUtility
 from ..learning import DemandLearner
 from ..obs import MetricsRegistry, Tracer, timed
-from ..profiling.online import OnlineProfiler
+from ..profiling.online import COUNTERS, AgentTable, OnlineProfiler
 from ..sim.analytic import AnalyticMachine
 from .faults import FaultInjector, FaultSpec
 from .phases import ChurnSchedule
@@ -70,7 +65,37 @@ __all__ = [
     "EpochRecord",
     "ControllerResult",
     "DynamicAllocator",
+    "RESOURCE_NAMES",
+    "validate_capacities",
 ]
+
+#: The resources the allocator divides, in capacity order.
+RESOURCE_NAMES = ("membw_gbps", "cache_kb")
+
+#: Table counter column -> the event a rise in it logs on a measured epoch.
+_COUNTER_EVENTS = {
+    "rejected_non_positive": "sample_rejected_non_positive",
+    "rejected_outliers": "sample_rejected_outlier",
+    "fit_fallbacks": "fit_fallback",
+}
+_EVENT_COLUMNS = [COUNTERS.index(column) for column in _COUNTER_EVENTS]
+_EVENT_KINDS = list(_COUNTER_EVENTS.values())
+
+
+def validate_capacities(capacities: Iterable[float]) -> Tuple[float, ...]:
+    """``capacities`` as floats, or ValueError unless it is one positive
+    finite number per entry of :data:`RESOURCE_NAMES` (the rule for both
+    the constructor and :meth:`DynamicAllocator.set_capacities`)."""
+    try:
+        values = tuple(float(c) for c in capacities)
+    except (TypeError, ValueError):
+        values = ()
+    n_resources = len(RESOURCE_NAMES)
+    if len(values) != n_resources or not all(math.isfinite(c) and c > 0 for c in values):
+        raise ValueError(
+            f"capacities must be {n_resources} positive finite numbers, got {capacities!r}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -216,11 +241,12 @@ class DynamicAllocator:
         :class:`~repro.workloads.spec.WorkloadSpec` or a
         :class:`~repro.dynamic.phases.PhasedWorkload`.
     capacities:
-        (bandwidth GB/s, cache KB) shared by the agents.
+        (bandwidth GB/s, cache KB) shared by the agents: one positive,
+        finite amount per entry of :data:`RESOURCE_NAMES`.
     decay:
-        On-line profiler sample decay; < 1 makes the controller track
-        phase changes (old evidence ages out) and bounds each
-        profiler's sample history.
+        On-line profiling sample decay; < 1 makes the controller track
+        phase changes (old evidence ages out) and bounds each agent's
+        sample history.
     exploration_samples:
         Extra log-uniform measurements per agent per epoch; at least
         one is needed for the regression to stay identified.
@@ -234,19 +260,19 @@ class DynamicAllocator:
         imperfect measurement pipeline.  Detectable faults (drops,
         non-positive readings) are retried with bounded backoff and
         skipped when retries exhaust; outlier faults are left to the
-        profilers' outlier gate.
+        agent table's outlier gate.
     outlier_log_threshold:
-        Passed to each agent's profiler; samples whose log-residual
-        against the current fit exceeds it are rejected (a sustained
-        run is re-admitted as a phase change).  Defaults to on (2.5)
-        when fault injection is active, off otherwise.
+        The agent table's outlier gate; samples whose log-residual
+        against the agent's current fit exceeds it are rejected (a
+        sustained run is re-admitted as a phase change).  Defaults to
+        on (2.5) when fault injection is active, off otherwise.
     max_condition:
         Fit condition-number bound; ill-conditioned re-fits are
         discarded and the last good utility kept.
     metrics:
         :class:`~repro.obs.MetricsRegistry` receiving the controller's
         telemetry (epoch latency histogram, per-kind event counters,
-        per-agent profiler counters).  ``None`` (default) creates a
+        per-agent on-line profiling counters).  ``None`` (default) creates a
         private registry, exposed as ``allocator.metrics``; its event
         counters therefore match ``ControllerResult.counters`` exactly.
     mechanism:
@@ -263,20 +289,12 @@ class DynamicAllocator:
         (``"credit"``) observe every enforced allocation and carry
         per-agent state across epochs; snapshot/restore it through
         :meth:`mechanism_state` / :meth:`load_mechanism_state`.
-    batch_refit:
-        When True (default) the agents' profilers defer re-fitting and
-        the controller refits *every* dirty profiler in one
-        :func:`~repro.core.fitting.fit_cobb_douglas_batch` call per
-        epoch — one stacked solve per tick regardless of agent count.
-        False restores the historical re-fit-per-observation behaviour.
-        Fits are pure functions of each profiler's sample history, so
-        on a clean run both modes learn identical utilities.
     learn_demands:
         Enable the :mod:`repro.learning` explore/exploit layer: agents
         may be added with **no workload** (profile-free), the mechanism
         sees confidence-weighted prior/fit elasticity blends, enforced
         shares get bounded ε-greedy exploration perturbations (tagged
-        so the profilers' outlier gate cannot reject them), and
+        so the outlier gate cannot reject them), and
         demand-saturated agents are capped so surplus flows to
         unsaturated ones.  Off (default), behaviour is bit-identical to
         earlier releases.
@@ -285,6 +303,17 @@ class DynamicAllocator:
         report) or ``"centroid"`` (workload-class centroids learned
         from past confident fits).  Only meaningful with
         ``learn_demands=True``.
+
+    State
+    -----
+    Every agent is one row of :attr:`table`, an
+    :class:`~repro.profiling.online.AgentTable` kept in membership order
+    (``agent_names``).  Samples are validated once, when
+    :meth:`observe_sample` (or an internal measurement) writes them into
+    the agent's row; each tick re-fits every dirty row with one stacked
+    :func:`~repro.core.fitting.fit_cobb_douglas_batch` call, gates the
+    fits with array masks and hands the ``(N, R)`` report array to the
+    mechanism and the floor, cap and exploration projections.
     """
 
     #: Lower bounds keeping every agent inside the profiled regime.
@@ -300,7 +329,7 @@ class DynamicAllocator:
     def __init__(
         self,
         workloads: Dict[str, object],
-        capacities: Tuple[float, float],
+        capacities: Sequence[float],
         decay: float = 0.85,
         exploration_samples: int = 2,
         noise_sigma: float = 0.01,
@@ -311,7 +340,6 @@ class DynamicAllocator:
         max_condition: Optional[float] = 1e8,
         metrics: Optional[MetricsRegistry] = None,
         mechanism: str = "ref",
-        batch_refit: bool = True,
         learn_demands: bool = False,
         prior: str = "equal",
     ):
@@ -319,24 +347,20 @@ class DynamicAllocator:
             raise ValueError("at least one agent is required")
         if exploration_samples < 1:
             raise ValueError("exploration_samples must be >= 1 to keep fits identified")
-        if any(c <= 0 for c in capacities):
-            raise ValueError(f"capacities must be positive, got {capacities}")
+        self.capacities = validate_capacities(capacities)
         if mechanism not in self.MECHANISM_NAMES:
             raise ValueError(
                 f"unknown mechanism {mechanism!r}; expected one of "
                 f"{sorted(self.MECHANISM_NAMES)}"
             )
         self.workloads = dict(workloads)
-        self.capacities = (float(capacities[0]), float(capacities[1]))
+        self.floors = (self.MIN_BANDWIDTH_GBPS, self.MIN_CACHE_KB)
         self.exploration_samples = exploration_samples
         self.noise_sigma = noise_sigma
         self.machine = machine if machine is not None else AnalyticMachine()
         self.faults = faults
         if outlier_log_threshold is None and faults is not None and faults.is_active:
             outlier_log_threshold = 2.5
-        self._outlier_log_threshold = outlier_log_threshold
-        self._max_condition = max_condition
-        self._decay = decay
         self._rng = np.random.default_rng(seed)
         self._injector = (
             FaultInjector(faults, seed=seed) if faults is not None and faults.is_active else None
@@ -346,11 +370,15 @@ class DynamicAllocator:
         self.mechanism = mechanism
         self._mechanism_impl = create_mechanism(mechanism)
         self._fallback_impl = create_mechanism("equal-split-fallback")
-        self.batch_refit = batch_refit
         self.learn_demands = bool(learn_demands)
         self.prior_policy = prior
         self.learner: Optional[DemandLearner] = (
-            DemandLearner(prior=prior, metrics=self.metrics, seed=seed)
+            DemandLearner(
+                prior=prior,
+                n_resources=len(self.capacities),
+                metrics=self.metrics,
+                seed=seed,
+            )
             if self.learn_demands
             else None
         )
@@ -358,10 +386,18 @@ class DynamicAllocator:
         self._last_agent_order: Tuple[str, ...] = ()
         if not self.learn_demands and any(w is None for w in self.workloads.values()):
             raise ValueError("profile-free agents require learn_demands=True")
-        self._profilers = {name: self._new_profiler(name) for name in self.workloads}
+        self.table = AgentTable(
+            n_resources=len(self.capacities),
+            decay=decay,
+            outlier_log_threshold=outlier_log_threshold,
+            max_condition=max_condition,
+            metrics=self.metrics,
+        )
+        self.table.extend(list(self.workloads), [{"agent": name} for name in self.workloads])
         if self.learner is not None:
             for name, workload in self.workloads.items():
                 self.learner.register(name, cls=self._class_hint(workload))
+        self._profiler = OnlineProfiler.over(self.table)
         self._next_epoch = 0
 
     @staticmethod
@@ -396,7 +432,7 @@ class DynamicAllocator:
                 f"require learn_demands=True"
             )
         self.workloads[name] = workload
-        self._profilers[name] = self._new_profiler(name)
+        self.table.add(name, labels={"agent": name})
         if self.learner is not None:
             self.learner.register(
                 name, cls=workload_class or self._class_hint(workload)
@@ -409,7 +445,7 @@ class DynamicAllocator:
         if len(self.workloads) == 1:
             raise ValueError("cannot remove the last agent")
         del self.workloads[name]
-        del self._profilers[name]
+        self.table.remove(name)
         if self.learner is not None:
             self.learner.forget(name)
         self._mechanism_impl.forget_agent(name)
@@ -430,14 +466,14 @@ class DynamicAllocator:
         return tuple(self.workloads)
 
     @property
-    def resource_names(self) -> Tuple[str, str]:
+    def resource_names(self) -> Tuple[str, ...]:
         """Resource names in capacity order (matches Eq. 13 problems)."""
-        return ("membw_gbps", "cache_kb")
+        return RESOURCE_NAMES
 
     # ------------------------------------------------------------------
     # Hierarchical (cell-local) capacity
 
-    def set_capacities(self, capacities: Tuple[float, float]) -> None:
+    def set_capacities(self, capacities: Sequence[float]) -> None:
         """Replace the capacity vector between epochs (sharding grants).
 
         A shard coordinator re-slices the global capacity across cells
@@ -446,13 +482,7 @@ class DynamicAllocator:
         regime are discarded — they may be infeasible under a shrunk
         grant, and a cold SLSQP start is cheaper than a bad one.
         """
-        values = tuple(float(c) for c in capacities)
-        if len(values) != 2 or any(
-            not np.isfinite(c) or c <= 0 for c in values
-        ):
-            raise ValueError(
-                f"capacities must be two positive finite numbers, got {capacities}"
-            )
+        values = validate_capacities(capacities)
         if values != self.capacities:
             self.capacities = values
             self._last_enforced_shares = None
@@ -465,71 +495,47 @@ class DynamicAllocator:
         resource *r* is ``a_ir / sum_j a_jr * C_r``, so a cell's fair
         slice of ``C_r`` is its agents' partial sum of the denominator.
         """
-        total = np.zeros(2, dtype=float)
-        for name in self.workloads:
-            total += self._report(name)
-        return total
+        return self.reports().sum(axis=0)
 
-    def _report(self, name: str) -> np.ndarray:
-        """The elasticities agent ``name`` currently reports.
+    def reports(self) -> np.ndarray:
+        """The ``(N, R)`` elasticities the agents report, in agent order.
 
-        The learner's confidence-weighted blend in learning mode, the
-        profiler's own (naive-until-fitted) report otherwise — so the
+        The learner's confidence-weighted blends in learning mode, the
+        table's (naive-until-fitted) re-scaled fits otherwise — so the
         shard coordinator aggregates learned elasticities exactly like
         fitted ones.
         """
         if self.learner is not None:
-            return self.learner.report(name, self._profilers[name])
-        return self._profilers[name].report_elasticities()
-
-    def _new_profiler(self, name: str) -> OnlineProfiler:
-        return OnlineProfiler(
-            n_resources=2,
-            decay=self._decay,
-            outlier_log_threshold=self._outlier_log_threshold,
-            max_condition=self._max_condition,
-            metrics=self.metrics,
-            metric_labels={"agent": name},
-            auto_refit=not self.batch_refit,
-        )
+            return self.learner.report(self.table)
+        return self.table.report.copy()
 
     def observe_sample(
         self,
         agent: str,
-        bundle: Tuple[float, float],
+        bundle: Sequence[float],
         value: float,
         exploration: bool = False,
     ) -> bool:
-        """Feed one *externally measured* IPC sample into an agent's profiler.
+        """Feed one *externally measured* IPC sample into an agent's row.
 
         This is the ingestion path used by the allocation server
         (:mod:`repro.serve`): instead of the controller measuring on its
         internal machine, independent clients run at their enforced
         bundles and report what they observed.  The sample goes through
-        the same hardened :class:`~repro.profiling.online.OnlineProfiler`
+        the same hardened :meth:`~repro.profiling.online.AgentTable.observe`
         pipeline as internal measurements — non-positive/non-finite
         readings and fit-relative outliers are rejected and counted
         rather than crashing the loop.
 
         Returns ``True`` when the sample was accepted into the agent's
-        history, ``False`` when the profiler rejected it.  Raises
-        ``ValueError`` for an unknown agent (a caller bug, not a
-        measurement fault).  ``exploration=True`` marks a sample the
-        client took at a deliberately perturbed operating point; it
-        bypasses the fit-relative outlier gate (see
-        :meth:`~repro.profiling.online.OnlineProfiler.observe`).
+        history, ``False`` when it was rejected.  Raises ``ValueError``
+        for an unknown agent (a caller bug, not a measurement fault).
+        ``exploration=True`` marks a sample the client took at a
+        deliberately perturbed operating point; it bypasses the
+        fit-relative outlier gate.
         """
-        profiler = self._profilers.get(agent)
-        if profiler is None:
-            raise ValueError(f"no agent named {agent!r}")
-        before = profiler.counters
-        profiler.observe(
-            tuple(float(v) for v in bundle), float(value), exploration=exploration
-        )
-        after = profiler.counters
-        return (
-            after["rejected_non_positive"] == before["rejected_non_positive"]
-            and after["rejected_outliers"] == before["rejected_outliers"]
+        return self.table.observe(
+            self.table.row(agent), bundle, float(value), exploration=exploration
         )
 
     def _record_events(self, events) -> None:
@@ -549,8 +555,9 @@ class DynamicAllocator:
         spec_at = getattr(workload, "spec_at", None)
         return spec_at(epoch) if callable(spec_at) else workload
 
-    def _measure(self, spec, bandwidth: float, cache_kb: float) -> Optional[float]:
+    def _measure(self, spec, bundle: Sequence[float]) -> Optional[float]:
         """One measurement as delivered by the (possibly faulty) pipeline."""
+        bandwidth, cache_kb = bundle
         ipc = self.machine.ipc(spec, cache_kb, bandwidth)
         if self.noise_sigma > 0:
             ipc *= float(np.exp(self._rng.normal(0.0, self.noise_sigma)))
@@ -562,8 +569,7 @@ class DynamicAllocator:
     def _measure_with_retry(
         self,
         spec,
-        bandwidth: float,
-        cache_kb: float,
+        bundle: Sequence[float],
         epoch: int,
         agent: str,
         events: List[EpochEvent],
@@ -577,7 +583,7 @@ class DynamicAllocator:
         max_retries = self.faults.max_retries if self.faults is not None else 0
         attempt = 0
         while True:
-            value = self._measure(spec, bandwidth, cache_kb)
+            value = self._measure(spec, bundle)
             if value is not None and np.isfinite(value) and value > 0:
                 return value
             if attempt >= max_retries:
@@ -601,63 +607,53 @@ class DynamicAllocator:
             )
             attempt += 1
 
-    def _explore(
-        self,
-        spec,
-        profiler: OnlineProfiler,
-        epoch: int,
-        agent: str,
-        events: List[EpochEvent],
-    ) -> None:
+    def _explore(self, spec, row: int, epoch: int, agent: str, events: List[EpochEvent]) -> None:
+        lows = np.log(self.floors)
+        highs = np.log(self.capacities)
         for _ in range(self.exploration_samples):
-            bandwidth = float(
-                np.exp(
-                    self._rng.uniform(
-                        np.log(self.MIN_BANDWIDTH_GBPS), np.log(self.capacities[0])
-                    )
-                )
+            bundle = tuple(
+                float(np.exp(self._rng.uniform(low, high))) for low, high in zip(lows, highs)
             )
-            cache_kb = float(
-                np.exp(
-                    self._rng.uniform(np.log(self.MIN_CACHE_KB), np.log(self.capacities[1]))
-                )
-            )
-            value = self._measure_with_retry(
-                spec, bandwidth, cache_kb, epoch, agent, events
-            )
+            value = self._measure_with_retry(spec, bundle, epoch, agent, events)
             if value is not None:
                 # In learning mode these deliberate off-policy probes
                 # are exploration-tagged so the outlier gate cannot
                 # reject a phase-changed agent's evidence wholesale.
-                profiler.observe(
-                    (bandwidth, cache_kb), value, exploration=self.learner is not None
-                )
+                self.table.observe(row, bundle, value, exploration=self.learner is not None)
 
     # ------------------------------------------------------------------
     # The epoch loop
 
-    def _allocate(self, epoch: int, events: List[EpochEvent]) -> Allocation:
-        """Run the configured mechanism; equal split if it fails.
+    def _allocate(self, epoch: int, events: List[EpochEvent], reports: np.ndarray) -> Allocation:
+        """Run the configured mechanism on the epoch's reports; equal split if it fails.
 
-        The mechanism is a registry strategy object: closed-form ones
-        (the default) are O(N·R) — no SLSQP process ever starts on the
-        fast path — while warm-startable ones receive the previous
-        epoch's enforced shares whenever the agent set is unchanged,
-        collapsing the multi-start sweep to a single solver run on
-        stable epochs.  Telemetry counting lives in
+        The problem is built from the table's arrays: agent ``Agent``
+        objects exist only if the mechanism asks for them (the SLSQP
+        ones do).  Closed-form mechanisms (the default) are O(N·R) — no
+        SLSQP process ever starts on the fast path — while warm-startable
+        ones receive the previous epoch's enforced shares whenever the
+        agent set is unchanged, collapsing the multi-start sweep to a
+        single solver run on stable epochs.  Telemetry counting lives in
         :meth:`repro.core.registry.Mechanism.solve`.
         """
-        names = tuple(self.workloads)
+        names = tuple(self.table.names)
         if self.learner is not None:
             # The mechanism sees the confidence-weighted prior/fit
-            # blend; it is rescaled and strictly positive by
-            # construction, so it is a valid Eq. 12 report.
-            agents = [
-                Agent(name, CobbDouglasUtility(self._report(name))) for name in names
-            ]
+            # blend as a scale-1 utility, re-scaled once more for
+            # Eq. 12; it is strictly positive by construction, so it is
+            # a valid report.
+            problem = AllocationProblem.from_arrays(
+                names, reports, self.capacities, RESOURCE_NAMES
+            )
         else:
-            agents = [Agent(name, self._profilers[name].utility) for name in names]
-        problem = AllocationProblem(agents, self.capacities, ("membw_gbps", "cache_kb"))
+            problem = AllocationProblem.from_arrays(
+                names,
+                self.table.alpha.copy(),
+                self.capacities,
+                RESOURCE_NAMES,
+                scale=self.table.scale.copy(),
+                rescaled=reports,
+            )
         warm = None
         if (
             self._mechanism_impl.warm_startable
@@ -676,44 +672,33 @@ class DynamicAllocator:
             return self._fallback_impl.solve(problem, context)
 
     def _refit_pending(self) -> None:
-        """Batched deferred re-fit: one stacked solve for every dirty profiler.
+        """Batched deferred re-fit: one stacked solve for every dirty row.
 
-        With ``batch_refit`` the profilers only mark themselves dirty on
-        new samples; this driver gathers everyone needing a re-fit and
-        solves them in a single
-        :func:`~repro.core.fitting.fit_cobb_douglas_batch` call.  Each
-        returned fit then passes through the profiler's own acceptance
-        gate (:meth:`~repro.profiling.online.OnlineProfiler.apply_fit`),
-        so condition-number rejection and fallback counting behave as in
-        the per-observe path.  If the stacked solve itself fails, each
-        profiler falls back to its individual re-fit — one bad agent
-        must not starve the others of updates.
+        Samples only mark their row dirty.  The fleet profiler's re-fit
+        protocol gathers every row whose re-fit is due, one
+        :func:`~repro.core.fitting.fit_cobb_douglas_batch` call solves
+        them all, and the table's array masks gate the fits
+        (condition-number rejection and fallback counting included).  If
+        the stacked solve itself fails, each row falls back to a solve
+        of its own — one bad agent must not starve the others of updates.
         """
-        if not self.batch_refit:
+        profiler = self._profiler
+        if not profiler.needs_refit:
             return
-        pending = [
-            profiler for profiler in self._profilers.values() if profiler.needs_refit
-        ]
-        if not pending:
-            return
-        inputs = [profiler.fit_inputs() for profiler in pending]
-        with self.tracer.span("batch_refit", agents=len(pending)):
+        block = profiler.fit_inputs()
+        with self.tracer.span("batch_refit", agents=len(block.rows)):
             try:
                 fits = fit_cobb_douglas_batch(
-                    [allocations for allocations, _, _ in inputs],
-                    [performance for _, performance, _ in inputs],
-                    [weights for _, _, weights in inputs],
+                    block.allocations, block.performance, block.weights, counts=block.counts
                 )
             except (ValueError, np.linalg.LinAlgError):
                 self.metrics.counter(
                     "repro_solver_batch_fit_fallbacks_total",
                     help="Stacked re-fit calls that fell back to per-agent fits.",
                 ).inc()
-                for profiler in pending:
-                    profiler.refit_now()
+                self.table.refit_alone(block.rows, fit_cobb_douglas_batch)
                 return
-            for profiler, fit in zip(pending, fits):
-                profiler.apply_fit(fit)
+            profiler.apply_fit(fits)
         self.metrics.counter(
             "repro_solver_batch_fits_total",
             help="Stacked multi-agent re-fit calls.",
@@ -722,12 +707,12 @@ class DynamicAllocator:
             "repro_solver_batch_fit_agents",
             help="Agents re-fitted per stacked call.",
             buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0),
-        ).observe(len(pending))
+        ).observe(len(block.rows))
 
     def step(self, epoch: int, measure: bool = True) -> EpochRecord:
         """Run one epoch: allocate on current reports, enforce floors,
 
-        measure under fault injection, and update the profilers.
+        measure under fault injection, and update the agent table.
 
         With ``measure=False`` the controller only allocates and
         enforces — no internal measurement or exploration happens.  This
@@ -749,20 +734,21 @@ class DynamicAllocator:
 
     def _step(self, epoch: int, measure: bool = True) -> EpochRecord:
         events: List[EpochEvent] = []
-        names = list(self.workloads)
+        table = self.table
+        names = tuple(table.names)
         # Pick up samples fed externally (observe_sample) since the last
-        # tick: one stacked re-fit covers every dirty profiler.
+        # tick: one stacked re-fit covers every dirty row.
         self._refit_pending()
+        reports = self.reports()
         with self.tracer.span("allocate"):
-            allocation = self._allocate(epoch, events)
-        floors = (self.MIN_BANDWIDTH_GBPS, self.MIN_CACHE_KB)
+            allocation = self._allocate(epoch, events, reports)
         # Feasible floor enforcement: transient mis-fits can starve an
         # agent toward a zero share, and log-space leverage points there
         # would poison the regression (a feedback spiral).  Projection
         # takes the excess from richer agents, so — unlike a per-agent
         # clamp — the enforced bundles never exceed capacity.
         with self.tracer.span("enforce"):
-            enforced = apply_allocation_floors(allocation, floors)
+            enforced = apply_allocation_floors(allocation, self.floors)
         if not np.allclose(enforced.shares, allocation.shares, rtol=1e-9, atol=1e-12):
             lifted = int(np.sum(np.any(allocation.shares < enforced.shares - 1e-12, axis=1)))
             events.append(
@@ -780,7 +766,7 @@ class DynamicAllocator:
             # perturbations (column sums and floors preserved) — the
             # enforced allocation stays feasible through both.
             shares, capped = self.learner.apply_caps(
-                enforced.shares, names, self._profilers, floors, self.capacities
+                enforced.shares, table, self.floors, self.capacities
             )
             if capped:
                 events.append(
@@ -788,13 +774,13 @@ class DynamicAllocator:
                         epoch, "demand_capped", detail=f"{capped} entr(ies) clipped"
                     )
                 )
-            shares, explored = self.learner.perturb(shares, names, floors)
+            shares, explored = self.learner.perturb(shares, names, self.floors)
             for name in explored:
                 events.append(EpochEvent(epoch, "exploration_perturbed", name))
             enforced = Allocation(enforced.problem, shares, enforced.mechanism)
 
         self._last_enforced_shares = enforced.shares.copy()
-        self._last_agent_order = tuple(names)
+        self._last_agent_order = names
 
         if self._mechanism_impl.stateful:
             # Stateful mechanisms (credit) learn from what agents
@@ -806,62 +792,47 @@ class DynamicAllocator:
                 events.append(EpochEvent(epoch, kind, agent, detail))
 
         measured: Dict[str, float] = {}
-        reported: Dict[str, np.ndarray] = {}
-        before_counters = {name: self._profilers[name].counters for name in names}
+        before = table.counters[:, _EVENT_COLUMNS]
         with self.tracer.span("measure"):
-            for index, name in enumerate(names):
-                profiler = self._profilers[name]
-                reported[name] = self._report(name).copy()
-                spec = (
-                    self._spec_at(self.workloads[name], epoch)
-                    if self.workloads[name] is not None
-                    else None
-                )
-                if measure and spec is not None:
-                    bandwidth, cache_kb = enforced.shares[index]
-                    value = self._measure_with_retry(
-                        spec, bandwidth, cache_kb, epoch, name, events
-                    )
+            if measure:
+                for row, name in enumerate(names):
+                    workload = self.workloads[name]
+                    if workload is None:
+                        continue
+                    spec = self._spec_at(workload, epoch)
+                    bundle = enforced.shares[row]
+                    value = self._measure_with_retry(spec, bundle, epoch, name, events)
                     if value is not None:
                         measured[name] = value
-                        profiler.observe(
-                            (bandwidth, cache_kb), value, exploration=name in explored
-                        )
-                    self._explore(spec, profiler, epoch, name, events)
+                        table.observe(row, bundle, value, exploration=name in explored)
+                    self._explore(spec, row, epoch, name, events)
         if measure:
-            # Deferred mode: one stacked re-fit covers this epoch's
-            # measurements for every agent (a no-op with auto_refit).
+            # One stacked re-fit covers this epoch's measurements.
             self._refit_pending()
-            for name in names:
-                before = before_counters[name]
-                after = self._profilers[name].counters
-                for counter_key, kind in (
-                    ("rejected_non_positive", "sample_rejected_non_positive"),
-                    ("rejected_outliers", "sample_rejected_outlier"),
-                    ("fit_fallbacks", "fit_fallback"),
-                ):
-                    delta = after[counter_key] - before[counter_key]
-                    if delta > 0:
-                        events.append(
-                            EpochEvent(epoch, kind, name, f"{delta} this epoch")
-                        )
+            delta = table.counters[:, _EVENT_COLUMNS] - before
+            for row, column in zip(*np.nonzero(delta > 0)):
+                events.append(
+                    EpochEvent(
+                        epoch,
+                        _EVENT_KINDS[column],
+                        names[row],
+                        f"{int(delta[row, column])} this epoch",
+                    )
+                )
         if self.learner is not None:
-            for name in self.learner.note_epoch(epoch, names, self._profilers):
+            for name in self.learner.note_epoch(epoch, table):
                 events.append(
                     EpochEvent(epoch, "report_converged", name, f"epoch {epoch}")
                 )
-        conditions = {
-            name: self._profilers[name].last_condition_number for name in names
-        }
         return EpochRecord(
             epoch=epoch,
-            reported_alpha=reported,
+            reported_alpha=dict(zip(names, reports.copy())),
             allocation=allocation,
             measured_ipc=measured,
             enforced=enforced,
-            agents=tuple(names),
+            agents=names,
             events=tuple(events),
-            fit_condition=conditions,
+            fit_condition=dict(zip(names, table.condition.tolist())),
         )
 
     def _apply_churn(

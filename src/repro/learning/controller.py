@@ -3,8 +3,8 @@
 *Online Learning Demands in Max-min Fairness* (PAPERS.md) shows a
 fair-division mechanism can start from a prior and converge to the
 profiled allocation from live observations alone.  :class:`DemandLearner`
-is that loop's brain, layered on the per-agent
-:class:`~repro.profiling.online.OnlineProfiler`:
+is that loop's brain, reading the fleet's
+:class:`~repro.profiling.online.AgentTable` (one row per agent):
 
 * **reports** — the mechanism sees a confidence-weighted blend
   ``(1 - c) * prior + c * fitted`` of the agent's prior (equal split or
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.mechanism import water_fill
 from ..obs import MetricsRegistry
-from ..profiling.online import OnlineProfiler
+from ..profiling.online import AgentTable
 from .caps import DemandCapEstimator, apply_demand_caps
 from .prior import PriorStore
 
@@ -161,71 +161,70 @@ class DemandLearner:
     # ------------------------------------------------------------------
     # Reports
 
-    def confidence(self, name: str, profiler: OnlineProfiler) -> float:
-        """How much the agent's fit is trusted over its prior, in [0, 1]."""
-        if profiler.last_fit is None:
-            return 0.0
-        return min(1.0, profiler.n_samples / self.config.confidence_samples)
+    def confidence(self, table: AgentTable) -> np.ndarray:
+        """How much each row's fit is trusted over its prior, in [0, 1]."""
+        ramp = np.minimum(1.0, table.count / self.config.confidence_samples)
+        return np.where(table.fitted, ramp, 0.0)
 
-    def report(self, name: str, profiler: OnlineProfiler) -> np.ndarray:
-        """Confidence-weighted elasticity report for the mechanism.
+    def report(self, table: AgentTable) -> np.ndarray:
+        """``(N, R)`` confidence-weighted elasticity reports, in row order.
 
-        Falls back to the profiler's own report for agents never
-        registered with the learner (profiled agents sharing the
-        machine with learning ones).
+        A learning agent reports ``(1 - c) * prior + c * fitted``,
+        normalized; its prior alone if that blend is degenerate.  Rows
+        never registered with the learner (profiled agents sharing the
+        machine with learning ones) report their fit unchanged.
         """
-        state = self._states.get(name)
-        fitted = profiler.report_elasticities()
-        if state is None:
-            return fitted
-        c = self.confidence(name, profiler)
-        blend = (1.0 - c) * state.prior + c * fitted
-        total = blend.sum()
-        if not np.isfinite(total) or total <= 0 or np.any(blend <= 0):
-            return state.prior.copy()
-        return blend / total
+        fitted = table.report
+        states = [self._states.get(name) for name in table.names]
+        learning = np.array([state is not None for state in states], dtype=bool)
+        if not learning.any():
+            return fitted.copy()
+        prior = np.array(
+            [fit if state is None else state.prior for state, fit in zip(states, fitted)]
+        )
+        c = self.confidence(table)[:, None]
+        blend = (1.0 - c) * prior + c * fitted
+        total = blend.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normalized = blend / total
+        degenerate = ~np.isfinite(total) | (total <= 0) | np.any(blend <= 0, axis=1, keepdims=True)
+        blended = np.where(degenerate, prior, normalized)
+        return np.where(learning[:, None], blended, fitted)
 
-    def note_fit(self, name: str, profiler: OnlineProfiler) -> None:
+    def note_fit(self, table: AgentTable, row: int) -> None:
         """Feed a now-confident fit into the prior store (once per agent)."""
-        state = self._states.get(name)
+        state = self._states.get(table.names[row])
         if state is None or state.prior_recorded:
             return
-        if self.confidence(name, profiler) >= 1.0:
-            self.priors.update(profiler.report_elasticities(), cls=state.cls)
+        if table.fitted[row] and table.count[row] >= self.config.confidence_samples:
+            self.priors.update(table.report[row].copy(), cls=state.cls)
             state.prior_recorded = True
 
     # ------------------------------------------------------------------
     # Demand caps
 
-    def caps_for(
-        self,
-        names: Sequence[str],
-        profilers: Dict[str, OnlineProfiler],
-        floors: Sequence[float],
-    ) -> np.ndarray:
-        """Stacked ``(N, R)`` cap matrix for the epoch's agent order."""
-        caps = np.full((len(names), self.n_resources), np.inf)
-        for i, name in enumerate(names):
-            if name not in self._states:
+    def caps_for(self, table: AgentTable, floors: Sequence[float]) -> np.ndarray:
+        """Stacked ``(N, R)`` cap matrix in row order."""
+        caps = np.full((len(table), self.n_resources), np.inf)
+        confident = self.confidence(table) >= 1.0
+        reports = None
+        for i, name in enumerate(table.names):
+            if name not in self._states or not confident[i]:
                 continue
-            profiler = profilers[name]
-            if self.confidence(name, profiler) < 1.0:
-                continue
-            caps[i] = self.estimator.caps_for(
-                self.report(name, profiler), profiler.samples(), floors
-            )
+            if reports is None:
+                reports = self.report(table)
+            caps[i] = self.estimator.caps_for(reports[i], table.samples(i), floors)
         return caps
 
     def apply_caps(
         self,
         shares: np.ndarray,
-        names: Sequence[str],
-        profilers: Dict[str, OnlineProfiler],
+        table: AgentTable,
         floors: Sequence[float],
         capacities: Sequence[float],
     ) -> Tuple[np.ndarray, int]:
         """Cap saturated agents, redistribute surplus; returns (shares, capped)."""
-        caps = self.caps_for(names, profilers, floors)
+        caps = self.caps_for(table, floors)
         if not np.isfinite(caps).any():
             return shares, 0
         result = apply_demand_caps(shares, caps, capacities)
@@ -284,25 +283,21 @@ class DemandLearner:
     # ------------------------------------------------------------------
     # Per-epoch bookkeeping
 
-    def note_epoch(
-        self,
-        epoch: int,
-        names: Sequence[str],
-        profilers: Dict[str, OnlineProfiler],
-    ) -> Tuple[str, ...]:
+    def note_epoch(self, epoch: int, table: AgentTable) -> Tuple[str, ...]:
         """Advance ε schedules and convergence detection after an epoch.
 
         Returns the agents that *newly* converged this epoch (for the
         caller's event log).
         """
         newly_converged: List[str] = []
-        for name in names:
+        reports = self.report(table)
+        confident = self.confidence(table) >= 1.0
+        for i, name in enumerate(table.names):
             state = self._states.get(name)
             if state is None:
                 continue
-            profiler = profilers[name]
-            self.note_fit(name, profiler)
-            report = self.report(name, profiler)
+            self.note_fit(table, i)
+            report = reports[i]
             if state.last_report is not None:
                 drift = float(np.max(np.abs(report - state.last_report)))
                 self.metrics.gauge(
@@ -323,7 +318,7 @@ class DemandLearner:
                 if (
                     state.converged_epoch is None
                     and state.stable_epochs >= self.config.convergence_window
-                    and self.confidence(name, profiler) >= 1.0
+                    and confident[i]
                 ):
                     state.converged_epoch = epoch
                     newly_converged.append(name)

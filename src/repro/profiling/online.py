@@ -6,12 +6,17 @@ equally to performance.  Such a naive user reports utility
 user profiles software performance.  And as profiles are accumulated for
 varied allocations, the user adapts its utility function."
 
-:class:`OnlineProfiler` implements that loop: it starts from the naive
-equal-elasticity report, records (allocation, IPC) observations, and
-re-fits once enough linearly-independent samples accumulate, optionally
-weighting recent samples more heavily (software phases change).
+:class:`AgentTable` holds that loop's state for a whole fleet in
+columns: one row per agent, in membership order.  Each row starts from
+the naive equal-elasticity report, records (allocation, IPC)
+observations in a fixed-depth ring, and is re-fitted once enough
+linearly-independent samples accumulate, optionally weighting recent
+samples more heavily (software phases change).  The dynamic controller
+gathers every dirty row into one stacked fit per epoch tick;
+:class:`OnlineProfiler` is the single-agent API, a one-row view over
+the same table code that re-fits on every accepted observation.
 
-The profiler is built to survive a *long-running* closed loop fed by an
+The table is built to survive a *long-running* closed loop fed by an
 imperfect measurement pipeline:
 
 * non-positive or non-finite samples are **rejected** (skipped and
@@ -31,28 +36,50 @@ imperfect measurement pipeline:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fitting import CobbDouglasFit, fit_cobb_douglas
-from ..core.utility import CobbDouglasUtility
+from ..core.utility import CobbDouglasUtility, rescale_elasticities
 from ..obs import MetricsRegistry
 
-__all__ = ["OnlineProfiler"]
+__all__ = ["AgentTable", "FitBlock", "OnlineProfiler"]
 
 
-class OnlineProfiler:
-    """Incrementally learns a workload's Cobb-Douglas utility.
+class FitBlock(NamedTuple):
+    """Rows due for a re-fit and their samples, as one stacked-fit input.
+
+    Row ``k``'s samples fill the first ``counts[k]`` entries of
+    ``allocations`` ``(A, m, R)``, ``performance`` and ``weights``
+    ``(A, m)`` (``weights`` is ``None`` without decay), oldest first,
+    padded to the largest count — the layout
+    :func:`~repro.core.fitting.fit_cobb_douglas_batch` takes.
+    """
+
+    rows: np.ndarray
+    allocations: np.ndarray
+    performance: np.ndarray
+    weights: Optional[np.ndarray]
+    counts: np.ndarray
+
+
+#: Counter columns of :attr:`AgentTable.counters`, in event order.
+COUNTERS = ("rejected_non_positive", "rejected_outliers", "fit_fallbacks", "trimmed_samples")
+_NON_POSITIVE, _OUTLIER, _FALLBACK, _TRIMMED = range(len(COUNTERS))
+
+
+class AgentTable:
+    """Columnar on-line profiling state: one row per agent.
 
     Parameters
     ----------
     n_resources:
-        Number of shared resources.
+        Number of shared resources ``R``.
     min_samples:
-        Observations required before the first re-fit; until then the
-        naive equal-elasticity utility is reported.  Must be at least
-        ``n_resources + 1`` (the regression's parameter count).
+        Observations required before a row's first re-fit; until then
+        the naive equal-elasticity utility is reported.  Must be at
+        least ``n_resources + 1`` (the regression's parameter count).
     decay:
         Per-step multiplicative weight decay in (0, 1]; 1.0 weights all
         history equally, smaller values emphasize recent samples.
@@ -66,8 +93,8 @@ class OnlineProfiler:
         are considered degenerate and discarded (the previous fit is
         kept).  ``None`` disables the check.
     outlier_log_threshold:
-        When set, a sample whose log-space residual against the current
-        fit exceeds this value is rejected as an outlier.  After
+        When set, a sample whose log-space residual against the row's
+        current fit exceeds this value is rejected as an outlier.  After
         ``max_consecutive_outliers`` rejections in a row the gate yields
         and accepts the sample — a sustained shift is a phase change,
         not a fault.  ``None`` (the default) disables the gate.
@@ -76,21 +103,29 @@ class OnlineProfiler:
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
         rejection/fallback counters are mirrored into it
-        (``repro_online_*`` metrics) and every attempted re-fit's
-        condition number is exposed as a gauge.  ``None`` (default)
-        keeps the profiler metric-free.
-    metric_labels:
-        Labels attached to every mirrored metric (e.g.
-        ``{"agent": name}`` when one registry serves many profilers).
-    auto_refit:
-        When True (default) every accepted observation re-fits
-        immediately, preserving the historical per-observe behaviour.
-        When False the profiler only *marks itself dirty*; an external
-        driver (the dynamic controller) batches dirty profilers through
-        :func:`~repro.core.fitting.fit_cobb_douglas_batch` once per
-        epoch and feeds results back via :meth:`apply_fit`.  The fit is
-        a pure function of the sample history, so deferring it changes
-        when — not what — the profiler learns.
+        (``repro_online_*`` metrics, labelled per row) and every
+        attempted re-fit's condition number is exposed as a gauge.
+
+    Columns
+    -------
+    Every per-row array has the agent axis first, in :attr:`names`
+    order: ``count`` (live samples), ``dirty`` (samples since the last
+    re-fit), ``fitted``, ``alpha`` and ``scale`` (the accepted fit, the
+    naive prior until one exists), ``report`` (the Eq. 12 re-scaled
+    elasticities the agent reports), ``condition`` (the last attempted
+    re-fit's condition number) and ``counters`` (one column per entry of
+    :data:`COUNTERS`).
+
+    The histories share one allocation arena ``(C, R)`` and one
+    performance arena ``(C,)``: row ``i`` owns a ring segment of
+    ``_depth[i]`` slots from ``_start[i]``.  With ``decay < 1`` every
+    segment is the history bound deep, so the arena is the fleet's
+    ``(N, H, R)`` ring laid end to end; with ``decay == 1`` a row whose
+    segment fills moves to one twice as deep at the arena's end, so
+    each row's memory follows its own history, not the busiest row's.
+    Membership changes touch only the per-row columns; a full arena is
+    rebuilt with the live segments packed, which reclaims the segments
+    of removed and moved rows.
     """
 
     #: Mirror key -> (registry method, metric name, extra labels).
@@ -121,8 +156,6 @@ class OnlineProfiler:
         outlier_log_threshold: Optional[float] = None,
         max_consecutive_outliers: int = 3,
         metrics: Optional[MetricsRegistry] = None,
-        metric_labels: Optional[Mapping[str, str]] = None,
-        auto_refit: bool = True,
     ):
         if n_resources < 1:
             raise ValueError(f"n_resources must be >= 1, got {n_resources}")
@@ -157,76 +190,523 @@ class OnlineProfiler:
         # The fit keeps at least min_samples even if decay would age
         # them all out; identification beats forgetting.
         if decay < 1.0:
-            self.max_history = max(
+            self.max_history: Optional[int] = max(
                 int(math.ceil(math.log(weight_floor) / math.log(decay))), min_samples
+            )
+            # decay ** age for ages max_history - 1 .. 0: a history of n
+            # samples is weighted by the last n entries.
+            self._weights: Optional[np.ndarray] = decay ** np.arange(
+                self.max_history - 1, -1, -1, dtype=float
             )
         else:
             self.max_history = None
-        self.auto_refit = auto_refit
-        # The accepted history, oldest first, lives in rows
-        # [_start, _end) of two contiguous buffers.  Trimming advances
-        # _start; an append at the end of the buffer moves the live rows
-        # to the front, or doubles the buffer when more than half of it
-        # is live, so each sample costs O(1) amortised.
-        capacity = 2 * (self.max_history or min_samples)
-        self._allocations = np.empty((capacity, n_resources))
-        self._performance = np.empty(capacity)
-        self._start = 0
-        self._end = 0
-        # _has_variation's verdict, cached until the history next changes.
-        self._variation: Optional[bool] = None
-        # decay ** age for ages max_history - 1 .. 0: a history of n
-        # samples is weighted by the last n entries.
-        self._weights = (
-            decay ** np.arange(self.max_history - 1, -1, -1, dtype=float) if decay < 1.0 else None
-        )
-        self._naive = CobbDouglasUtility([1.0 / n_resources] * n_resources)
-        self._fit: Optional[CobbDouglasFit] = None
-        self._dirty = False
-        self._last_condition = float("nan")
-        self._consecutive_outliers = 0
+            self._weights = None
+        self._naive = np.full(n_resources, 1.0 / n_resources)
+        self._naive_report = rescale_elasticities(self._naive)
         self._metrics = metrics
-        self._metric_labels = dict(metric_labels or {})
-        self._handles: Dict[str, object] = {}
-        self._counters: Dict[str, int] = {
-            "rejected_non_positive": 0,
-            "rejected_outliers": 0,
-            "fit_fallbacks": 0,
-            "trimmed_samples": 0,
+        self.names: List[str] = []
+        self._rows: Dict[str, int] = {}
+        self._labels: List[Dict[str, str]] = []
+        self._handles: List[Dict[str, object]] = []
+        self._first_depth = self.max_history or 2 * min_samples
+        # Row i's live samples, oldest first, are arena slots
+        # _start[i] + (_head[i] - count[i] + j) % _depth[i] for j < count[i];
+        # slots from _used on are free.
+        self._alloc = np.empty((0, n_resources))
+        self._perf = np.empty(0)
+        self._used = 0
+        # Every per-row array, as the one row a new agent starts from;
+        # they grow and shrink together on membership changes.
+        self._fresh = {
+            "_start": np.zeros(1, dtype=np.intp),
+            "_depth": np.full(1, self._first_depth, dtype=np.intp),
+            "_head": np.zeros(1, dtype=np.intp),
+            "_streak": np.zeros(1, dtype=np.intp),
+            # The every-axis-varied verdict, kept until the history changes.
+            "_varied": np.zeros(1, dtype=bool),
+            "_stale": np.ones(1, dtype=bool),
+            "count": np.zeros(1, dtype=np.intp),
+            "dirty": np.zeros(1, dtype=bool),
+            "fitted": np.zeros(1, dtype=bool),
+            "alpha": self._naive[None, :],
+            "scale": np.ones(1),
+            "report": self._naive_report[None, :],
+            "condition": np.full(1, np.nan),
+            "counters": np.zeros((1, len(COUNTERS)), dtype=np.int64),
         }
+        for column, value in self._fresh.items():
+            setattr(self, column, value[:0].copy())
 
-    def _metric(self, key: str):
-        """The registry child mirroring ``key``, looked up at first use.
+    # ------------------------------------------------------------------
+    # Membership
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def row(self, name: str) -> int:
+        """The row index of agent ``name``."""
+        try:
+            return self._rows[name]
+        except KeyError:
+            raise ValueError(f"no agent named {name!r}") from None
+
+    def add(self, name: str, labels: Optional[Mapping[str, str]] = None) -> int:
+        """Append a naive row for ``name``; returns its index.
+
+        ``labels`` are attached to every metric the row mirrors (e.g.
+        ``{"agent": name}`` when one registry serves many rows).
+        """
+        self.extend([name], [labels or {}])
+        return self._rows[name]
+
+    def extend(self, names: Sequence[str], labels: Sequence[Mapping[str, str]]) -> None:
+        """Append naive rows for ``names`` (with their metric ``labels``) at once."""
+        for name in names:
+            if name in self._rows:
+                raise ValueError(f"agent {name!r} already exists")
+        if len(set(names)) != len(names):
+            raise ValueError(f"agent names must be unique, got {list(names)}")
+        k, depth = len(names), self._first_depth
+        start = self._reserve(k * depth)
+        for column, value in self._fresh.items():
+            setattr(self, column, np.concatenate([getattr(self, column), value.repeat(k, axis=0)]))
+        self._start[len(self._start) - k :] = start + depth * np.arange(k)
+        for name, row_labels in zip(names, labels):
+            self._rows[name] = len(self.names)
+            self.names.append(name)
+            self._labels.append(dict(row_labels))
+            self._handles.append({})
+
+    def remove(self, name: str) -> None:
+        """Drop agent ``name``'s row; later rows move up one, in order.
+
+        The row's arena segment is reclaimed when the arena is next
+        rebuilt.
+        """
+        row = self.row(name)
+        keep = np.arange(len(self.names) - 1)
+        keep[row:] += 1
+        for column in self._fresh:
+            setattr(self, column, getattr(self, column)[keep])
+        del self.names[row], self._labels[row], self._handles[row]
+        self._rows = {agent: i for i, agent in enumerate(self.names)}
+
+    # ------------------------------------------------------------------
+    # Metrics
+
+    def _metric(self, row: int, key: str):
+        """The registry child mirroring ``key`` for ``row``, looked up once.
 
         Held afterwards, so a hot path pays no locked registry lookup,
         while a series still appears only once it is first touched.
         """
-        handle = self._handles.get(key)
+        handles = self._handles[row]
+        handle = handles.get(key)
         if handle is None:
             kind, name, extra = self._METRICS[key]
-            handle = getattr(self._metrics, kind)(name, **{**self._metric_labels, **extra})
-            self._handles[key] = handle
+            handle = getattr(self._metrics, kind)(name, **{**self._labels[row], **extra})
+            handles[key] = handle
         return handle
 
-    def _count(self, key: str, n: int = 1) -> None:
-        """Bump an internal counter and its metric mirror (if any)."""
-        self._counters[key] += n
+    def _count(self, row: int, column: int, n: int = 1) -> None:
+        """Bump a row's counter and its metric mirror (if any)."""
+        self.counters[row, column] += n
         if self._metrics is not None:
-            self._metric(key).inc(n)
+            self._metric(row, COUNTERS[column]).inc(n)
+
+    def counters_of(self, row: int) -> Dict[str, int]:
+        """Row ``row``'s fault-handling counters by name."""
+        return dict(zip(COUNTERS, self.counters[row].tolist()))
+
+    # ------------------------------------------------------------------
+    # Ingest
+
+    def observe(
+        self,
+        row: int,
+        allocation: Sequence[float],
+        performance: float,
+        exploration: bool = False,
+    ) -> bool:
+        """Validate one (allocation, measured IPC) sample and store it.
+
+        Returns True when the sample joined the row's history.  Samples
+        with non-positive or non-finite entries are rejected — skipped
+        and counted under ``rejected_non_positive`` — because the log
+        transform needs strictly positive data and a long-running loop
+        must survive a bad measurement.  Only a wrong *shape* (a caller
+        bug, not a measurement fault) raises.
+
+        ``exploration=True`` marks the sample as deliberately taken at a
+        perturbed operating point by a demand-learning controller.  Such
+        samples bypass the fit-relative outlier gate entirely: they are
+        *expected* to disagree with the current fit (that is the point of
+        exploring), and a stream of exploration samples from a
+        phase-changed agent would otherwise be rejected wholesale before
+        the consecutive-run escape could fire.
+
+        This is the only place a sample is checked: the stacked re-fit
+        reads the ring as stored.
+        """
+        arr = np.asarray(allocation, dtype=float)
+        if arr.shape != (self.n_resources,):
+            raise ValueError(
+                f"allocation must have shape ({self.n_resources},), got {arr.shape}"
+            )
+        performance = float(performance)
+        if not (
+            0.0 < performance < math.inf and all(0.0 < v < math.inf for v in arr.tolist())
+        ):
+            self._count(row, _NON_POSITIVE)
+            return False
+        if not exploration and self._is_outlier(row, arr, performance):
+            self._count(row, _OUTLIER)
+            return False
+        self._streak[row] = 0
+        n, depth = int(self.count[row]), int(self._depth[row])
+        if n == depth and self.max_history is None:
+            depth *= 2
+            self._move(row, depth)
+        slot = int(self._head[row])
+        at = int(self._start[row]) + slot
+        self._alloc[at] = arr
+        self._perf[at] = performance
+        self._head[row] = (slot + 1) % depth
+        if n < depth:
+            self.count[row] = n + 1
+        else:  # a full bounded ring: the oldest sample ages out
+            self._count(row, _TRIMMED)
+        self.dirty[row] = True
+        self._stale[row] = True
+        return True
+
+    def _is_outlier(self, row: int, allocation: np.ndarray, performance: float) -> bool:
+        """Fit-relative outlier gate with a consecutive-run escape hatch."""
+        if self.outlier_log_threshold is None or not self.fitted[row]:
+            return False
+        predicted = float(self.scale[row] * np.prod(allocation ** self.alpha[row]))
+        if predicted <= 0 or not np.isfinite(predicted):
+            return False
+        residual = abs(math.log(performance) - math.log(predicted))
+        if residual <= self.outlier_log_threshold:
+            return False
+        self._streak[row] += 1
+        if self._streak[row] >= self.max_consecutive_outliers:
+            # A run of consistent "outliers" is a regime change: yield.
+            self._streak[row] = 0
+            return False
+        return True
+
+    # ------------------------------------------------------------------
+    # The arena
+
+    def _reserve(self, size: int) -> int:
+        """The first of ``size`` free arena slots, now taken.
+
+        A full arena is rebuilt with every row's segment packed in row
+        order (dropping the segments of removed and moved rows) and
+        room for as many slots again, so rebuilds are amortized O(1)
+        per reserved slot.
+        """
+        if self._used + size > len(self._perf):
+            live = int(self._depth.sum())
+            starts = np.cumsum(self._depth) - self._depth
+            moved = np.repeat(self._start - starts, self._depth) + np.arange(live)
+            alloc = np.empty((2 * live + size, self.n_resources))
+            perf = np.empty(2 * live + size)
+            alloc[:live] = self._alloc[moved]
+            perf[:live] = self._perf[moved]
+            self._alloc, self._perf, self._start, self._used = alloc, perf, starts, live
+        start = self._used
+        self._used += size
+        return start
+
+    def _move(self, row: int, depth: int) -> None:
+        """Give ``row`` a fresh ``depth``-slot segment, its samples oldest first."""
+        start = self._reserve(depth)
+        n = int(self.count[row])
+        held = self._slots(np.array([row]), n)[0]
+        self._alloc[start : start + n] = self._alloc[held]
+        self._perf[start : start + n] = self._perf[held]
+        self._start[row], self._depth[row], self._head[row] = start, depth, n % depth
+
+    def _slots(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """Arena slots of ``rows``' first ``width`` samples, oldest first.
+
+        Past a row's count the slots wrap within its own segment, so a
+        padded gather never leaves it.
+        """
+        offsets = (self._head[rows] - self.count[rows])[:, None] + np.arange(width)
+        return self._start[rows][:, None] + offsets % self._depth[rows][:, None]
+
+    # ------------------------------------------------------------------
+    # Re-fit
+
+    def samples(self, row: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Row ``row``'s accepted ``(allocations, performance)``, oldest first.
+
+        ``None`` until a sample was accepted.  The arrays are copies:
+        mutating them cannot corrupt the table.
+        """
+        n = int(self.count[row])
+        if n == 0:
+            return None
+        slots = self._slots(np.array([row]), n)[0]
+        return self._alloc[slots], self._perf[slots]
+
+    def pending(self) -> np.ndarray:
+        """Rows whose re-fit is due and could succeed, in row order.
+
+        A row qualifies when it has unfitted samples, at least
+        ``min_samples`` of them, and a full-rank design: every resource
+        sampled at two or more levels.
+        """
+        rows = np.flatnonzero(self.dirty & (self.count >= self.min_samples))
+        stale = rows[self._stale[rows]]
+        if stale.size:
+            self._varied[stale] = self._has_variation(stale)
+            self._stale[stale] = False
+        return rows[self._varied[rows]]
+
+    def _has_variation(self, rows: np.ndarray) -> np.ndarray:
+        """Per row: every resource sampled at two or more levels."""
+        # Each row's live samples back to back, read once (a range
+        # ignores order); every row here holds at least min_samples.
+        counts = self.count[rows]
+        firsts = np.cumsum(counts) - counts
+        offsets = np.arange(int(counts.sum())) + np.repeat(
+            self._head[rows] - counts - firsts, counts
+        )
+        samples = self._alloc[
+            np.repeat(self._start[rows], counts) + offsets % np.repeat(self._depth[rows], counts)
+        ]
+        high = np.maximum.reduceat(samples, firsts, axis=0)
+        return np.all(high > np.minimum.reduceat(samples, firsts, axis=0), axis=1)
+
+    def fit_block(self, rows: np.ndarray) -> FitBlock:
+        """``rows``' samples as one :class:`FitBlock`."""
+        counts = self.count[rows]
+        width = int(counts.max())
+        index = self._slots(rows, width)
+        allocations = np.take(self._alloc, index, axis=0)
+        performance = np.take(self._perf, index)
+        weights = None
+        if self._weights is not None:
+            history = len(self._weights)
+            ages = np.minimum(history - counts[:, None] + np.arange(width), history - 1)
+            weights = self._weights[ages]
+        return FitBlock(rows, allocations, performance, weights, counts)
+
+    def apply_fits(
+        self,
+        rows: np.ndarray,
+        alpha: np.ndarray,
+        scale: np.ndarray,
+        condition: np.ndarray,
+    ) -> np.ndarray:
+        """Gate computed re-fits of ``rows``; returns the accepted mask.
+
+        A fit is accepted when its parameters are finite and its
+        condition number is within ``max_condition``; a degenerate fit
+        is counted under ``fit_fallbacks`` and discarded, and the row
+        keeps its previous fit (or the naive prior).
+        """
+        self.dirty[rows] = False
+        self.condition[rows] = condition
+        accepted = np.all(np.isfinite(alpha), axis=1) & np.isfinite(scale)
+        if self.max_condition is not None:
+            accepted &= np.isfinite(condition) & (condition <= self.max_condition)
+        taken = rows[accepted]
+        if taken.size:
+            kept = alpha[accepted]
+            self.alpha[taken] = kept
+            self.scale[taken] = scale[accepted]
+            self.fitted[taken] = True
+            self.report[taken] = kept / kept.sum(axis=1, keepdims=True)
+        self.counters[rows[~accepted], _FALLBACK] += 1
+        if self._metrics is not None:
+            for row, ok, value in zip(rows.tolist(), accepted.tolist(), condition.tolist()):
+                self._metric(row, "condition").set(value)
+                self._metric(row, "refits" if ok else "fit_fallbacks").inc()
+        return accepted
+
+    def reject_fits(self, rows: np.ndarray) -> None:
+        """Record that ``rows``' re-fit could not be solved at all."""
+        self.dirty[rows] = False
+        self.condition[rows] = np.inf
+        for row in rows.tolist():
+            self._count(row, _FALLBACK)
+            if self._metrics is not None:
+                self._metric(row, "condition").set(float("inf"))
+
+    def refit_alone(self, rows: np.ndarray, fit_batch: Callable) -> None:
+        """Re-fit each of ``rows`` with a stacked solve of its own.
+
+        The fallback when one stacked solve over several rows fails:
+        one bad agent must not starve the others of updates.  A row
+        whose own solve fails too counts a fit fallback.
+        """
+        for k in range(len(rows)):
+            block = self.fit_block(rows[k : k + 1])
+            try:
+                fit = fit_batch(
+                    block.allocations, block.performance, block.weights, counts=block.counts
+                )
+            except (ValueError, np.linalg.LinAlgError):
+                self.reject_fits(block.rows)
+            else:
+                self.apply_fits(block.rows, fit.alpha, fit.scale, fit.condition)
+
+
+def _table_setting(name: str) -> property:
+    """A read-only profiler attribute reading the table's setting ``name``."""
+    return property(
+        lambda profiler: getattr(profiler.table, name), doc=f"The table's ``{name}``."
+    )
+
+
+class OnlineProfiler:
+    """Learns Cobb-Douglas utilities on line: the profiling API over a table.
+
+    Constructed with the table's parameters (plus ``metric_labels``,
+    labels attached to every mirrored metric, e.g. ``{"agent": name}``),
+    a profiler owns a one-row :class:`AgentTable` and is the
+    single-agent API: :meth:`observe` ingests through the table and
+    re-fits at once with :func:`~repro.core.fitting.fit_cobb_douglas`,
+    and ``utility``, ``last_fit``, ``counters`` and friends read the
+    row.  Ingest, the outlier gate, trimming, the acceptance gate and
+    the counters are all the table's.
+
+    The deferred re-fit protocol covers every row of the profiler's
+    table: :attr:`needs_refit`, then :meth:`fit_inputs` (the due rows
+    as one :class:`FitBlock`), then :meth:`apply_fit` with the fit of
+    that block.  :meth:`over` binds a profiler to an existing table; the
+    dynamic controller runs the protocol over its whole fleet this way,
+    once per epoch tick.
+    """
+
+    n_resources = _table_setting("n_resources")
+    min_samples = _table_setting("min_samples")
+    decay = _table_setting("decay")
+    weight_floor = _table_setting("weight_floor")
+    max_condition = _table_setting("max_condition")
+    outlier_log_threshold = _table_setting("outlier_log_threshold")
+    max_consecutive_outliers = _table_setting("max_consecutive_outliers")
+    max_history = _table_setting("max_history")
+
+    def __init__(
+        self,
+        n_resources: int = 2,
+        min_samples: Optional[int] = None,
+        decay: float = 1.0,
+        weight_floor: float = 1e-6,
+        max_condition: Optional[float] = 1e8,
+        outlier_log_threshold: Optional[float] = None,
+        max_consecutive_outliers: int = 3,
+        metrics: Optional[MetricsRegistry] = None,
+        metric_labels: Optional[Mapping[str, str]] = None,
+    ):
+        table = AgentTable(
+            n_resources=n_resources,
+            min_samples=min_samples,
+            decay=decay,
+            weight_floor=weight_floor,
+            max_condition=max_condition,
+            outlier_log_threshold=outlier_log_threshold,
+            max_consecutive_outliers=max_consecutive_outliers,
+            metrics=metrics,
+        )
+        table.add("profiler", labels=metric_labels)
+        self._bind(table)
+
+    @classmethod
+    def over(cls, table: AgentTable) -> "OnlineProfiler":
+        """A profiler whose re-fit protocol covers every row of ``table``."""
+        profiler = cls.__new__(cls)
+        profiler._bind(table)
+        return profiler
+
+    def _bind(self, table: AgentTable) -> None:
+        self.table = table
+        self._naive = CobbDouglasUtility([1.0 / table.n_resources] * table.n_resources)
+        self._fit = None
+        # What apply_fit gates when fit_inputs gathered nothing: a
+        # single agent's row, never a guess across a fleet.
+        self._single = np.arange(len(table)) if len(table) == 1 else np.zeros(0, np.intp)
+        self._due = self._single
+
+    # ------------------------------------------------------------------
+    # The deferred re-fit protocol (every row of the table)
+
+    @property
+    def needs_refit(self) -> bool:
+        """True when some row's unfitted samples await a re-fit that could succeed."""
+        return self.table.pending().size > 0
+
+    def fit_inputs(self) -> FitBlock:
+        """The rows whose re-fit is due, gathered as one :class:`FitBlock`.
+
+        :meth:`apply_fit` gates the fit of exactly these rows.
+        """
+        rows = self.table.pending()
+        if rows.size == 0:
+            raise ValueError("no re-fit is due: no row has enough varied, unfitted samples")
+        self._due = rows
+        return self.table.fit_block(rows)
+
+    def apply_fit(self, fit) -> None:
+        """Accept or reject the re-fit of the rows :meth:`fit_inputs` gathered.
+
+        ``fit`` is the :class:`~repro.core.fitting.StackedFit` of those
+        rows (for a single row, a
+        :class:`~repro.core.fitting.CobbDouglasFit` too), or ``None``
+        when the solve itself failed.  Each row's fit passes the table's
+        gate: finite parameters and a condition number within
+        ``max_condition``; a degenerate fit is counted and discarded and
+        the row keeps its previous fit (or the naive prior).
+        ``last_fit`` becomes ``fit`` when every row accepted it.  A
+        single-agent profiler gates its row even without a gather.
+        """
+        rows, self._due = self._due, self._single
+        if fit is None:
+            self.table.reject_fits(rows)
+            return
+        if isinstance(fit, CobbDouglasFit):
+            alpha = fit.utility.alpha[None, :]
+            scale, condition = np.array([fit.utility.scale]), np.array([fit.condition_number])
+        else:
+            alpha, scale, condition = fit.alpha, fit.scale, fit.condition
+        if self.table.apply_fits(rows, alpha, scale, condition).all():
+            self._fit = fit
+
+    def refit_now(self) -> None:
+        """Re-fit the single row now with :func:`~repro.core.fitting.fit_cobb_douglas`."""
+        block = self.fit_inputs()
+        weights = None if block.weights is None else block.weights[0]
+        try:
+            fit: Optional[CobbDouglasFit] = fit_cobb_douglas(
+                block.allocations[0], block.performance[0], weights=weights
+            )
+        except (ValueError, np.linalg.LinAlgError):
+            fit = None
+        self.apply_fit(fit)
+
+    # ------------------------------------------------------------------
+    # The single-agent API (row 0)
 
     @property
     def n_samples(self) -> int:
-        return self._end - self._start
+        return int(self.table.count[0])
 
     @property
     def counters(self) -> Dict[str, int]:
         """Fault-handling counters accumulated over the profiler's life."""
-        return dict(self._counters)
+        return self.table.counters_of(0)
 
     @property
     def last_condition_number(self) -> float:
         """Condition number of the most recent *attempted* re-fit."""
-        return self._last_condition
+        return float(self.table.condition[0])
 
     @property
     def naive_utility(self) -> CobbDouglasUtility:
@@ -241,28 +721,17 @@ class OnlineProfiler:
         return self._fit.utility
 
     @property
-    def last_fit(self) -> Optional[CobbDouglasFit]:
-        """Diagnostics of the most recent *accepted* re-fit, or None."""
+    def last_fit(self):
+        """The most recent re-fit every row accepted, or None."""
         return self._fit
 
     def report_elasticities(self) -> np.ndarray:
         """Re-scaled elasticities the agent would report to the mechanism."""
-        return self.utility.rescaled().alpha
+        return self.table.report[0].copy()
 
     def samples(self) -> Optional[tuple]:
-        """Accepted ``(allocations, performance)`` history as arrays.
-
-        ``None`` until at least one sample was accepted.  Consumers
-        (the demand-cap estimator) read the evidence behind the current
-        fit; the arrays are copies, mutating them cannot corrupt the
-        profiler.
-        """
-        if self._end == self._start:
-            return None
-        return (
-            self._allocations[self._start : self._end].copy(),
-            self._performance[self._start : self._end].copy(),
-        )
+        """Accepted ``(allocations, performance)`` history as array copies."""
+        return self.table.samples(0)
 
     def observe(
         self,
@@ -272,185 +741,10 @@ class OnlineProfiler:
     ) -> CobbDouglasUtility:
         """Record one (allocation, measured IPC) sample and maybe re-fit.
 
-        Returns the (possibly updated) utility estimate.  Samples with
-        non-positive or non-finite entries are rejected — skipped and
-        counted under ``counters["rejected_non_positive"]`` — because the
-        log transform needs strictly positive data and a long-running
-        loop must survive a bad measurement.  Only a wrong *shape* (a
-        caller bug, not a measurement fault) still raises.
-
-        ``exploration=True`` marks the sample as deliberately taken at a
-        perturbed operating point by a demand-learning controller.  Such
-        samples bypass the fit-relative outlier gate entirely: they are
-        *expected* to disagree with the current fit (that is the point of
-        exploring), and a stream of exploration samples from a
-        phase-changed agent would otherwise be rejected wholesale before
-        the consecutive-run escape could fire.
+        Returns the (possibly updated) utility estimate.  See
+        :meth:`AgentTable.observe` for the rejection rules and the
+        ``exploration`` flag.
         """
-        arr = np.asarray(allocation, dtype=float)
-        if arr.shape != (self.n_resources,):
-            raise ValueError(
-                f"allocation must have shape ({self.n_resources},), got {arr.shape}"
-            )
-        if (
-            np.any(arr <= 0)
-            or not np.all(np.isfinite(arr))
-            or not np.isfinite(performance)
-            or performance <= 0
-        ):
-            self._count("rejected_non_positive")
-            return self.utility
-        if not exploration and self._is_outlier(arr, float(performance)):
-            self._count("rejected_outliers")
-            return self.utility
-        self._consecutive_outliers = 0
-        self._append(arr, float(performance))
-        self._trim_history()
-        self._variation = None
-        self._dirty = True
-        if (
-            self.auto_refit
-            and self.n_samples >= self.min_samples
-            and self._has_variation()
-        ):
-            self._refit()
+        if self.table.observe(0, allocation, performance, exploration) and self.needs_refit:
+            self.refit_now()
         return self.utility
-
-    # ------------------------------------------------------------------
-
-    def _is_outlier(self, allocation: np.ndarray, performance: float) -> bool:
-        """Fit-relative outlier gate with a consecutive-run escape hatch."""
-        if self.outlier_log_threshold is None or self._fit is None:
-            return False
-        predicted = self._fit.utility.value(allocation)
-        if predicted <= 0 or not np.isfinite(predicted):
-            return False
-        residual = abs(math.log(performance) - math.log(predicted))
-        if residual <= self.outlier_log_threshold:
-            return False
-        self._consecutive_outliers += 1
-        if self._consecutive_outliers >= self.max_consecutive_outliers:
-            # A run of consistent "outliers" is a regime change: yield.
-            self._consecutive_outliers = 0
-            return False
-        return True
-
-    def _append(self, allocation: np.ndarray, performance: float) -> None:
-        if self._end == len(self._performance):
-            live = self.n_samples
-            allocations, performances = self._allocations, self._performance
-            if 2 * live > len(performances):
-                allocations = np.empty((2 * len(performances), self.n_resources))
-                performances = np.empty(2 * len(performances))
-            allocations[:live] = self._allocations[self._start : self._end]
-            performances[:live] = self._performance[self._start : self._end]
-            self._allocations, self._performance = allocations, performances
-            self._start, self._end = 0, live
-        self._allocations[self._end] = allocation
-        self._performance[self._end] = performance
-        self._end += 1
-
-    def _trim_history(self) -> None:
-        if self.max_history is None:
-            return
-        excess = self.n_samples - self.max_history
-        if excess > 0:
-            self._start += excess
-            self._count("trimmed_samples", excess)
-
-    @property
-    def needs_refit(self) -> bool:
-        """True when deferred samples await a re-fit that could succeed.
-
-        Used by batched drivers: a profiler is worth including in the
-        epoch's :func:`~repro.core.fitting.fit_cobb_douglas_batch` call
-        only when it has unfitted samples, enough of them, and a
-        full-rank design.
-        """
-        return (
-            self._dirty
-            and self.n_samples >= self.min_samples
-            and self._has_variation()
-        )
-
-    def fit_inputs(self) -> tuple:
-        """The ``(allocations, performance, weights)`` the next re-fit uses.
-
-        Exactly what :meth:`refit_now` would pass to
-        :func:`~repro.core.fitting.fit_cobb_douglas`; batched drivers
-        collect these across agents for one stacked solve.
-        """
-        history = self.samples()
-        if history is None:
-            raise ValueError("no accepted samples to fit")
-        weights = None
-        if self._weights is not None:
-            weights = self._weights[len(self._weights) - self.n_samples :].copy()
-        return (*history, weights)
-
-    def apply_fit(self, fit: Optional[CobbDouglasFit]) -> None:
-        """Accept or reject an externally computed re-fit.
-
-        ``fit=None`` signals that the solve itself failed (the batched
-        equivalent of ``fit_cobb_douglas`` raising); otherwise the fit
-        goes through the same acceptance gate as the per-observe path —
-        finite parameters and a condition number within
-        ``max_condition`` — and a degenerate fit is counted and
-        discarded while the previous fit (or the naive prior) is kept.
-        """
-        self._dirty = False
-        if fit is None:
-            self._last_condition = float("inf")
-            self._count("fit_fallbacks")
-            self._record_condition()
-            return
-        self._last_condition = fit.condition_number
-        self._record_condition()
-        alpha_ok = np.all(np.isfinite(fit.utility.alpha)) and np.isfinite(
-            fit.utility.scale
-        )
-        condition_ok = self.max_condition is None or (
-            np.isfinite(fit.condition_number)
-            and fit.condition_number <= self.max_condition
-        )
-        if alpha_ok and condition_ok:
-            self._fit = fit
-            if self._metrics is not None:
-                self._metric("refits").inc()
-        else:
-            self._count("fit_fallbacks")
-
-    def refit_now(self) -> None:
-        """Re-fit immediately from the accumulated history.
-
-        The per-agent fallback when a batched solve rejects the whole
-        stack; equivalent to the re-fit an ``auto_refit`` profiler runs
-        on every accepted observation.
-        """
-        allocations, performance, weights = self.fit_inputs()
-        try:
-            fit: Optional[CobbDouglasFit] = fit_cobb_douglas(
-                allocations, performance, weights=weights
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            fit = None
-        self.apply_fit(fit)
-
-    def _refit(self) -> None:
-        """Attempt a re-fit; keep the previous fit if the new one is degenerate."""
-        self.refit_now()
-
-    def _record_condition(self) -> None:
-        if self._metrics is not None:
-            self._metric("condition").set(self._last_condition)
-
-    def _has_variation(self) -> bool:
-        """True when every resource axis has been sampled at >= 2 levels.
-
-        With all samples at a single allocation the design matrix is
-        rank-deficient and the fit would be meaningless.
-        """
-        if self._variation is None:
-            live = self._allocations[self._start : self._end]
-            self._variation = bool(np.all(np.ptp(live, axis=0) > 0))
-        return self._variation

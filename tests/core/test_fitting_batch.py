@@ -156,3 +156,57 @@ class TestBatchValidation:
                 [a2, a3],
                 [np.prod(a2, axis=1), np.prod(a3, axis=1)],
             )
+
+
+def stack(allocations, performance, weights, pad=np.nan):
+    """The ragged agents as one padded block (garbage past each count)."""
+    counts = np.array([len(p) for p in performance])
+    m = int(counts.max())
+    x = np.full((len(counts), m, 2), pad)
+    u = np.full((len(counts), m), pad)
+    w = np.full((len(counts), m), pad)
+    for k, (a, p, wk) in enumerate(zip(allocations, performance, weights)):
+        x[k, : len(p)], u[k, : len(p)] = a, p
+        w[k, : len(p)] = 1.0 if wk is None else wk
+    return x, u, w, counts
+
+
+class TestStackedForm:
+    def test_matches_ragged_form_bit_for_bit(self):
+        allocations, performance, weights = make_agents(12, seed=11)
+        ragged = fit_cobb_douglas_batch(allocations, performance, weights)
+        x, u, w, counts = stack(allocations, performance, weights)
+        stacked = fit_cobb_douglas_batch(x, u, w, counts=counts)
+        assert stacked.alpha.shape == (12, 2)
+        for k, fit in enumerate(ragged):
+            assert np.array_equal(stacked.alpha[k], fit.utility.alpha)
+            assert stacked.scale[k] == fit.utility.scale
+            assert stacked.condition[k] == fit.condition_number
+            assert stacked.r_squared[k] == fit.r_squared
+        for got, want in zip(stacked.fits(), ragged):
+            assert got.utility == want.utility and got.n_samples == want.n_samples
+            assert np.array_equal(got.residuals, want.residuals)
+
+    def test_unweighted_block(self):
+        allocations, performance, _ = make_agents(5, seed=4)
+        x, u, _, counts = stack(allocations, performance, [None] * 5, pad=-7.0)
+        stacked = fit_cobb_douglas_batch(x, u, None, counts=counts)
+        for k, fit in enumerate(fit_cobb_douglas_batch(allocations, performance)):
+            assert np.array_equal(stacked.alpha[k], fit.utility.alpha)
+
+    def test_bad_row_is_named(self):
+        allocations, performance, weights = make_agents(4, seed=2)
+        x, u, w, counts = stack(allocations, performance, weights)
+        u[2, 0] = -1.0
+        with pytest.raises(ValueError, match="agent 2: performance"):
+            fit_cobb_douglas_batch(x, u, w, counts=counts)
+        counts[1] = 2
+        with pytest.raises(ValueError, match="agent 1: need at least"):
+            fit_cobb_douglas_batch(x, u, w, counts=counts)
+
+    def test_shapes_checked(self):
+        x = np.ones((3, 5, 2))
+        with pytest.raises(ValueError, match="counts"):
+            fit_cobb_douglas_batch(x, np.ones((3, 5)), None, counts=[5, 5])
+        with pytest.raises(ValueError, match="exceeds"):
+            fit_cobb_douglas_batch(x, np.ones((3, 5)), None, counts=[5, 6, 5])

@@ -205,3 +205,113 @@ class TestFairnessReport:
         report = check_fairness(make_allocation(problem, shares))
         assert report.mrs_disagreement is None
         assert "UNDEFINED" in report.summary()
+
+
+# ---------------------------------------------------------------------------
+# The per-pair loops the vectorised checkers replaced, kept as the reference.
+
+
+def loop_si_margins(allocation):
+    problem = allocation.problem
+    equal = problem.equal_split
+    return np.array(
+        [
+            agent.utility.value(allocation.shares[i]) / agent.utility.value(equal) - 1.0
+            for i, agent in enumerate(problem.agents)
+        ]
+    )
+
+
+def loop_envy_matrix(allocation):
+    problem = allocation.problem
+    n = problem.n_agents
+    matrix = np.zeros((n, n))
+    for i, agent in enumerate(problem.agents):
+        u_own = agent.utility.value(allocation.shares[i])
+        for j in range(n):
+            if i == j:
+                continue
+            u_other = agent.utility.value(allocation.shares[j])
+            if u_own == 0.0:
+                matrix[i, j] = np.inf if u_other > 0 else 0.0
+            else:
+                matrix[i, j] = u_other / u_own - 1.0
+    return matrix
+
+
+def loop_mrs_spread(allocation):
+    directions = np.empty_like(allocation.shares)
+    for i, agent in enumerate(allocation.problem.agents):
+        grad = agent.utility.alpha / allocation.shares[i]
+        directions[i] = grad / grad.sum()
+    mean_dir = directions.mean(axis=0)
+    return float(np.max(np.abs(directions - mean_dir) / mean_dir))
+
+
+def loop_unfairness(allocation):
+    problem = allocation.problem
+    weighted = np.array(
+        [
+            agent.utility.value(allocation.shares[i])
+            / agent.utility.value(problem.capacity_vector)
+            for i, agent in enumerate(problem.agents)
+        ]
+    )
+    if np.any(weighted == 0):
+        return float("inf")
+    return float(weighted.max() / weighted.min())
+
+
+def _close(got, want, rtol=1e-12, atol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+
+class TestVectorisedMatchesLoops:
+    @given(
+        n_agents=st.integers(min_value=1, max_value=9),
+        n_resources=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        zeros=st.integers(min_value=0, max_value=4),
+        scaled=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_checker_matches_its_loop(self, n_agents, n_resources, seed, zeros, scaled):
+        # Random utilities (with scales, which must cancel) and random
+        # shares with some entries zeroed: zero bundles exercise the
+        # zero-utility envy rule and the -1 SI margin.
+        rng = np.random.default_rng(seed)
+        agents = [
+            Agent(
+                f"a{i}",
+                CobbDouglasUtility(
+                    rng.uniform(0.05, 2.0, size=n_resources),
+                    scale=float(rng.uniform(0.5, 3.0)) if scaled else 1.0,
+                ),
+            )
+            for i in range(n_agents)
+        ]
+        problem = AllocationProblem(agents, rng.uniform(5.0, 50.0, size=n_resources))
+        shares = rng.uniform(0.0, 1.0, size=(n_agents, n_resources)) * problem.capacity_vector
+        for _ in range(zeros):
+            shares[rng.integers(n_agents), rng.integers(n_resources)] = 0.0
+        allocation = make_allocation(problem, shares)
+
+        _close(sharing_incentive_margins(allocation), loop_si_margins(allocation))
+        envy, reference = envy_matrix(allocation), loop_envy_matrix(allocation)
+        assert np.array_equal(np.isinf(envy), np.isinf(reference))
+        finite = np.isfinite(reference)
+        _close(envy[finite], reference[finite], rtol=1e-11)
+        if np.all(shares > 0):
+            _close(mrs_spread(allocation), loop_mrs_spread(allocation))
+        _close(unfairness_index(allocation), loop_unfairness(allocation), rtol=1e-11)
+
+    def test_zero_bundle_envies_only_valued_bundles(self):
+        problem = AllocationProblem(
+            [Agent(f"a{i}", CobbDouglasUtility((0.5, 0.5))) for i in range(3)],
+            (24.0, 12.0),
+        )
+        shares = np.array([[0.0, 4.0], [12.0, 4.0], [12.0, 0.0]])
+        matrix = envy_matrix(make_allocation(problem, shares))
+        assert matrix[0].tolist() == [0.0, np.inf, 0.0]
+        assert matrix[1, 0] == matrix[1, 2] == -1.0
+        assert np.array_equal(matrix, loop_envy_matrix(make_allocation(problem, shares)))

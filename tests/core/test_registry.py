@@ -246,6 +246,7 @@ class TestCreditMechanism:
                 return np.array([[np.nan, 0.5], [np.nan, 0.5]])
 
             agents = problem.agents
+            names = problem.names
             capacities = problem.capacities
             capacity_vector = problem.capacity_vector
             n_agents = 2

@@ -36,6 +36,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="capacities"):
             DynamicAllocator({"a": get_workload("dedup")}, (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "capacities",
+        [
+            (float("nan"), 1024.0),
+            (float("inf"), 1024.0),
+            (6.4, -1.0),
+            (6.4, 1024.0, 5.0),  # one entry per resource, none dropped
+            (6.4,),
+            ("abc", 1024.0),
+        ],
+    )
+    def test_rejects_capacities_it_cannot_serve(self, capacities):
+        with pytest.raises(ValueError, match="2 positive finite numbers"):
+            DynamicAllocator({"a": get_workload("dedup")}, capacities)
+
+    def test_constructor_and_grants_share_one_rule(self):
+        allocator = static_allocator()
+        assert allocator.capacities == CAPACITIES
+        assert len(allocator.table.report[0]) == len(allocator.capacities)
+        for bad in [(float("inf"), 1.0), (1.0, 2.0, 3.0)]:
+            with pytest.raises(ValueError, match="2 positive finite numbers"):
+                allocator.set_capacities(bad)
+        allocator.set_capacities((6.4, 512.0))
+        assert allocator.capacities == (6.4, 512.0)
+
     def test_rejects_bad_epoch_count(self):
         with pytest.raises(ValueError, match="n_epochs"):
             static_allocator().run(0)
@@ -405,9 +430,10 @@ class TestMetricsCoverage:
             )
             if counter is not None:
                 total += int(counter.value)
+        table = allocator.table
         rejected = sum(
-            profiler.counters["rejected_outliers"]
-            for profiler in allocator._profilers.values()
+            table.counters_of(table.row(name))["rejected_outliers"]
+            for name in allocator.agent_names
         )
         assert total == rejected > 0
 
@@ -431,9 +457,10 @@ class TestExternalMeasurement:
 
     def test_observe_sample_rejects_non_positive_readings(self):
         allocator = static_allocator()
-        before = allocator._profilers["freqmine"].counters["rejected_non_positive"]
+        row = allocator.table.row("freqmine")
+        before = allocator.table.counters_of(row)["rejected_non_positive"]
         assert allocator.observe_sample("freqmine", (3.2, 512.0), -1.0) is False
-        after = allocator._profilers["freqmine"].counters["rejected_non_positive"]
+        after = allocator.table.counters_of(row)["rejected_non_positive"]
         assert after == before + 1
 
     def test_observe_sample_unknown_agent_raises(self):
@@ -447,9 +474,7 @@ class TestExternalMeasurement:
         assert record.enforced is not None and record.enforced.is_feasible()
         assert set(record.reported_alpha) == {"freqmine", "dedup"}
         # The built-in machine was never consulted: no sample history grew.
-        assert all(
-            profiler.n_samples == 0 for profiler in allocator._profilers.values()
-        )
+        assert allocator.table.count.tolist() == [0, 0]
 
     def test_external_samples_drive_the_fit(self):
         allocator = static_allocator(decay=1.0)

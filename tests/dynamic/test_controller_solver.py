@@ -4,8 +4,16 @@ closed-form fast path, SLSQP warm starts, and batched refits."""
 import numpy as np
 import pytest
 
+from repro.core.mechanism import (
+    Agent,
+    AllocationProblem,
+    apply_allocation_floors,
+    proportional_elasticity,
+)
 from repro.dynamic import DynamicAllocator
+from repro.dynamic.controller import RESOURCE_NAMES
 from repro.obs import MetricsRegistry
+from repro.profiling.online import OnlineProfiler
 from repro.workloads import get_workload
 
 CAPACITIES = (12.8, 2048.0)
@@ -97,23 +105,58 @@ class TestWarmStarts:
         assert misses is not None and misses.value == 2
 
 
+def eager_reference_shares(names, ticks, decay=0.85):
+    """What a per-sample-refitting allocator enforces, tick by tick.
+
+    One :class:`OnlineProfiler` per agent re-fits on every accepted
+    sample; each tick then runs Eq. 13 on their utilities and the floor
+    projection — the reference the batched tick must reproduce.
+    """
+    profilers = {name: OnlineProfiler(decay=decay) for name in names}
+    floors = (DynamicAllocator.MIN_BANDWIDTH_GBPS, DynamicAllocator.MIN_CACHE_KB)
+    for tick in ticks:
+        for name, bundle, ipc in tick:
+            profilers[name].observe(bundle, ipc)
+        problem = AllocationProblem(
+            [Agent(name, profilers[name].utility) for name in names],
+            CAPACITIES,
+            RESOURCE_NAMES,
+        )
+        enforced = apply_allocation_floors(proportional_elasticity(problem), floors)
+        yield enforced.shares, {name: p.report_elasticities() for name, p in profilers.items()}
+
+
+def sample_stream(names, epochs, per_tick, seed=0):
+    rng = np.random.default_rng(seed)
+    truth = {"freqmine": (0.2, 0.8), "dedup": (0.7, 0.3)}
+    ticks = []
+    for _ in range(epochs):
+        tick = []
+        for _ in range(per_tick):
+            for name in names:
+                bundle = tuple(rng.uniform(0.5, 1.5, size=2) * np.asarray(CAPACITIES) / 2.0)
+                ipc = float(np.prod(np.asarray(bundle) ** np.asarray(truth[name])))
+                tick.append((name, bundle, ipc * float(np.exp(rng.normal(0.0, 0.02)))))
+        ticks.append(tick)
+    return ticks
+
+
 class TestBatchRefit:
     def test_batched_run_matches_eager_run(self):
-        batched = make_allocator(batch_refit=True)
-        eager = make_allocator(batch_refit=False)
-        result_batched = batched.run(10)
-        result_eager = eager.run(10)
-        for rb, re_ in zip(result_batched.records, result_eager.records):
-            sb = (rb.enforced or rb.allocation).shares
-            se = (re_.enforced or re_.allocation).shares
-            assert np.max(np.abs(sb - se)) < 1e-9
-        for name in ("freqmine", "dedup"):
-            assert result_batched.records[-1].reported_alpha[name] == pytest.approx(
-                result_eager.records[-1].reported_alpha[name], abs=1e-12
-            )
+        allocator = make_allocator()
+        names = list(allocator.agent_names)
+        ticks = sample_stream(names, epochs=10, per_tick=3)
+        reference = eager_reference_shares(names, ticks)
+        for epoch, (tick, (shares, reports)) in enumerate(zip(ticks, reference)):
+            for name, bundle, ipc in tick:
+                allocator.observe_sample(name, bundle, ipc)
+            record = allocator.step(epoch, measure=False)
+            assert np.max(np.abs(record.enforced.shares - shares)) < 1e-9
+        for name in names:
+            assert record.reported_alpha[name] == pytest.approx(reports[name], abs=1e-12)
 
     def test_batch_fit_metrics(self):
-        allocator = make_allocator(batch_refit=True)
+        allocator = make_allocator()
         allocator.run(5)
         fits = allocator.metrics.get("repro_solver_batch_fits_total")
         assert fits is not None and fits.value > 0
@@ -121,7 +164,7 @@ class TestBatchRefit:
         assert agents is not None and agents.count == fits.value
 
     def test_external_samples_deferred_to_tick(self):
-        allocator = make_allocator(batch_refit=True)
+        allocator = make_allocator()
         rng = np.random.default_rng(0)
         record = allocator.step(0, measure=False)
         for _ in range(8):
@@ -138,4 +181,4 @@ class TestBatchRefit:
         record = allocator.step(1, measure=False)
         fits_after = allocator.metrics.get("repro_solver_batch_fits_total")
         assert fits_after is not None and fits_after.value == 1
-        assert record.allocation is not None
+        assert record.fit_condition["dedup"] < 1e8

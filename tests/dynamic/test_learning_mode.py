@@ -90,12 +90,12 @@ class TestLearningLoop:
                 "mystery", (bandwidth, cache_kb), ipc, exploration=True
             )
         allocator.step(0)
-        report = allocator._report("mystery")
+        row = allocator.table.row("mystery")
+        report = allocator.reports()[row]
         assert report.sum() == pytest.approx(1.0)
         assert abs(report[0] - 0.5) > 0.05  # fit took over from the prior
-        profiler = allocator._profilers["mystery"]
         assert report == pytest.approx(
-            profiler.report_elasticities(), rel=1e-6
+            allocator.table.report[row], rel=1e-6
         )  # full confidence: the blend is the fit
 
     def test_aggregate_elasticities_include_learned_reports(self):

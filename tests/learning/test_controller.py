@@ -3,22 +3,44 @@
 import numpy as np
 import pytest
 
+from repro.core.fitting import fit_cobb_douglas_batch
 from repro.learning import DemandLearner, LearnerConfig
 from repro.obs import MetricsRegistry
-from repro.profiling.online import OnlineProfiler
+from repro.profiling.online import AgentTable, OnlineProfiler
 
 FLOORS = (0.4, 64.0)
 CAPACITIES = (25.6, 8192.0)
 
 
-def feed(profiler, alpha, n, seed=0):
+def agent_table(name="a"):
+    """A one-row agent table holding agent ``name``."""
+    table = AgentTable()
+    table.add(name)
+    return table
+
+
+def feed(table, alpha, n, seed=0):
+    """Observe ``n`` exact samples into row 0, then run the tick's re-fit."""
     rng = np.random.default_rng(seed)
     from repro.core.utility import CobbDouglasUtility
 
     utility = CobbDouglasUtility(alpha)
     for _ in range(n):
         allocation = rng.uniform(0.5, 20.0, size=2)
-        profiler.observe(allocation, utility.value(allocation))
+        table.observe(0, allocation, utility.value(allocation))
+    refit(table)
+
+
+def refit(table):
+    """One tick's re-fit of ``table``: the profiler protocol over its rows."""
+    profiler = OnlineProfiler.over(table)
+    if profiler.needs_refit:
+        block = profiler.fit_inputs()
+        profiler.apply_fit(
+            fit_cobb_douglas_batch(
+                block.allocations, block.performance, block.weights, counts=block.counts
+            )
+        )
 
 
 class TestConfig:
@@ -45,46 +67,46 @@ class TestReports:
     def test_unfitted_agent_reports_its_prior(self):
         learner = DemandLearner()
         learner.register("a")
-        profiler = OnlineProfiler()
-        assert learner.confidence("a", profiler) == 0.0
-        assert learner.report("a", profiler) == pytest.approx([0.5, 0.5])
+        table = agent_table()
+        assert learner.confidence(table)[0] == 0.0
+        assert learner.report(table)[0] == pytest.approx([0.5, 0.5])
 
     def test_confidence_ramps_with_samples(self):
         learner = DemandLearner(config=LearnerConfig(confidence_samples=10))
         learner.register("a")
-        profiler = OnlineProfiler()
-        feed(profiler, (0.8, 0.2), 5)
-        assert learner.confidence("a", profiler) == pytest.approx(0.5)
-        feed(profiler, (0.8, 0.2), 10, seed=1)
-        assert learner.confidence("a", profiler) == 1.0
+        table = agent_table()
+        feed(table, (0.8, 0.2), 5)
+        assert learner.confidence(table)[0] == pytest.approx(0.5)
+        feed(table, (0.8, 0.2), 10, seed=1)
+        assert learner.confidence(table)[0] == 1.0
 
     def test_blend_moves_from_prior_to_fit(self):
         learner = DemandLearner(config=LearnerConfig(confidence_samples=10))
         learner.register("a")
-        profiler = OnlineProfiler()
-        feed(profiler, (0.9, 0.1), 5)
-        half = learner.report("a", profiler)
-        fitted = profiler.report_elasticities()
+        table = agent_table()
+        feed(table, (0.9, 0.1), 5)
+        half = learner.report(table)[0]
+        fitted = table.report[0].copy()
         expected = 0.5 * np.array([0.5, 0.5]) + 0.5 * fitted
         assert half == pytest.approx(expected / expected.sum())
-        feed(profiler, (0.9, 0.1), 10, seed=1)
-        assert learner.report("a", profiler) == pytest.approx(fitted, rel=1e-6)
+        feed(table, (0.9, 0.1), 10, seed=1)
+        assert learner.report(table)[0] == pytest.approx(fitted, rel=1e-6)
 
     def test_report_always_a_valid_rescaled_vector(self):
         learner = DemandLearner()
         learner.register("a")
-        profiler = OnlineProfiler()
-        feed(profiler, (0.7, 0.3), 30)
-        report = learner.report("a", profiler)
+        table = agent_table()
+        feed(table, (0.7, 0.3), 30)
+        report = learner.report(table)[0]
         assert report.sum() == pytest.approx(1.0)
         assert np.all(report > 0)
 
     def test_unregistered_agent_passes_through(self):
         learner = DemandLearner()
-        profiler = OnlineProfiler()
-        feed(profiler, (0.7, 0.3), 30)
-        assert learner.report("profiled", profiler) == pytest.approx(
-            profiler.report_elasticities()
+        table = agent_table("profiled")
+        feed(table, (0.7, 0.3), 30)
+        assert learner.report(table)[0] == pytest.approx(
+            table.report[0]
         )
 
     def test_register_is_idempotent(self):
@@ -107,10 +129,10 @@ class TestPriorFeedback:
     def test_confident_fit_feeds_the_store_once(self):
         learner = DemandLearner(prior="centroid")
         learner.register("a", cls="C")
-        profiler = OnlineProfiler()
-        feed(profiler, (0.8, 0.2), 20)
-        learner.note_fit("a", profiler)
-        learner.note_fit("a", profiler)
+        table = agent_table()
+        feed(table, (0.8, 0.2), 20)
+        learner.note_fit(table, 0)
+        learner.note_fit(table, 0)
         assert learner.priors.observations("C") == 1
         # The next C agent starts from the learned centroid, not equal.
         learner.register("b", cls="C")
@@ -119,9 +141,9 @@ class TestPriorFeedback:
     def test_unconfident_fit_does_not_feed(self):
         learner = DemandLearner(prior="centroid")
         learner.register("a", cls="C")
-        profiler = OnlineProfiler()
-        feed(profiler, (0.8, 0.2), 5)
-        learner.note_fit("a", profiler)
+        table = agent_table()
+        feed(table, (0.8, 0.2), 5)
+        learner.note_fit(table, 0)
         assert learner.priors.observations("C") == 0
 
 
@@ -177,24 +199,25 @@ class TestCaps:
     def test_caps_require_confidence(self):
         learner = DemandLearner()
         learner.register("a")
-        profiler = OnlineProfiler()
-        caps = learner.caps_for(("a",), {"a": profiler}, FLOORS)
+        table = agent_table()
+        caps = learner.caps_for(table, FLOORS)
         assert np.all(np.isinf(caps))
 
     def test_apply_caps_counts_events(self):
         registry = MetricsRegistry()
         learner = DemandLearner(metrics=registry)
         learner.register("a")
-        profiler = OnlineProfiler()
+        table = AgentTable()
+        table.add("a")
+        table.add("b")  # not learning: never capped
         # A response flat in resource 1: performance tracks resource 0.
         rng = np.random.default_rng(2)
         for _ in range(20):
             allocation = rng.uniform((1.0, 200.0), (10.0, 3000.0))
-            profiler.observe(allocation, float(allocation[0] ** 0.9))
+            table.observe(0, allocation, float(allocation[0] ** 0.9))
+        refit(table)
         shares = np.array([[12.0, 4096.0], [13.6, 4096.0]])
-        out, capped = learner.apply_caps(
-            shares, ("a", "b"), {"a": profiler}, FLOORS, CAPACITIES
-        )
+        out, capped = learner.apply_caps(shares, table, FLOORS, CAPACITIES)
         assert capped >= 1
         assert out[0, 1] < shares[0, 1]  # the saturated entry shrank
         assert out.sum(axis=0)[1] == pytest.approx(shares.sum(axis=0)[1])
@@ -212,26 +235,26 @@ class TestConvergence:
         )
         learner = DemandLearner(config=config)
         learner.register("a")
-        profiler = OnlineProfiler()
-        feed(profiler, (0.8, 0.2), 20)
-        return learner, profiler
+        table = agent_table()
+        feed(table, (0.8, 0.2), 20)
+        return learner, table
 
     def test_stable_reports_converge(self):
-        learner, profiler = self._converged_learner()
+        learner, table = self._converged_learner()
         converged = []
         for epoch in range(6):
-            converged += learner.note_epoch(epoch, ("a",), {"a": profiler})
+            converged += learner.note_epoch(epoch, table)
         assert converged == ["a"]
         assert learner.state("a").converged_epoch is not None
 
     def test_drift_rearms_exploration(self):
-        learner, profiler = self._converged_learner()
+        learner, table = self._converged_learner()
         for epoch in range(6):
-            learner.note_epoch(epoch, ("a",), {"a": profiler})
+            learner.note_epoch(epoch, table)
         assert learner.state("a").converged_epoch is not None
         # A phase change: the report jumps far beyond rearm_drift.
-        feed(profiler, (0.05, 0.95), 40, seed=9)
-        learner.note_epoch(6, ("a",), {"a": profiler})
+        feed(table, (0.05, 0.95), 40, seed=9)
+        learner.note_epoch(6, table)
         assert learner.state("a").converged_epoch is None
         assert learner.state("a").epsilon == learner.config.epsilon0
 
@@ -239,7 +262,7 @@ class TestConvergence:
         config = LearnerConfig(epsilon0=0.9, epsilon_min=0.1, epsilon_decay=0.5)
         learner = DemandLearner(config=config)
         learner.register("a")
-        profiler = OnlineProfiler()
+        table = agent_table()
         for epoch in range(10):
-            learner.note_epoch(epoch, ("a",), {"a": profiler})
+            learner.note_epoch(epoch, table)
         assert learner.state("a").epsilon == pytest.approx(0.1)

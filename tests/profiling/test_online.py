@@ -1,5 +1,7 @@
 """Tests for the on-line profiler (§4.4's adaptive naive user)."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ class TestValidation:
     def test_rejects_bad_outlier_threshold(self):
         with pytest.raises(ValueError, match="outlier_log_threshold"):
             OnlineProfiler(outlier_log_threshold=-1.0)
+
+    def test_settings_are_readable_and_read_only(self):
+        profiler = OnlineProfiler(
+            n_resources=3,
+            min_samples=5,
+            decay=0.85,
+            weight_floor=1e-3,
+            max_condition=1e6,
+            outlier_log_threshold=2.0,
+            max_consecutive_outliers=4,
+        )
+        assert (profiler.n_resources, profiler.min_samples, profiler.decay) == (3, 5, 0.85)
+        assert (profiler.weight_floor, profiler.max_condition) == (1e-3, 1e6)
+        assert (profiler.outlier_log_threshold, profiler.max_consecutive_outliers) == (2.0, 4)
+        assert profiler.max_history == 43  # ceil(log(1e-3) / log(0.85))
+        assert OnlineProfiler().max_history is None
+        with pytest.raises(AttributeError):
+            profiler.decay = 0.5
 
 
 class TestSampleRejection:
@@ -289,11 +309,10 @@ class TestMetricsMirror:
                 self.lookups += 1
                 return super().gauge(name, help, **labels)
 
-        class LookupEveryBump(OnlineProfiler):
-            def _metric(self, key):
-                kind, name, extra = self._METRICS[key]
-                labels = {**self._metric_labels, **extra}
-                return getattr(self._metrics, kind)(name, **labels)
+        def lookup_every_bump(table, row, key):
+            kind, name, extra = table._METRICS[key]
+            labels = {**table._labels[row], **extra}
+            return getattr(table._metrics, kind)(name, **labels)
 
         held_registry, lookup_registry = CountingRegistry(), CountingRegistry()
         kwargs = dict(
@@ -303,7 +322,8 @@ class TestMetricsMirror:
             metric_labels={"agent": "a1"},
         )
         held = OnlineProfiler(metrics=held_registry, **kwargs)
-        lookup = LookupEveryBump(metrics=lookup_registry, **kwargs)
+        lookup = OnlineProfiler(metrics=lookup_registry, **kwargs)
+        lookup.table._metric = types.MethodType(lookup_every_bump, lookup.table)
 
         def series(registry):
             return [(metric.name, metric.labels) for metric in registry.metrics()]

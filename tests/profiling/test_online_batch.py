@@ -1,4 +1,4 @@
-"""Tests for deferred (batched) refits on the online profiler."""
+"""Tests for deferred (batched) re-fits on the agent table."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ import pytest
 from repro.core.fitting import fit_cobb_douglas_batch
 from repro.core.utility import CobbDouglasUtility
 from repro.obs import MetricsRegistry
-from repro.profiling.online import OnlineProfiler
+from repro.profiling.online import AgentTable, OnlineProfiler
 
 
-def feed_synthetic(profiler, alpha, n, seed=0, noise=0.0):
+def feed_synthetic(observe, alpha, n, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
     utility = CobbDouglasUtility(alpha)
     for _ in range(n):
@@ -17,85 +17,179 @@ def feed_synthetic(profiler, alpha, n, seed=0, noise=0.0):
         ipc = utility.value(allocation)
         if noise:
             ipc *= float(np.exp(rng.normal(0, noise)))
-        profiler.observe(allocation, ipc)
+        observe(allocation, ipc)
+
+
+def refit(table, fit_batch=fit_cobb_douglas_batch):
+    """One tick's re-fit of ``table``: the profiler protocol over its rows."""
+    profiler = OnlineProfiler.over(table)
+    if not profiler.needs_refit:
+        return
+    block = profiler.fit_inputs()
+    profiler.apply_fit(
+        fit_batch(block.allocations, block.performance, block.weights, counts=block.counts)
+    )
+
+
+def one_row_table(**kwargs):
+    table = AgentTable(**kwargs)
+    table.add("a", labels={"agent": "a"})
+    return table
+
+
+def feed_row(table, alpha, n, row=0, **kwargs):
+    feed_synthetic(lambda x, y: table.observe(row, x, y), alpha, n, **kwargs)
 
 
 class TestDeferredRefit:
-    def test_auto_refit_off_keeps_prior_until_applied(self):
-        profiler = OnlineProfiler(auto_refit=False)
-        feed_synthetic(profiler, (0.7, 0.3), 12)
+    def test_table_keeps_prior_until_refit(self):
+        table = one_row_table()
+        feed_row(table, (0.7, 0.3), 12)
         # Samples accepted but no fit ran: the naive prior still reports.
-        assert profiler.last_fit is None
-        assert profiler.utility.elasticities == (0.5, 0.5)
-        assert profiler.needs_refit
+        assert not table.fitted[0]
+        assert table.report[0].tolist() == [0.5, 0.5]
+        assert table.pending().tolist() == [0]
 
-    def test_refit_now_matches_eager_path(self):
+    def test_table_refit_matches_eager_profiler(self):
         eager = OnlineProfiler()
-        deferred = OnlineProfiler(auto_refit=False)
-        feed_synthetic(eager, (0.7, 0.3), 12, noise=0.02)
-        feed_synthetic(deferred, (0.7, 0.3), 12, noise=0.02)
-        assert deferred.needs_refit
-        deferred.refit_now()
-        assert not deferred.needs_refit
-        assert deferred.utility.elasticities == pytest.approx(
-            eager.utility.elasticities, abs=1e-12
-        )
-        assert deferred.last_condition_number == pytest.approx(
-            eager.last_condition_number
-        )
+        table = one_row_table()
+        feed_synthetic(eager.observe, (0.7, 0.3), 12, noise=0.02)
+        feed_row(table, (0.7, 0.3), 12, noise=0.02)
+        refit(table)
+        assert table.pending().size == 0
+        assert table.alpha[0] == pytest.approx(eager.utility.alpha, abs=1e-12)
+        assert table.condition[0] == pytest.approx(eager.last_condition_number)
 
     def test_needs_refit_false_below_min_samples(self):
-        profiler = OnlineProfiler(auto_refit=False, min_samples=8)
-        feed_synthetic(profiler, (0.6, 0.4), 7)
-        assert not profiler.needs_refit
+        table = one_row_table(min_samples=8)
+        feed_row(table, (0.6, 0.4), 7)
+        assert table.pending().size == 0
 
     def test_needs_refit_false_without_variation(self):
-        profiler = OnlineProfiler(auto_refit=False)
+        table = one_row_table()
         for _ in range(6):
-            profiler.observe((4.0, 8.0), 1.0)
-        assert not profiler.needs_refit
+            table.observe(0, (4.0, 8.0), 1.0)
+        assert table.pending().size == 0
+        assert table.dirty[0]  # still waiting for a usable history
 
     def test_needs_refit_clears_after_apply(self):
-        profiler = OnlineProfiler(auto_refit=False)
-        feed_synthetic(profiler, (0.7, 0.3), 10)
-        allocations, performance, weights = profiler.fit_inputs()
-        [fit] = fit_cobb_douglas_batch([allocations], [performance], [weights])
-        profiler.apply_fit(fit)
-        assert not profiler.needs_refit
-        assert profiler.utility.elasticities == pytest.approx((0.7, 0.3), abs=1e-6)
+        table = one_row_table()
+        feed_row(table, (0.7, 0.3), 10)
+        rows = table.pending()
+        block = table.fit_block(rows)
+        fits = fit_cobb_douglas_batch(
+            block.allocations, block.performance, block.weights, counts=block.counts
+        )
+        table.apply_fits(rows, fits.alpha, fits.scale, fits.condition)
+        assert table.pending().size == 0
+        assert table.alpha[0] == pytest.approx((0.7, 0.3), abs=1e-6)
 
-    def test_apply_fit_none_counts_fallback(self):
-        profiler = OnlineProfiler(auto_refit=False)
-        feed_synthetic(profiler, (0.7, 0.3), 10)
-        profiler.apply_fit(None)
-        assert profiler.counters.get("fit_fallbacks", 0) == 1
-        assert not profiler.needs_refit
+    def test_reject_fits_counts_fallback(self):
+        table = one_row_table()
+        feed_row(table, (0.7, 0.3), 10)
+        table.reject_fits(table.pending())
+        assert table.counters_of(0)["fit_fallbacks"] == 1
+        assert table.pending().size == 0
         # The prior keeps reporting; no half-applied fit leaks through.
-        assert profiler.utility.elasticities == (0.5, 0.5)
+        assert table.report[0].tolist() == [0.5, 0.5]
+        assert table.condition[0] == np.inf
 
-    def test_apply_fit_rejects_ill_conditioned(self):
-        profiler = OnlineProfiler(auto_refit=False, max_condition=10.0)
-        feed_synthetic(profiler, (0.7, 0.3), 10)
-        allocations, performance, weights = profiler.fit_inputs()
-        [fit] = fit_cobb_douglas_batch([allocations], [performance], [weights])
-        if fit.condition_number <= 10.0:
+    def test_apply_fits_rejects_ill_conditioned(self):
+        table = one_row_table(max_condition=10.0)
+        feed_row(table, (0.7, 0.3), 10)
+        refit(table)
+        if table.condition[0] <= 10.0:
             pytest.skip("synthetic data unexpectedly well-conditioned")
-        profiler.apply_fit(fit)
-        assert profiler.last_fit is None
-        assert profiler.counters.get("fit_fallbacks", 0) == 1
+        assert not table.fitted[0]
+        assert table.counters_of(0)["fit_fallbacks"] == 1
 
     def test_refit_metric_on_apply(self):
         registry = MetricsRegistry()
-        profiler = OnlineProfiler(
-            auto_refit=False, metrics=registry, metric_labels={"agent": "a"}
-        )
-        feed_synthetic(profiler, (0.7, 0.3), 10)
-        profiler.refit_now()
+        table = AgentTable(metrics=registry)
+        table.add("a", labels={"agent": "a"})
+        feed_row(table, (0.7, 0.3), 10)
+        refit(table)
         counter = registry.get("repro_online_refits_total", agent="a")
         assert counter is not None and counter.value == 1
 
     def test_eager_default_unchanged(self):
         profiler = OnlineProfiler()
-        feed_synthetic(profiler, (0.7, 0.3), 12)
+        feed_synthetic(profiler.observe, (0.7, 0.3), 12)
         assert profiler.last_fit is not None
         assert not profiler.needs_refit
+
+
+class TestStackedRefit:
+    def test_rows_match_one_row_tables(self):
+        # One stacked solve over several rows equals each row solved on
+        # its own table: the padding never leaks across rows.
+        stacked = AgentTable(decay=0.85)
+        singles = []
+        for k, alpha in enumerate([(0.7, 0.3), (0.2, 0.8), (0.5, 0.5)]):
+            stacked.add(f"a{k}")
+            single = AgentTable(decay=0.85)
+            single.add(f"a{k}")
+            singles.append(single)
+            feed_row(stacked, alpha, 10 + 7 * k, row=k, seed=k, noise=0.05)
+            feed_row(single, alpha, 10 + 7 * k, seed=k, noise=0.05)
+        refit(stacked)
+        for k, single in enumerate(singles):
+            refit(single)
+            assert stacked.alpha[k] == pytest.approx(single.alpha[0], rel=1e-12)
+            assert stacked.condition[k] == pytest.approx(single.condition[0], rel=1e-9)
+
+    def test_failed_stacked_solve_falls_back_per_row(self):
+        table = AgentTable()
+        for name in ("a", "b"):
+            table.add(name)
+        feed_row(table, (0.7, 0.3), 10, row=0)
+        feed_row(table, (0.4, 0.6), 10, row=1, seed=1)
+        calls = []
+
+        def flaky(allocations, performance, weights, counts):
+            calls.append(len(counts))
+            if calls.count(1) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return fit_cobb_douglas_batch(allocations, performance, weights, counts=counts)
+
+        table.refit_alone(table.pending(), flaky)
+        assert calls == [1, 1]
+        assert table.fitted.tolist() == [True, False]
+        assert table.counters_of(1)["fit_fallbacks"] == 1
+        assert table.condition[1] == np.inf
+        assert table.pending().size == 0
+
+    def test_protocol_covers_every_due_row(self):
+        table = AgentTable()
+        for name in ("a", "b", "c"):
+            table.add(name)
+        feed_row(table, (0.7, 0.3), 10, row=0)
+        feed_row(table, (0.4, 0.6), 3, row=1)  # too few samples
+        feed_row(table, (0.2, 0.8), 12, row=2, seed=2)
+        profiler = OnlineProfiler.over(table)
+        assert profiler.needs_refit
+        block = profiler.fit_inputs()
+        assert block.rows.tolist() == [0, 2]
+        assert block.counts.tolist() == [10, 12]
+        assert block.allocations.shape == (2, 12, 2)
+        fits = fit_cobb_douglas_batch(
+            block.allocations, block.performance, block.weights, counts=block.counts
+        )
+        profiler.apply_fit(fits)
+        assert profiler.last_fit is fits
+        assert table.fitted.tolist() == [True, False, True]
+        assert not profiler.needs_refit
+
+    def test_remove_keeps_membership_order(self):
+        table = AgentTable()
+        for k, name in enumerate(("a", "b", "c", "d")):
+            table.add(name)
+            feed_row(table, (0.3 + 0.1 * k, 0.5), 6, row=k, seed=k)
+        before = {name: table.samples(table.row(name)) for name in table.names}
+        table.remove("b")
+        assert table.names == ["a", "c", "d"]
+        for name in table.names:
+            got, want = table.samples(table.row(name)), before[name]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        with pytest.raises(ValueError, match="no agent"):
+            table.row("b")

@@ -1,0 +1,163 @@
+"""The verdict rules and the driver of ``benchmarks/perf_ab.py`` (no benchmark is run)."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "perf_ab.py"
+_SPEC = importlib.util.spec_from_file_location("perf_ab", _PATH)
+perf_ab = sys.modules.setdefault("perf_ab", importlib.util.module_from_spec(_SPEC))
+_SPEC.loader.exec_module(perf_ab)
+
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+class TestClaimVerdict:
+    def test_clear_gain_holds(self):
+        change = [b * 0.7 for b in BASE]
+        holds, detail = perf_ab.claim_verdict(BASE, change, "lower")
+        assert holds
+        assert "better in 10/10" in detail
+
+    def test_nine_of_ten_is_enough(self):
+        change = [b * 0.7 for b in BASE]
+        change[3] = BASE[3] * 1.01
+        assert perf_ab.claim_verdict(BASE, change, "lower")[0]
+
+    def test_eight_of_ten_is_not(self):
+        change = [b * 0.7 for b in BASE]
+        change[3] = BASE[3] * 1.01
+        change[5] = BASE[5] * 1.01
+        holds, detail = perf_ab.claim_verdict(BASE, change, "lower")
+        assert not holds
+        assert "better in 8/10 pairs (need 9)" in detail
+
+    def test_gain_inside_the_base_spread_does_not_hold(self):
+        # Better in every pair, but by less than the base's q1-q3 spread.
+        change = [b - 0.005 for b in BASE]
+        assert not perf_ab.claim_verdict(BASE, change, "lower")[0]
+
+    def test_higher_is_better_metrics_flip(self):
+        change = [b * 1.3 for b in BASE]
+        assert perf_ab.claim_verdict(BASE, change, "higher")[0]
+        assert not perf_ab.claim_verdict(BASE, change, "lower")[0]
+
+
+class TestBoundVerdict:
+    def test_small_worsening_is_within_bound(self):
+        change = [b * 1.1 for b in BASE]
+        assert perf_ab.bound_verdict(BASE, change, "lower", 0.25)[0] == "within bound"
+
+    def test_worsening_beyond_bound_regresses(self):
+        change = [b * 1.4 for b in BASE]
+        assert perf_ab.bound_verdict(BASE, change, "lower", 0.25)[0] == "regressed"
+
+    def test_improvement_never_regresses(self):
+        change = [b * 0.5 for b in BASE]
+        assert perf_ab.bound_verdict(BASE, change, "lower", 0.1)[0] == "within bound"
+
+    def test_spread_wider_than_bound_is_unresolved(self):
+        noisy = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+        verdict, detail = perf_ab.bound_verdict(BASE, noisy, "lower", 0.25)
+        assert verdict == "unresolved"
+        assert "relative spreads" in detail
+
+
+class TestSummary:
+    def _runs(self, base_values, change_values, correct=True):
+        def run(value):
+            return {"correct": correct, "failed": 0, "attempted": 100,
+                    "metrics": {"server_cpu_ms_per_op": value, "setup_s": 0.5}}
+
+        return {"ingest-heavy": [
+            {"seed": k, "first": "base", "base": run(b), "change": run(c)}
+            for k, (b, c) in enumerate(zip(base_values, change_values))
+        ]}
+
+    SPEC = {"end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "server_cpu_ms_per_op", "unit": "ms", "better": "lower", "bound": 0.25},
+    ]}
+
+    def test_rows_claim_and_bounds(self):
+        runs = self._runs(BASE, [b * 0.7 for b in BASE])
+        summary = perf_ab.summarize(runs, self.SPEC, ("server_cpu_ms_per_op", "ingest-heavy"))
+        assert summary["claim"]["holds"]
+        assert [v["metric"] for v in summary["verdicts"]] == ["setup_s"]
+        assert perf_ab.passed(summary)
+        row = next(r for r in summary["rows"] if r["metric"] == "server_cpu_ms_per_op")
+        assert row["change_better"] == 10 and row["ratio"] == pytest.approx(0.7)
+        text = perf_ab.table(summary["rows"])
+        assert "| `ingest-heavy` (10) | `server_cpu_ms_per_op` (ms) |" in text
+        assert text.rstrip().endswith("10/10 |")
+
+    def test_an_incorrect_run_fails_the_comparison(self):
+        runs = self._runs(BASE, [b * 0.7 for b in BASE], correct=False)
+        summary = perf_ab.summarize(runs, self.SPEC, ("server_cpu_ms_per_op", "ingest-heavy"))
+        assert summary["failures"]
+        assert not perf_ab.passed(summary)
+
+    def test_claim_parser(self):
+        assert perf_ab.parse_claim("server_cpu_ms_per_op:ingest-heavy") == (
+            "server_cpu_ms_per_op", "ingest-heavy")
+        with pytest.raises(Exception, match="METRIC:WORKLOAD"):
+            perf_ab.parse_claim("server_cpu_ms_per_op")
+
+
+def _git_checkout() -> bool:
+    probe = subprocess.run(["git", "rev-parse", "HEAD"], cwd=perf_ab.ROOT,
+                           capture_output=True)
+    return probe.returncode == 0
+
+
+needs_git = pytest.mark.skipif(not _git_checkout(), reason="not a git checkout")
+
+
+class TestDriver:
+    @needs_git
+    def test_extract_writes_the_tree_of_a_revision(self, tmp_path):
+        base = perf_ab.extract("HEAD", tmp_path / "base")
+        committed = subprocess.run(["git", "show", "HEAD:BENCHMARK.json"], cwd=perf_ab.ROOT,
+                                   check=True, capture_output=True, text=True).stdout
+        assert (base / "BENCHMARK.json").read_text() == committed
+        assert (base / "perfbench" / "run.py").is_file()
+        assert not (base / ".git").exists()
+
+    @needs_git
+    def test_main_measures_an_extracted_base_and_removes_it(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def measure(base, workloads, pairs, seed_base, seconds):
+            seen["base"] = base
+            assert (base / "perfbench" / "run.py").is_file()
+            assert pairs == 10 and seconds == 18.0
+
+            def run(value):
+                return {"correct": True, "failed": 0, "attempted": 100,
+                        "metrics": {"setup_s": 0.5, "fresh_mean_ms": value,
+                                    "server_cpu_ms_per_op": value, "server_rss_mb": 60.0}}
+
+            return {workload: [
+                {"seed": seed_base + 10 * w + k, "first": "base",
+                 "base": run(b), "change": run(0.7 * b)}
+                for k, b in enumerate(BASE)
+            ] for w, workload in enumerate(workloads)}
+
+        monkeypatch.setattr(perf_ab, "measure", measure)
+        ledger_path = tmp_path / "ledger.json"
+        code = perf_ab.main(["--base", "HEAD", "--claim", "server_cpu_ms_per_op:ingest-heavy",
+                             "--seed-base", "5000", "--ledger", str(ledger_path)])
+        assert code == 0
+        assert not seen["base"].exists()
+        ledger = json.loads(ledger_path.read_text())
+        assert ledger["seed_base"] == 5000 and ledger["passed"]
+        assert ledger["runs"]["read-mostly"][0]["seed"] == 5000
+
+    def test_seeds_must_be_named(self, capsys):
+        with pytest.raises(SystemExit):
+            perf_ab.main(["--base", "HEAD", "--claim", "server_cpu_ms_per_op:ingest-heavy"])
+        assert "--seed-base" in capsys.readouterr().err
