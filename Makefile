@@ -49,19 +49,24 @@ perfbench-check:
 		[importlib.import_module(name) for name in sitecustomize.PATCHES]; \
 		print('perfbench-check OK:', len(sitecustomize.PATCHES), 'patched modules import')"
 
-# One short traced run of the open-loop benchmark against the real
-# server.  perfbench-check only imports the hooked modules; this calls
-# the wrapped bindings an ingest-heavy tick runs through, so one that
-# imports but breaks at call time (e.g. `OnlineProfiler.needs_refit`
-# ceasing to be a property) fails here.  Passes only when the run's
-# final JSON line reports "correct": true.
+# Short traced runs of the open-loop benchmark against the real server.
+# perfbench-check only imports the hooked modules; these call the
+# wrapped bindings the ticks run through, so one that imports but
+# breaks at call time (e.g. `OnlineProfiler.needs_refit` ceasing to be
+# a property) fails here.  ingest-heavy covers the fit and the solve,
+# churn-learn the credit mechanism's observe and the demand learner.
+# Each passes only when the run's final JSON line reports
+# "correct": true.
+PERFBENCH_SMOKE_WORKLOADS := ingest-heavy churn-learn
 perfbench-smoke:
-	$(PYTHON) perfbench/run.py --workload ingest-heavy --seed 1 --seconds 3 --trace 1 \
-		> $(SMOKE_CACHE).perfbench.txt
-	tail -n 1 $(SMOKE_CACHE).perfbench.txt | $(PYTHON) -c "import json, sys; \
-		sys.exit(0 if json.loads(sys.stdin.read())['correct'] is True \
-		else 'perfbench-smoke: the run is not correct')"
-	@echo "perfbench-smoke OK: traced ingest-heavy run correct"
+	@for workload in $(PERFBENCH_SMOKE_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 1 \
+			> $(SMOKE_CACHE).perfbench-$$workload.txt || exit 1; \
+		tail -n 1 $(SMOKE_CACHE).perfbench-$$workload.txt | $(PYTHON) -c "import json, sys; \
+			sys.exit(0 if json.loads(sys.stdin.read())['correct'] is True \
+			else 'perfbench-smoke: the $$workload run is not correct')" || exit 1; \
+		echo "perfbench-smoke OK: traced $$workload run correct"; \
+	done
 
 # The CI coverage job, runnable locally (needs pytest-cov installed):
 # line coverage over src/repro with a hard fail-under floor and an HTML

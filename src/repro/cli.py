@@ -559,6 +559,8 @@ def _build_problem(args) -> AllocationProblem:
     from .workloads import BENCHMARKS, get_mix, get_workload, problem_from_fits
     from .workloads.mixes import WorkloadMix
 
+    # Checked before any profiling; None scales them to the mix.
+    capacities = _checked_capacities(args.capacities) if args.capacities else None
     if args.mix:
         mix = get_mix(args.mix)
     else:
@@ -586,12 +588,6 @@ def _build_problem(args) -> AllocationProblem:
     else:
         with _make_profiler(args) as profiler:
             fits = profiler.fit_suite(get_workload(m) for m in set(mix.members))
-    capacities = None
-    if args.capacities:
-        parts = args.capacities.split(",")
-        if len(parts) != 2:
-            raise SystemExit("--capacities expects 'bandwidth_gbps,cache_kb'")
-        capacities = (float(parts[0]), float(parts[1]))
     return problem_from_fits(mix, fits, capacities)
 
 
@@ -822,11 +818,10 @@ def _serve_agent_benchmarks(args) -> "dict[str, str]":
     return agents
 
 
-def _parse_capacities(text: Optional[str], n_agents: int):
+def _checked_capacities(text: str):
+    """``--capacities`` as a float pair, or a one-line usage error."""
     from .dynamic.controller import validate_capacities
 
-    if not text:
-        return (6.4 * n_agents, 1024.0 * n_agents)
     try:
         return validate_capacities(text.split(","))
     except ValueError:
@@ -834,6 +829,12 @@ def _parse_capacities(text: Optional[str], n_agents: int):
             f"--capacities expects 'bandwidth_gbps,cache_kb', two positive "
             f"finite numbers; got {text!r}"
         ) from None
+
+
+def _parse_capacities(text: Optional[str], n_agents: int):
+    if not text:
+        return (6.4 * n_agents, 1024.0 * n_agents)
+    return _checked_capacities(text)
 
 
 def _cmd_dynamic(args) -> int:

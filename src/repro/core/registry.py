@@ -45,7 +45,7 @@ where a single epoch violates them.  See ``docs/mechanisms.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -370,6 +370,30 @@ class CreditMechanism(Mechanism):
     one_shot = False  # needs history; a single solve is just REF
     hierarchical = True  # within-cell credit under the Eq. 13 split
 
+    #: Per-agent series: handle key -> (kind, metric name, help).
+    _METRICS = {
+        "banked": (
+            "counter",
+            "repro_credit_banked_total",
+            "Credit banked by under-served agents (capacity fractions).",
+        ),
+        "spent": (
+            "counter",
+            "repro_credit_spent_total",
+            "Credit spent by over-served agents (capacity fractions).",
+        ),
+        "forfeited": (
+            "counter",
+            "repro_credit_forfeited_total",
+            "Credit lost to the balance clip (capacity fractions).",
+        ),
+        "balance": (
+            "gauge",
+            "repro_credit_balance",
+            "Per-agent credit balance in capacity fractions.",
+        ),
+    }
+
     def __init__(self, spend_rate: float = 2.0, max_balance: float = 0.5):
         if spend_rate <= 0 or not np.isfinite(spend_rate):
             raise ValueError(f"spend_rate must be positive, got {spend_rate}")
@@ -379,6 +403,12 @@ class CreditMechanism(Mechanism):
         self.max_balance = float(max_balance)
         #: agent name -> (R,) balance vector in capacity fractions.
         self._balances: Dict[str, np.ndarray] = {}
+        #: (problem, its agents' balances as one (N, R) array), until a
+        #: balance changes; the solve and the observe of one tick share it.
+        self._gathered: Optional[Tuple[AllocationProblem, np.ndarray]] = None
+        #: agent name -> its metric children in ``_handles_of`` (see _metric).
+        self._handles: Dict[str, Dict[Tuple[str, Optional[str]], Any]] = {}
+        self._handles_of: Optional[MetricsRegistry] = None
 
     def balance(self, name: str, n_resources: int = 2) -> np.ndarray:
         """The agent's current balance vector (zeros when unseen)."""
@@ -387,13 +417,18 @@ class CreditMechanism(Mechanism):
             return np.zeros(n_resources)
         return stored.copy()
 
+    def _balance_matrix(self, problem: AllocationProblem) -> np.ndarray:
+        """The problem's agents' balances, ``(N, R)`` in row order (zeros when unseen)."""
+        gathered = self._gathered
+        if gathered is not None and gathered[0] is problem:
+            return gathered[1]
+        zero = np.zeros(problem.n_resources)
+        balances = np.array([self._balances.get(name, zero) for name in problem.names])
+        self._gathered = (problem, balances)
+        return balances
+
     def _weights(self, problem: AllocationProblem) -> np.ndarray:
-        rows = [
-            self._balances.get(name, np.zeros(problem.n_resources))
-            for name in problem.names
-        ]
-        balances = np.vstack(rows)
-        return np.exp(self.spend_rate * balances)
+        return np.exp(self.spend_rate * self._balance_matrix(problem))
 
     def _solve(self, problem: AllocationProblem, context: SolveContext) -> Allocation:
         alpha = problem.rescaled_alpha_matrix()
@@ -411,58 +446,83 @@ class CreditMechanism(Mechanism):
         epoch: int = 0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> Tuple[ObserveEvent, ...]:
-        """Update balances from the gap between entitlement and receipt."""
+        """Update balances from the gap between entitlement and receipt.
+
+        One array pass for the whole fleet: ``delta`` row ``i`` is agent
+        ``i``'s entitlement minus its received fraction per resource.
+        """
         problem = enforced.problem
-        entitlement = 1.0 / problem.n_agents
-        fractions = enforced.shares / problem.capacity_vector
-        events: List[ObserveEvent] = []
-        for i, name in enumerate(problem.names):
-            delta = entitlement - fractions[i]
-            before = self._balances.get(name, np.zeros(problem.n_resources))
-            raw = before + delta
-            clipped = np.clip(raw, -self.max_balance, self.max_balance)
-            forfeited = float(np.abs(raw - clipped).sum())
-            self._balances[name] = clipped
-            if metrics is not None:
-                banked = float(delta[delta > 0].sum())
-                spent = float(-delta[delta < 0].sum())
-                if banked > 0:
-                    metrics.counter(
-                        "repro_credit_banked_total",
-                        help="Credit banked by under-served agents (capacity fractions).",
-                        agent=name,
-                    ).inc(banked)
-                if spent > 0:
-                    metrics.counter(
-                        "repro_credit_spent_total",
-                        help="Credit spent by over-served agents (capacity fractions).",
-                        agent=name,
-                    ).inc(spent)
-                if forfeited > 0:
-                    metrics.counter(
-                        "repro_credit_forfeited_total",
-                        help="Credit lost to the balance clip (capacity fractions).",
-                        agent=name,
-                    ).inc(forfeited)
-                for r, resource in enumerate(problem.resource_names):
-                    metrics.gauge(
-                        "repro_credit_balance",
-                        help="Per-agent credit balance in capacity fractions.",
-                        agent=name,
-                        resource=resource,
-                    ).set(float(clipped[r]))
-            if forfeited > 1e-12:
-                events.append(
-                    (
-                        "credit_clipped",
-                        name,
-                        f"forfeited {forfeited:.3g} at |balance| = {self.max_balance:g}",
-                    )
-                )
-        return tuple(events)
+        names = problem.names
+        delta = 1.0 / problem.n_agents - enforced.shares / problem.capacity_vector
+        raw = self._balance_matrix(problem) + delta
+        clipped = np.clip(raw, -self.max_balance, self.max_balance)
+        forfeited = np.abs(raw - clipped).sum(axis=1)
+        self._balances.update(zip(names, clipped))
+        self._gathered = None
+        if metrics is not None:
+            self._export(metrics, problem, delta, forfeited, clipped)
+        bound = f" at |balance| = {self.max_balance:g}"
+        return tuple(
+            ("credit_clipped", name, f"forfeited {amount:.3g}{bound}")
+            for name, amount in zip(names, forfeited.tolist())
+            if amount > 1e-12
+        )
+
+    def _export(
+        self,
+        metrics: MetricsRegistry,
+        problem: AllocationProblem,
+        delta: np.ndarray,
+        forfeited: np.ndarray,
+        clipped: np.ndarray,
+    ) -> None:
+        """Mirror one observe into the per-agent credit series.
+
+        A counter series appears the first epoch its amount is positive,
+        the balance gauges on an agent's first observe.
+        """
+        names = problem.names
+        amounts = {
+            "banked": np.where(delta > 0, delta, 0.0).sum(axis=1),
+            "spent": -np.where(delta < 0, delta, 0.0).sum(axis=1),
+            "forfeited": forfeited,
+        }
+        for key, amount in amounts.items():
+            for name, value in zip(names, amount.tolist()):
+                if value > 0:
+                    self._metric(metrics, name, key).inc(value)
+        for name, row in zip(names, clipped.tolist()):
+            for resource, value in zip(problem.resource_names, row):
+                self._metric(metrics, name, "balance", resource).set(value)
+
+    def _metric(
+        self, metrics: MetricsRegistry, agent: str, key: str, resource: Optional[str] = None
+    ):
+        """Agent ``agent``'s ``key`` series (per ``resource`` if given), looked up once.
+
+        Like ``AgentTable._metric``: held afterwards, so a later epoch
+        pays one dict lookup, while a series still appears only once it
+        is first touched.  An agent's children are dropped when it
+        leaves, all of them when ``metrics`` is another registry.
+        """
+        if metrics is not self._handles_of:
+            self._handles = {}
+            self._handles_of = metrics
+        handles = self._handles.setdefault(agent, {})
+        handle = handles.get((key, resource))
+        if handle is None:
+            kind, name, text = self._METRICS[key]
+            labels = {"agent": agent}
+            if resource is not None:
+                labels["resource"] = resource
+            handle = getattr(metrics, kind)(name, help=text, **labels)
+            handles[(key, resource)] = handle
+        return handle
 
     def forget_agent(self, name: str) -> None:
         self._balances.pop(name, None)
+        self._handles.pop(name, None)
+        self._gathered = None
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -481,3 +541,4 @@ class CreditMechanism(Mechanism):
             name: np.asarray(vector, dtype=float)
             for name, vector in state.get("balances", {}).items()
         }
+        self._gathered = None

@@ -111,6 +111,31 @@ class DemandLearner:
     telemetry.
     """
 
+    #: Handle key -> (kind, metric name, help); agent series add ``agent=``.
+    _METRICS = {
+        "agents": ("gauge", "repro_learning_agents", "Agents currently learning demands."),
+        "caps": (
+            "counter",
+            "repro_learning_cap_events_total",
+            "(agent, resource) entries clipped to a demand cap.",
+        ),
+        "explored": (
+            "gauge",
+            "repro_learning_exploration_fraction",
+            "Fraction of learning agents perturbed in the last epoch.",
+        ),
+        "drift": (
+            "gauge",
+            "repro_learning_report_drift",
+            "Max abs per-epoch change of the blended report.",
+        ),
+        "converged": (
+            "gauge",
+            "repro_learning_convergence_epoch",
+            "Epoch at which the agent's report converged.",
+        ),
+    }
+
     def __init__(
         self,
         prior: str = "equal",
@@ -127,6 +152,28 @@ class DemandLearner:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._rng = np.random.default_rng(seed)
         self._states: Dict[str, AgentLearnState] = {}
+        #: (agent name or None for fleet series, key) -> metric child in
+        #: ``_handles_of``, held after first use; an agent's are dropped
+        #: when it leaves, all of them when ``metrics`` is replaced.
+        self._handles: Dict[Tuple[Optional[str], str], object] = {}
+        self._handles_of: Optional[MetricsRegistry] = None
+
+    def _metric(self, key: str, agent: Optional[str] = None):
+        """The registry child for ``key`` (per ``agent`` if given), looked up once.
+
+        Like ``AgentTable._metric``: later calls cost one dict lookup,
+        and a series still appears only when it is first touched.
+        """
+        if self.metrics is not self._handles_of:
+            self._handles = {}
+            self._handles_of = self.metrics
+        handle = self._handles.get((agent, key))
+        if handle is None:
+            kind, name, text = self._METRICS[key]
+            labels = {} if agent is None else {"agent": agent}
+            handle = getattr(self.metrics, kind)(name, help=text, **labels)
+            self._handles[(agent, key)] = handle
+        return handle
 
     # ------------------------------------------------------------------
     # Membership
@@ -140,16 +187,14 @@ class DemandLearner:
             cls=cls,
             epsilon=self.config.epsilon0,
         )
-        self.metrics.gauge(
-            "repro_learning_agents", help="Agents currently learning demands."
-        ).set(len(self._states))
+        self._metric("agents").set(len(self._states))
 
     def forget(self, name: str) -> None:
         """Drop an agent's learning state (no-op when unknown)."""
         if self._states.pop(name, None) is not None:
-            self.metrics.gauge(
-                "repro_learning_agents", help="Agents currently learning demands."
-            ).set(len(self._states))
+            self._handles.pop((name, "drift"), None)
+            self._handles.pop((name, "converged"), None)
+            self._metric("agents").set(len(self._states))
 
     def state(self, name: str) -> Optional[AgentLearnState]:
         return self._states.get(name)
@@ -229,10 +274,7 @@ class DemandLearner:
             return shares, 0
         result = apply_demand_caps(shares, caps, capacities)
         if result.capped_entries:
-            self.metrics.counter(
-                "repro_learning_cap_events_total",
-                help="(agent, resource) entries clipped to a demand cap.",
-            ).inc(result.capped_entries)
+            self._metric("caps").inc(result.capped_entries)
         return result.shares, result.capped_entries
 
     # ------------------------------------------------------------------
@@ -271,10 +313,7 @@ class DemandLearner:
             width = self.config.perturb_width
             factors[i] = np.exp(self._rng.uniform(-width, width, size=shares.shape[1]))
         total = len([n for n in names if n in self._states])
-        self.metrics.gauge(
-            "repro_learning_exploration_fraction",
-            help="Fraction of learning agents perturbed in the last epoch.",
-        ).set(len(explored) / total if total else 0.0)
+        self._metric("explored").set(len(explored) / total if total else 0.0)
         if not explored:
             return shares, ()
         out = water_fill(shares * factors, shares.sum(axis=0), lower=floors)
@@ -292,19 +331,23 @@ class DemandLearner:
         newly_converged: List[str] = []
         reports = self.report(table)
         confident = self.confidence(table) >= 1.0
-        for i, name in enumerate(table.names):
-            state = self._states.get(name)
+        states = [self._states.get(name) for name in table.names]
+        # One array pass gives every row with a previous report its
+        # drift; only the ε/convergence state machine runs per agent.
+        seen = [i for i, s in enumerate(states) if s is not None and s.last_report is not None]
+        drifts = np.zeros(len(states))
+        if seen:
+            previous = np.array([states[i].last_report for i in seen])
+            drifts[seen] = np.max(np.abs(reports[seen] - previous), axis=1)
+        drifts = drifts.tolist()
+        for i, (name, state) in enumerate(zip(table.names, states)):
             if state is None:
                 continue
             self.note_fit(table, i)
             report = reports[i]
             if state.last_report is not None:
-                drift = float(np.max(np.abs(report - state.last_report)))
-                self.metrics.gauge(
-                    "repro_learning_report_drift",
-                    help="Max abs per-epoch change of the blended report.",
-                    agent=name,
-                ).set(drift)
+                drift = drifts[i]
+                self._metric("drift", name).set(drift)
                 if state.converged_epoch is not None and drift > self.config.rearm_drift:
                     # A big jump after convergence is a phase change:
                     # re-arm exploration and start converging again.
@@ -322,11 +365,7 @@ class DemandLearner:
                 ):
                     state.converged_epoch = epoch
                     newly_converged.append(name)
-                    self.metrics.gauge(
-                        "repro_learning_convergence_epoch",
-                        help="Epoch at which the agent's report converged.",
-                        agent=name,
-                    ).set(float(epoch))
+                    self._metric("converged", name).set(float(epoch))
             state.last_report = report
             state.epochs += 1
             state.epsilon = max(

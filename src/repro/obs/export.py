@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .registry import MetricsRegistry
+from .registry import LabelKey, MetricsRegistry, _Family
 from .spans import SpanRecord
 
 __all__ = [
@@ -58,33 +58,127 @@ def _render_labels(labels: Sequence[Tuple[str, str]]) -> str:
     return "{" + body + "}"
 
 
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Render every metric in Prometheus text exposition format."""
+def _series_text(family: _Family, key: LabelKey) -> object:
+    """Series ``key``'s text up to its value.
+
+    A counter or gauge gets ``'name{labels} '``; a histogram gets its
+    finite buckets' line prefixes, then its ``+Inf`` bucket's, its
+    ``_sum``'s and its ``_count``'s.
+    """
+    name, labels = family.name, _render_labels(key)
+    if family.kind != "histogram":
+        return f"{name}{labels} "
+    bounds = [_format_value(bound) for bound in (*family.children[key].buckets, math.inf)]
+    bucket = [f"{name}_bucket" + _render_labels(key + (("le", le),)) + " " for le in bounds]
+    return (bucket[:-1], bucket[-1], f"{name}_sum{labels} ", f"{name}_count{labels} ")
+
+
+def _rendered(family: _Family) -> Dict[LabelKey, object]:
+    """``family``'s series texts in label order, built once per series.
+
+    A registry only ever adds children, so while the count matches the
+    texts are current; a new child re-sorts them, keeping the built ones.
+    """
+    rendered = family.rendered
+    if len(rendered) != len(family.children):
+        rendered = family.rendered = {
+            key: rendered[key] if key in rendered else _series_text(family, key)
+            for key in sorted(family.children)
+        }
+    return rendered
+
+
+def _series(group: List[_Family]) -> Iterator[Tuple[object, List[object]]]:
+    """One metric name's label sets in label order: each one's text and
+    its children, in registry order."""
+    if len(group) == 1:
+        children = group[0].children
+        for key, text in _rendered(group[0]).items():
+            yield text, [children[key]]
+        return
+    texts = [_rendered(family) for family in group]
+    for key in sorted(set().union(*texts)):
+        owners = [i for i, rendered in enumerate(texts) if key in rendered]
+        yield texts[owners[0]][key], [group[i].children[key] for i in owners]
+
+
+def _union(registries: Sequence[MetricsRegistry]) -> Dict[str, List[_Family]]:
+    """Each metric name's non-empty families, in registry order.
+
+    Raises the ``ValueError`` :meth:`MetricsRegistry.merge` would, at
+    the clash it would meet first: a family whose kind differs from its
+    first one, or a histogram child whose bucket bounds differ from the
+    first child of the same labels.
+    """
+    union: Dict[str, List[_Family]] = {}
+    distinct: List[MetricsRegistry] = []
+    for registry in registries:
+        if any(registry is other for other in distinct):
+            continue
+        distinct.append(registry)
+        for family in registry.families():
+            if not family.children:
+                continue
+            group = union.setdefault(family.name, [])
+            if group and family.kind != group[0].kind:
+                raise ValueError(
+                    f"metric {family.name!r} already registered as a {group[0].kind}, "
+                    f"cannot re-register as a {family.kind}"
+                )
+            if group and family.kind == "histogram":
+                for key in sorted(family.children):
+                    first = next((f.children[key] for f in group if key in f.children), None)
+                    buckets = family.children[key].buckets
+                    if first is not None and first.buckets != buckets:
+                        raise ValueError(
+                            f"histogram {family.name!r}{dict(key)} already exists with "
+                            f"buckets {first.buckets}; cannot change them to {buckets}"
+                        )
+            group.append(family)
+    return union
+
+
+def to_prometheus(*registries: MetricsRegistry) -> str:
+    """Render the union of ``registries`` in Prometheus text exposition format.
+
+    The text is exactly that of merging the registries, in order, into a
+    fresh one (:meth:`MetricsRegistry.merge`) and rendering it, without
+    building that registry: counters are summed in registry order, a
+    gauge takes the last registry's value, histograms are summed, a
+    family's help is its first non-empty one, and a kind or bucket-bound
+    clash raises ``ValueError``.  A registry passed twice counts once.
+    """
     lines: List[str] = []
-    for family in registry.families():
-        if family.help:
-            lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for key in sorted(family.children):
-            child = family.children[key]
-            if family.kind in ("counter", "gauge"):
-                lines.append(
-                    f"{family.name}{_render_labels(key)} {_format_value(child.value)}"
-                )
-            else:
-                cumulative = 0
-                for bound, bucket_count in zip(child.buckets, child.bucket_counts):
-                    cumulative += bucket_count
-                    labels = key + (("le", _format_value(bound)),)
-                    lines.append(
-                        f"{family.name}_bucket{_render_labels(labels)} {cumulative}"
-                    )
-                labels = key + (("le", "+Inf"),)
-                lines.append(f"{family.name}_bucket{_render_labels(labels)} {child.count}")
-                lines.append(
-                    f"{family.name}_sum{_render_labels(key)} {_format_value(child.sum)}"
-                )
-                lines.append(f"{family.name}_count{_render_labels(key)} {child.count}")
+    append = lines.append
+    union = _union(registries)
+    for name in sorted(union):
+        group = union[name]
+        kind = group[0].kind
+        help_text = next((family.help for family in group if family.help), "")
+        if help_text:
+            append(f"# HELP {name} {_escape_help(help_text)}")
+        append(f"# TYPE {name} {kind}")
+        for text, children in _series(group):
+            if kind == "gauge":
+                append(text + _format_value(children[-1].value))
+                continue
+            total = 0.0  # float sums in registry order, as merge adds them
+            if kind == "counter":
+                for child in children:
+                    total += child.value
+                append(text + _format_value(total))
+                continue
+            for child in children:
+                total += child.sum
+            count = sum(child.count for child in children)
+            bucket_text, inf_text, sum_text, count_text = text
+            cumulative = 0
+            for prefix, *column in zip(bucket_text, *(child.bucket_counts for child in children)):
+                cumulative += sum(column)
+                append(f"{prefix}{cumulative}")
+            append(f"{inf_text}{count}")
+            append(sum_text + _format_value(total))
+            append(f"{count_text}{count}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -185,6 +185,9 @@ class _Family:
         self.kind = kind
         self.help = help
         self.children: Dict[LabelKey, object] = {}
+        #: Each child's Prometheus series text up to its value, in label
+        #: order, kept by the exporter (children are only ever added).
+        self.rendered: Dict[LabelKey, object] = {}
 
 
 class MetricsRegistry:

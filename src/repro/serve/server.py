@@ -1062,14 +1062,8 @@ class AllocationServer(HttpServerBase):
         )
 
     def _route_metrics(self, _body: bytes) -> Tuple[int, object, str]:
-        merged = MetricsRegistry()
-        seen = []
-        for registry in (global_registry(), self.metrics, self.allocator.metrics):
-            if any(registry is other for other in seen):
-                continue
-            merged.merge(registry)
-            seen.append(registry)
-        return 200, to_prometheus(merged), "text/plain; version=0.0.4"
+        text = to_prometheus(global_registry(), self.metrics, self.allocator.metrics)
+        return 200, text, "text/plain; version=0.0.4"
 
 
 class ServerThread:

@@ -908,8 +908,5 @@ class ShardCoordinator(HttpServerBase):
         )
 
     def _route_metrics(self, _body: bytes):
-        merged = MetricsRegistry()
-        merged.merge(global_registry())
-        if self.metrics is not global_registry():
-            merged.merge(self.metrics)
-        return 200, to_prometheus(merged), "text/plain; version=0.0.4"
+        text = to_prometheus(global_registry(), self.metrics)
+        return 200, text, "text/plain; version=0.0.4"

@@ -1,9 +1,12 @@
-"""Suite-wide hooks.
+"""Suite-wide hooks and fixtures.
 
 Under ``python -X dev`` (``make serve-devmode``) an error that asyncio
 reports through its logger, such as a task exception that is never
 retrieved or an exception raised in a callback, fails the test it
-happened in.  Without dev mode this module does nothing.
+happened in.  Without dev mode that hook does nothing.
+
+``registry_calls`` records every counter and gauge lookup made on any
+metrics registry during a test.
 """
 
 import gc
@@ -38,3 +41,20 @@ def asyncio_errors_fail_the_test():
     assert not errors.records, "asyncio reported errors:\n" + "\n".join(
         errors.format(record) for record in errors.records
     )
+
+
+@pytest.fixture()
+def registry_calls(monkeypatch):
+    """Every ``MetricsRegistry.counter``/``gauge`` call, as ``(metric, labels)``."""
+    from repro.obs import MetricsRegistry
+
+    calls = []
+    for kind in ("counter", "gauge"):
+        lookup = getattr(MetricsRegistry, kind)
+
+        def counted(self, name, help="", _lookup=lookup, **labels):
+            calls.append((name, tuple(sorted(labels.items()))))
+            return _lookup(self, name, help=help, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, kind, counted)
+    return calls

@@ -107,9 +107,13 @@ class TestHappyPath:
 
     def test_batching_solves_at_most_once_per_tick(self, service):
         server, client, registry = service
+        # The starting epoch is read before the first submit: read after
+        # them, the deadline tick may already have folded the last
+        # samples, and an idle server never ticks again.
+        start = client.health().epoch
         for i in range(20):
             client.submit_sample("freqmine", 3.0 + 0.1 * i, 500.0 + 10.0 * i, 1.0)
-        client.wait_for_epoch(client.health().epoch + 1, timeout=10)
+        client.wait_for_epoch(start + 1, timeout=10)
         epochs = registry.get("repro_dynamic_epochs_total")
         assert epochs is not None
         assert server.samples_received >= 20

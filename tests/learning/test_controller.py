@@ -266,3 +266,75 @@ class TestConvergence:
         for epoch in range(10):
             learner.note_epoch(epoch, table)
         assert learner.state("a").epsilon == pytest.approx(0.1)
+
+
+class TestHeldHandles:
+    """note_epoch computes drift in one array pass and writes held series."""
+
+    def _learner_and_table(self, names=("a", "b", "c"), samples=0):
+        learner = DemandLearner(config=LearnerConfig(convergence_window=2))
+        table = AgentTable()
+        for i, name in enumerate(names):
+            table.add(name)
+            learner.register(name)
+            rng = np.random.default_rng(i)
+            alpha = rng.uniform(0.1, 0.9, size=2)
+            for _ in range(samples):
+                allocation = rng.uniform(0.5, 20.0, size=2)
+                table.observe(i, allocation, float(np.prod(allocation**alpha)))
+        refit(table)
+        return learner, table
+
+    def test_no_registry_calls_once_every_series_exists(self, registry_calls):
+        # Unfitted agents never converge: the drift gauges appear on the
+        # second epoch (the first with a previous report), then nothing
+        # is looked up again.
+        learner, table = self._learner_and_table()
+        learner.note_epoch(0, table)
+        assert registry_calls[-1][0] == "repro_learning_agents"
+        learner.note_epoch(1, table)
+        assert {name for name, _ in registry_calls[-3:]} == {"repro_learning_report_drift"}
+        registry_calls.clear()
+        for epoch in range(2, 8):
+            learner.note_epoch(epoch, table)
+        assert registry_calls == []
+
+    def test_every_lookup_creates_a_series(self, registry_calls):
+        # Convergence, a forgotten agent and a late arrival each add series.
+        learner, table = self._learner_and_table(samples=20)
+        converged = []
+        for epoch in range(8):
+            converged += learner.note_epoch(epoch, table)
+            if epoch == 3:
+                learner.forget("b")
+                table.add("d")
+                learner.register("d")
+        assert converged
+        assert learner.metrics.get("repro_learning_convergence_epoch", agent="a") is not None
+        assert learner.metrics.get("repro_learning_report_drift", agent="d") is not None
+        assert len(registry_calls) == len(set(registry_calls))
+
+    def test_drift_is_each_rows_max_report_change(self):
+        learner, table = self._learner_and_table(names=("a", "b", "c", "d"), samples=6)
+        learner.note_epoch(0, table)
+        previous = {name: learner.state(name).last_report for name in table.names}
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            row = int(rng.integers(len(table)))
+            allocation = rng.uniform(0.5, 20.0, size=2)
+            table.observe(row, allocation, float(np.prod(allocation ** [0.7, 0.2])))
+        refit(table)
+        learner.note_epoch(1, table)
+        for name in table.names:
+            now = learner.state(name).last_report
+            drift = learner.metrics.get("repro_learning_report_drift", agent=name)
+            assert drift.value == float(np.max(np.abs(now - previous[name])))
+
+    def test_replaced_registry_gets_its_own_series(self):
+        learner, table = self._learner_and_table()
+        for epoch in range(2):
+            learner.note_epoch(epoch, table)
+        first, learner.metrics = learner.metrics, MetricsRegistry()
+        learner.note_epoch(2, table)
+        assert learner.metrics.get("repro_learning_report_drift", agent="a") is not None
+        assert first.get("repro_learning_report_drift", agent="a") is not None

@@ -429,7 +429,11 @@ class TestServeParser:
         with pytest.raises(SystemExit, match="capacities"):
             main(["serve", "--capacities", "24"])
 
-    @pytest.mark.parametrize("command", ["serve", "dynamic"])
+    @pytest.mark.parametrize(
+        "command",
+        [["serve"], ["dynamic"], ["allocate", "--mix", "WD1"]],
+        ids=["serve", "dynamic", "allocate"],
+    )
     @pytest.mark.parametrize(
         "value", ["inf,1024", "nan,1024", "-1,1024", "0,1024", "abc,1024", "6.4,1024,5"]
     )
@@ -437,7 +441,7 @@ class TestServeParser:
         # A capacity the allocator cannot serve is a usage error before
         # anything starts, not a traceback from the first epoch.
         with pytest.raises(SystemExit) as excinfo:
-            main([command, f"--capacities={value}"])
+            main([*command, f"--capacities={value}"])
         message = str(excinfo.value.code)
         assert "--capacities expects" in message and value in message
         assert "\n" not in message
