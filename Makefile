@@ -31,10 +31,13 @@ test:
 # __del__ and reported by pytest as an unraisable exception) fails the
 # run, and so does an asyncio error report such as a task exception
 # that is never retrieved (tests/conftest.py).  Guards the lifetimes of
-# the HTTP front end's transports, timers and handler tasks.
+# the HTTP front end's transports, timers and handler tasks, and of the
+# shard coordinator's links to its cell workers (test_shard.py boots
+# real worker subprocesses).
 serve-devmode:
 	$(PYTHON) -X dev -W error::ResourceWarning -m pytest tests/serve \
-		tests/integration/test_keepalive.py tests/integration/test_serve.py -q \
+		tests/integration/test_keepalive.py tests/integration/test_serve.py \
+		tests/integration/test_shard.py -q \
 		-W error::pytest.PytestUnraisableExceptionWarning
 
 # The open-loop benchmark's self-tests, then an import of every module
@@ -54,10 +57,12 @@ perfbench-check:
 # wrapped bindings the ticks run through, so one that imports but
 # breaks at call time (e.g. `OnlineProfiler.needs_refit` ceasing to be
 # a property) fails here.  ingest-heavy covers the fit and the solve,
-# churn-learn the credit mechanism's observe and the demand learner.
+# churn-learn the credit mechanism's observe and the demand learner,
+# sharded the coordinator (grant rounds, merged reads and the
+# hierarchical split, each wrapped by the hook) and its cells.
 # Each passes only when the run's final JSON line reports
 # "correct": true.
-PERFBENCH_SMOKE_WORKLOADS := ingest-heavy churn-learn
+PERFBENCH_SMOKE_WORKLOADS := ingest-heavy churn-learn sharded
 perfbench-smoke:
 	@for workload in $(PERFBENCH_SMOKE_WORKLOADS); do \
 		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 1 \

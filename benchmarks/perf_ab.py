@@ -26,9 +26,12 @@ and a verdict:
   spread is wider than that bound;
 * every run must be correct with no failed operation.
 
-The runs, the table and the verdicts are written to ``--ledger``.  The
-exit status is 0 only when the claim holds and nothing regressed or
-failed.
+Each run also keeps the latencies the benchmark prints but does not
+declare (``detail.reported`` of its ``result.json``: write, read,
+fresh, churn and scrape p50/tail); the table gets a row for each,
+marked not gated, with no verdict.  The runs, the table and the
+verdicts are written to ``--ledger``.  The exit status is 0 only when
+the claim holds and nothing regressed or failed.
 """
 
 from __future__ import annotations
@@ -115,6 +118,15 @@ def bound_verdict(
     return "within bound", detail
 
 
+def reported(result_json: Path) -> Dict[str, dict]:
+    """A run's undeclared latencies, ``{name: {"value", "unit"}}`` ({} if absent)."""
+    try:
+        detail = json.loads(result_json.read_text())["detail"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    return dict(detail.get("reported", {}))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run through the real entry point."""
     command = [
@@ -128,11 +140,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "failed": None, "attempted": None, "metrics": {},
                 "error": (proc.stderr or proc.stdout)[-400:]}
     result = json.loads(lines[-1])
+    run_dir = checkout / ".perfbench_out" / f"{workload}-s{seed}-t0"
     return {
         "correct": bool(result["correct"]),
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "reported": reported(run_dir / "result.json"),
     }
 
 
@@ -166,8 +180,29 @@ def measure(base: Path, workloads: Sequence[str], pairs: int, seed_base: int,
     return runs
 
 
+def _row(workload: str, name: str, unit: str, base: List[float], change: List[float],
+         direction: str, gated: bool) -> dict:
+    b, c = Summary.of(base), Summary.of(change)
+    return {
+        "workload": workload, "metric": name, "unit": unit, "gated": gated,
+        "pairs": len(base), "base": vars(b), "change": vars(c),
+        "ratio": c.median / b.median if b.median else None,
+        "change_better": sum(better(y, x, direction) for x, y in zip(base, change)),
+    }
+
+
+def _paired(pairs: List[dict], values) -> Tuple[List[float], List[float]]:
+    """Per-side values of the pairs in which both sides measured one."""
+    measured = [(values(p["base"]), values(p["change"])) for p in pairs]
+    measured = [(b, c) for b, c in measured if b is not None and c is not None]
+    if not measured:
+        return [], []
+    base, change = zip(*measured)
+    return list(base), list(change)
+
+
 def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -> dict:
-    """The paired rows and every verdict."""
+    """The paired rows and every verdict (reported latencies get rows only)."""
     rows, verdicts = [], []
     failures = []
     claim_metric, claim_workload = claim
@@ -181,22 +216,10 @@ def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -
                                     f"correct={run['correct']} failed={run['failed']}")
         for metric in spec["end_to_end"]:
             name, direction = metric["name"], metric["better"]
-            measured = [
-                (p["base"]["metrics"].get(name), p["change"]["metrics"].get(name))
-                for p in pairs
-            ]
-            measured = [(b, c) for b, c in measured if b is not None and c is not None]
-            if not measured:
+            base, change = _paired(pairs, lambda run: run["metrics"].get(name))
+            if not base:
                 continue
-            base, change = (list(side) for side in zip(*measured))
-            b, c = Summary.of(base), Summary.of(change)
-            wins = sum(better(y, x, direction) for x, y in zip(base, change))
-            rows.append({
-                "workload": workload, "metric": name, "unit": metric["unit"],
-                "pairs": len(base), "base": vars(b), "change": vars(c),
-                "ratio": c.median / b.median if b.median else None,
-                "change_better": wins,
-            })
+            rows.append(_row(workload, name, metric["unit"], base, change, direction, True))
             if (name, workload) == (claim_metric, claim_workload):
                 holds, detail = claim_verdict(base, change, direction)
                 claim_result = {"holds": holds, "detail": detail}
@@ -204,6 +227,17 @@ def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -
                 verdict, detail = bound_verdict(base, change, direction, metric["bound"])
                 verdicts.append({"workload": workload, "metric": name,
                                  "verdict": verdict, "detail": detail})
+        units = {}
+        for pair in pairs:
+            for side in ("base", "change"):
+                for name, entry in pair[side].get("reported", {}).items():
+                    units.setdefault(name, entry["unit"])
+        for name, unit in units.items():
+            base, change = _paired(
+                pairs, lambda run: run.get("reported", {}).get(name, {}).get("value")
+            )
+            if base:  # latencies: lower is better
+                rows.append(_row(workload, name, unit, base, change, "lower", False))
     return {"rows": rows, "claim": claim_result, "verdicts": verdicts, "failures": failures}
 
 
@@ -217,7 +251,8 @@ def table(rows: Sequence[dict]) -> str:
         fmt = _fmt(row["base"]["median"])
         cells = [
             f"`{row['workload']}` ({row['pairs']})",
-            f"`{row['metric']}` ({row['unit']})",
+            f"`{row['metric']}` ({row['unit']}"
+            + ("" if row.get("gated", True) else ", not gated") + ")",
             *(f"{fmt(s['median'])} [{fmt(s['q1'])}–{fmt(s['q3'])}]"
               for s in (row["base"], row["change"])),
             f"{row['ratio']:.2f}" if row["ratio"] is not None else "n/a",

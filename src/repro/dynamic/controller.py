@@ -367,6 +367,9 @@ class DynamicAllocator:
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = Tracer(metrics=self.metrics)
+        #: ``repro_dynamic_events_total`` children of ``_events_of`` by kind.
+        self._event_counters: Dict[str, object] = {}
+        self._events_of: Optional[MetricsRegistry] = None
         self.mechanism = mechanism
         self._mechanism_impl = create_mechanism(mechanism)
         self._fallback_impl = create_mechanism("equal-split-fallback")
@@ -539,13 +542,24 @@ class DynamicAllocator:
         )
 
     def _record_events(self, events) -> None:
-        """Mirror structured events into per-kind counters."""
+        """Mirror structured events into per-kind counters.
+
+        Each kind's counter is looked up once and held, until
+        ``metrics`` is replaced.
+        """
+        if self.metrics is not self._events_of:
+            self._event_counters = {}
+            self._events_of = self.metrics
+        held = self._event_counters
         for event in events:
-            self.metrics.counter(
-                "repro_dynamic_events_total",
-                help="Structured controller events by kind.",
-                kind=event.kind,
-            ).inc()
+            counter = held.get(event.kind)
+            if counter is None:
+                counter = held[event.kind] = self.metrics.counter(
+                    "repro_dynamic_events_total",
+                    help="Structured controller events by kind.",
+                    kind=event.kind,
+                )
+            counter.inc()
 
     # ------------------------------------------------------------------
     # Measurement (with fault injection and bounded retry)
@@ -766,7 +780,7 @@ class DynamicAllocator:
             # perturbations (column sums and floors preserved) — the
             # enforced allocation stays feasible through both.
             shares, capped = self.learner.apply_caps(
-                enforced.shares, table, self.floors, self.capacities
+                enforced.shares, table, self.floors, self.capacities, reports
             )
             if capped:
                 events.append(
@@ -820,7 +834,9 @@ class DynamicAllocator:
                     )
                 )
         if self.learner is not None:
-            for name in self.learner.note_epoch(epoch, table):
+            # A measuring epoch re-fitted above, so its reports are stale;
+            # a service epoch's table is unchanged since they were taken.
+            for name in self.learner.note_epoch(epoch, table, None if measure else reports):
                 events.append(
                     EpochEvent(epoch, "report_converged", name, f"epoch {epoch}")
                 )

@@ -248,11 +248,19 @@ class DemandLearner:
     # ------------------------------------------------------------------
     # Demand caps
 
-    def caps_for(self, table: AgentTable, floors: Sequence[float]) -> np.ndarray:
-        """Stacked ``(N, R)`` cap matrix in row order."""
+    def caps_for(
+        self,
+        table: AgentTable,
+        floors: Sequence[float],
+        reports: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Stacked ``(N, R)`` cap matrix in row order.
+
+        ``reports`` is :meth:`report` of ``table`` when the caller has
+        it already; it is computed only if some agent needs a cap.
+        """
         caps = np.full((len(table), self.n_resources), np.inf)
         confident = self.confidence(table) >= 1.0
-        reports = None
         for i, name in enumerate(table.names):
             if name not in self._states or not confident[i]:
                 continue
@@ -267,9 +275,13 @@ class DemandLearner:
         table: AgentTable,
         floors: Sequence[float],
         capacities: Sequence[float],
+        reports: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, int]:
-        """Cap saturated agents, redistribute surplus; returns (shares, capped)."""
-        caps = self.caps_for(table, floors)
+        """Cap saturated agents, redistribute surplus; returns (shares, capped).
+
+        ``reports`` as for :meth:`caps_for`.
+        """
+        caps = self.caps_for(table, floors, reports)
         if not np.isfinite(caps).any():
             return shares, 0
         result = apply_demand_caps(shares, caps, capacities)
@@ -322,14 +334,19 @@ class DemandLearner:
     # ------------------------------------------------------------------
     # Per-epoch bookkeeping
 
-    def note_epoch(self, epoch: int, table: AgentTable) -> Tuple[str, ...]:
+    def note_epoch(
+        self, epoch: int, table: AgentTable, reports: Optional[np.ndarray] = None
+    ) -> Tuple[str, ...]:
         """Advance ε schedules and convergence detection after an epoch.
 
+        ``reports`` is :meth:`report` of ``table`` as it stands now, when
+        the caller has it already (no re-fit since it was computed).
         Returns the agents that *newly* converged this epoch (for the
         caller's event log).
         """
         newly_converged: List[str] = []
-        reports = self.report(table)
+        if reports is None:
+            reports = self.report(table)
         confident = self.confidence(table) >= 1.0
         states = [self._states.get(name) for name in table.names]
         # One array pass gives every row with a previous report its

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .registry import MetricsRegistry
+from .registry import Histogram, MetricsRegistry
 
 __all__ = ["SpanRecord", "Tracer", "timed"]
 
@@ -93,6 +93,9 @@ class Tracer:
         self.roots: List[SpanRecord] = []
         self.dropped_roots = 0
         self._stack: List[SpanRecord] = []
+        #: Mirror histogram children of ``_held_of``, by span name.
+        self._held: Dict[str, Histogram] = {}
+        self._held_of: Optional[MetricsRegistry] = None
 
     @property
     def current(self) -> Optional[SpanRecord]:
@@ -118,11 +121,22 @@ class Tracer:
                     del self.roots[: len(self.roots) - self.max_roots]
                     self.dropped_roots += 1
             if self.metrics is not None:
-                self.metrics.histogram(
-                    self.histogram_name,
-                    help="Durations of traced spans, by span name.",
-                    span=name,
-                ).observe(record.duration)
+                self._histogram(name).observe(record.duration)
+
+    def _histogram(self, name: str) -> Histogram:
+        """The mirror histogram of span ``name``, looked up once and held
+        until ``metrics`` is replaced."""
+        if self.metrics is not self._held_of:
+            self._held = {}
+            self._held_of = self.metrics
+        handle = self._held.get(name)
+        if handle is None:
+            handle = self._held[name] = self.metrics.histogram(
+                self.histogram_name,
+                help="Durations of traced spans, by span name.",
+                span=name,
+            )
+        return handle
 
     def spans_as_dicts(self) -> List[Dict[str, object]]:
         """All retained root span trees, JSON-safe."""

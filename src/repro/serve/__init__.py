@@ -19,7 +19,10 @@ agents into cells — one :class:`AllocationServer` subprocess each — and
 a :class:`~repro.serve.shard.ShardCoordinator` re-slices the global
 capacity across cells every grant round with the hierarchical Eq. 13
 split (``POST /v1/capacity``), exposing the shard map at
-``GET /v1/cells``.
+``GET /v1/cells``.  The coordinator talks to each cell over one
+pipelined keep-alive :class:`~repro.serve.link.CellLink` on its own
+event loop; :class:`ServeClient` is the blocking client for everyone
+else, and both share one definition of every route.
 
 See ``docs/service.md`` for the API reference and deployment notes,
 and ``docs/sharding.md`` for the multi-cell architecture.
@@ -27,6 +30,7 @@ and ``docs/sharding.md`` for the multi-cell architecture.
 
 from .batching import BatchPolicy, SampleBatcher
 from .client import ServeClient, ServeError
+from .link import CellLink
 from .protocol import (
     PROTOCOL_VERSION,
     AgentRequest,
@@ -60,6 +64,7 @@ __all__ = [
     "CapacityRequest",
     "CapacityResponse",
     "CellInfo",
+    "CellLink",
     "CellWorker",
     "CellsResponse",
     "ErrorResponse",

@@ -1,7 +1,11 @@
-"""Blocking HTTP client for the allocation service.
+"""Blocking HTTP client for the allocation service, and the routes every client shares.
 
-Used by the integration tests, the CI service-smoke driver and anyone
-scripting against ``python -m repro serve`` without an event loop.
+:class:`ServeClient` is used by the integration tests, the CI
+service-smoke driver and anyone scripting against ``python -m repro
+serve`` without an event loop.  Each route's request payload and reply
+decoding are written once, in :class:`_Routes`; the shard coordinator's
+non-blocking :class:`~repro.serve.link.CellLink` inherits the same
+methods, so the two clients cannot drift apart on the wire format.
 
 Transport is a **pooled persistent connection per thread**: the server
 speaks HTTP/1.1 keep-alive, so one ``http.client.HTTPConnection`` is
@@ -22,7 +26,7 @@ import json
 import socket
 import threading
 import time
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, TypeVar, Union
 
 from .protocol import (
     AgentResponse,
@@ -39,6 +43,8 @@ from .protocol import (
 )
 
 __all__ = ["ServeClient", "ServeError"]
+
+T = TypeVar("T")
 
 #: Signatures of a pooled socket the server closed between our requests
 #: (idle-timeout reap, restart).  The request was never processed, so a
@@ -76,13 +82,156 @@ class ServeError(RuntimeError):
         return self.status == 0
 
 
-class ServeClient:
-    """Thin, typed wrapper over the service's routes.
+class _Routes:
+    """The service's JSON routes, each a request payload and a reply decoder.
 
-    Works against both a flat :class:`~repro.serve.server.AllocationServer`
-    and a :class:`~repro.serve.shard.ShardCoordinator` (same dialect;
-    the coordinator adds ``GET /v1/cells``).
+    A transport provides ``_call(method, path, payload, decode)``, which
+    sends the request and returns :meth:`_decode` of the answer:
+    :class:`ServeClient` returns it, the coordinator's non-blocking
+    :class:`~repro.serve.link.CellLink` returns a coroutine resolving
+    to it.  Works against both a flat
+    :class:`~repro.serve.server.AllocationServer` and a
+    :class:`~repro.serve.shard.ShardCoordinator` (same dialect; the
+    coordinator adds ``GET /v1/cells``).
     """
+
+    def _call(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Dict[str, object]],
+        decode: Callable[[Dict[str, object]], T],
+    ) -> T:
+        raise NotImplementedError
+
+    @staticmethod
+    def _retryable(method: str, reused: bool, error: Exception) -> bool:
+        """Whether a failed first attempt gets its one transparent retry."""
+        stale = reused and isinstance(error, _STALE_SOCKET_ERRORS)
+        return stale or method == "GET"
+
+    def _transport_error(self, method: str, path: str, error: Exception) -> ServeError:
+        """The :class:`ServeError` of a transport failure that survived the retry."""
+        return ServeError(
+            0,
+            "transport_error",
+            f"{method} {path} on {self.host}:{self.port}: {type(error).__name__}: {error}",
+        )
+
+    @staticmethod
+    def _decode(status: int, text: str, decode: Callable[[Dict[str, object]], T]) -> T:
+        """A reply: ``decode`` of a 200 body, else the error the body carries."""
+        data = parse_json(text)
+        if status != 200:
+            raise ServeError(
+                status,
+                str(data.get("error", "unknown")),
+                str(data.get("detail", "")),
+            )
+        return decode(data)
+
+    def register(
+        self,
+        agent: str,
+        workload: Optional[str] = None,
+        workload_class: Optional[str] = None,
+    ) -> AgentResponse:
+        """Admit ``agent`` running benchmark ``workload``.
+
+        ``workload=None`` sends the *profile-free* register variant
+        (``"profile": null``) — the server must be running with
+        ``--learn-demands`` and will learn the agent's demands online
+        from its samples.  ``workload_class`` optionally hints the
+        agent's class (``"C"``/``"M"``) for centroid priors.
+        """
+        payload: Dict[str, object] = {"action": "register", "agent": agent}
+        if workload is None:
+            payload["profile"] = None
+            if workload_class is not None:
+                payload["workload_class"] = workload_class
+        else:
+            payload["workload"] = workload
+        return self._call("POST", "/v1/agents", payload, AgentResponse.from_dict)
+
+    def deregister(self, agent: str) -> AgentResponse:
+        """Retire ``agent``; capacity is re-divided from the next epoch."""
+        payload = {"action": "deregister", "agent": agent}
+        return self._call("POST", "/v1/agents", payload, AgentResponse.from_dict)
+
+    def submit_sample(
+        self,
+        agent: str,
+        bandwidth_gbps: float,
+        cache_kb: float,
+        ipc: float,
+        exploration: bool = False,
+    ) -> SampleResponse:
+        """Queue one measured (bundle, IPC) observation for the next epoch.
+
+        ``exploration=True`` marks a deliberately perturbed measurement
+        so the server's outlier gate does not reject it.
+        """
+        request = SampleRequest(
+            agent=agent,
+            bandwidth_gbps=bandwidth_gbps,
+            cache_kb=cache_kb,
+            ipc=ipc,
+            exploration=exploration,
+        )
+        return self._call("POST", "/v1/samples", request.as_dict(), SampleResponse.from_dict)
+
+    def post_samples_bulk(
+        self,
+        samples: Iterable[Union[SampleRequest, Tuple[str, float, float, float]]],
+    ) -> BulkSampleResponse:
+        """Ship an epoch's worth of measurements in ONE round trip.
+
+        ``samples`` is a sequence of :class:`SampleRequest` objects or
+        ``(agent, bandwidth_gbps, cache_kb, ipc)`` tuples.  The response
+        reports per-sample accept/reject, index-aligned with the input.
+        """
+        request = BulkSampleRequest(
+            samples=tuple(
+                item
+                if isinstance(item, SampleRequest)
+                else SampleRequest(
+                    agent=item[0],
+                    bandwidth_gbps=item[1],
+                    cache_kb=item[2],
+                    ipc=item[3],
+                )
+                for item in samples
+            )
+        )
+        return self._call(
+            "POST", "/v1/samples", request.as_dict(), BulkSampleResponse.from_dict
+        )
+
+    def grant_capacity(self, capacities: Dict[str, float]) -> CapacityResponse:
+        """Apply a hierarchical capacity grant (coordinator → cell worker).
+
+        Returns the cell's post-grant state, including the aggregate
+        elasticities the next Eq. 13 split needs.
+        """
+        request = CapacityRequest(capacities=dict(capacities))
+        return self._call(
+            "POST", "/v1/capacity", request.as_dict(), CapacityResponse.from_dict
+        )
+
+    def cells(self) -> CellsResponse:
+        """The coordinator's shard map (coordinator-only route)."""
+        return self._call("GET", "/v1/cells", None, CellsResponse.from_dict)
+
+    def allocation(self) -> AllocationResponse:
+        """The current epoch's enforced allocation."""
+        return self._call("GET", "/v1/allocation", None, AllocationResponse.from_dict)
+
+    def health(self) -> HealthResponse:
+        return self._call("GET", "/healthz", None, HealthResponse.from_dict)
+
+
+class ServeClient(_Routes):
+    """Thin, typed, blocking client over the service's routes (:class:`_Routes`)."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self.host = host
@@ -145,133 +294,14 @@ class ServeClient:
                 return response.status, text
             except (http.client.HTTPException, OSError) as error:
                 self._discard()
-                stale = reused and isinstance(error, _STALE_SOCKET_ERRORS)
-                if attempt == 0 and (stale or method == "GET"):
+                if attempt == 0 and self._retryable(method, reused, error):
                     continue  # one transparent reconnect
-                raise ServeError(
-                    0,
-                    "transport_error",
-                    f"{method} {path} on {self.host}:{self.port}: "
-                    f"{type(error).__name__}: {error}",
-                ) from error
+                raise self._transport_error(method, path, error) from error
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _json(
-        self, method: str, path: str, payload: Optional[Dict[str, object]] = None
-    ) -> Dict[str, object]:
+    def _call(self, method, path, payload, decode):
         status, text = self._request(method, path, payload)
-        data = parse_json(text)
-        if status != 200:
-            raise ServeError(
-                status,
-                str(data.get("error", "unknown")),
-                str(data.get("detail", "")),
-            )
-        return data
-
-    # ------------------------------------------------------------------
-    # Routes
-
-    def register(
-        self,
-        agent: str,
-        workload: Optional[str] = None,
-        workload_class: Optional[str] = None,
-    ) -> AgentResponse:
-        """Admit ``agent`` running benchmark ``workload``.
-
-        ``workload=None`` sends the *profile-free* register variant
-        (``"profile": null``) — the server must be running with
-        ``--learn-demands`` and will learn the agent's demands online
-        from its samples.  ``workload_class`` optionally hints the
-        agent's class (``"C"``/``"M"``) for centroid priors.
-        """
-        payload: Dict[str, object] = {"action": "register", "agent": agent}
-        if workload is None:
-            payload["profile"] = None
-            if workload_class is not None:
-                payload["workload_class"] = workload_class
-        else:
-            payload["workload"] = workload
-        return AgentResponse.from_dict(self._json("POST", "/v1/agents", payload))
-
-    def deregister(self, agent: str) -> AgentResponse:
-        """Retire ``agent``; capacity is re-divided from the next epoch."""
-        payload = {"action": "deregister", "agent": agent}
-        return AgentResponse.from_dict(self._json("POST", "/v1/agents", payload))
-
-    def submit_sample(
-        self,
-        agent: str,
-        bandwidth_gbps: float,
-        cache_kb: float,
-        ipc: float,
-        exploration: bool = False,
-    ) -> SampleResponse:
-        """Queue one measured (bundle, IPC) observation for the next epoch.
-
-        ``exploration=True`` marks a deliberately perturbed measurement
-        so the server's outlier gate does not reject it.
-        """
-        request = SampleRequest(
-            agent=agent,
-            bandwidth_gbps=bandwidth_gbps,
-            cache_kb=cache_kb,
-            ipc=ipc,
-            exploration=exploration,
-        )
-        return SampleResponse.from_dict(
-            self._json("POST", "/v1/samples", request.as_dict())
-        )
-
-    def post_samples_bulk(
-        self,
-        samples: Iterable[Union[SampleRequest, Tuple[str, float, float, float]]],
-    ) -> BulkSampleResponse:
-        """Ship an epoch's worth of measurements in ONE round trip.
-
-        ``samples`` is a sequence of :class:`SampleRequest` objects or
-        ``(agent, bandwidth_gbps, cache_kb, ipc)`` tuples.  The response
-        reports per-sample accept/reject, index-aligned with the input.
-        """
-        request = BulkSampleRequest(
-            samples=tuple(
-                item
-                if isinstance(item, SampleRequest)
-                else SampleRequest(
-                    agent=item[0],
-                    bandwidth_gbps=item[1],
-                    cache_kb=item[2],
-                    ipc=item[3],
-                )
-                for item in samples
-            )
-        )
-        return BulkSampleResponse.from_dict(
-            self._json("POST", "/v1/samples", request.as_dict())
-        )
-
-    def grant_capacity(self, capacities: Dict[str, float]) -> CapacityResponse:
-        """Apply a hierarchical capacity grant (coordinator → cell worker).
-
-        Returns the cell's post-grant state, including the aggregate
-        elasticities the next Eq. 13 split needs.
-        """
-        request = CapacityRequest(capacities=dict(capacities))
-        return CapacityResponse.from_dict(
-            self._json("POST", "/v1/capacity", request.as_dict())
-        )
-
-    def cells(self) -> CellsResponse:
-        """The coordinator's shard map (coordinator-only route)."""
-        return CellsResponse.from_dict(self._json("GET", "/v1/cells"))
-
-    def allocation(self) -> AllocationResponse:
-        """The current epoch's enforced allocation."""
-        return AllocationResponse.from_dict(self._json("GET", "/v1/allocation"))
-
-    def health(self) -> HealthResponse:
-        return HealthResponse.from_dict(self._json("GET", "/healthz"))
+        return self._decode(status, text, decode)
 
     def metrics_text(self) -> str:
         """Raw Prometheus text exposition from ``GET /metrics``."""

@@ -22,6 +22,9 @@ Smart clients fetch ``GET /v1/cells`` and talk to their cell directly
 (one hop); dumb clients talk only to the coordinator and pay the proxy
 hop.  Both dialects are the same versioned JSON protocol, so
 :class:`~repro.serve.client.ServeClient` works against either tier.
+The coordinator reaches each cell over one
+:class:`~repro.serve.link.CellLink`: a pipelined keep-alive connection
+on its own event loop, so a proxy or a grant round costs no thread hop.
 The coordinator speaks the same high-throughput dialect as the cells:
 persistent connections, bulk ``POST /v1/samples`` (fanned out as one
 sub-bulk per owning cell and merged index-aligned), and snapshot-served
@@ -52,7 +55,7 @@ import re
 import subprocess
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -61,6 +64,7 @@ from ..obs import MetricsRegistry, global_registry, to_prometheus
 from ..optimize.hierarchy import split_capacity
 from ..workloads import BENCHMARKS
 from .client import ServeClient, ServeError
+from .link import CellLink
 from .protocol import (
     AgentRequest,
     AgentResponse,
@@ -117,7 +121,8 @@ class CellWorker:
         self.process: Optional[subprocess.Popen] = None
         self.host = "127.0.0.1"
         self.port = 0
-        self.client: Optional[ServeClient] = None
+        #: The coordinator's connection to the worker, once it listens.
+        self.link: Optional[CellLink] = None
         #: Agents the coordinator has placed here (authoritative map).
         # agent -> benchmark name (None for profile-free learners)
         self.agents: Dict[str, Optional[str]] = {}
@@ -156,8 +161,9 @@ class CellWorker:
             if match:
                 self.port = int(match.group(1))
                 break
-        self.client = ServeClient(self.host, self.port, timeout=10.0)
-        self.client.wait_ready(timeout=timeout)
+        with ServeClient(self.host, self.port, timeout=10.0) as client:
+            client.wait_ready(timeout=timeout)
+        self.link = CellLink(self.host, self.port, timeout=10.0)
         self.alive = True
 
     def poll_dead(self) -> bool:
@@ -396,6 +402,9 @@ class ShardCoordinator(HttpServerBase):
         except (ServeError, OSError, _HttpError, ValueError):
             pass
         self._final_summary = self.summary_line()
+        await asyncio.gather(
+            *[cell.link.close() for cell in self.cells if cell.link is not None]
+        )
         loop = asyncio.get_running_loop()
         await asyncio.gather(
             *[loop.run_in_executor(None, cell.terminate) for cell in self.cells]
@@ -407,9 +416,10 @@ class ShardCoordinator(HttpServerBase):
             await asyncio.sleep(period)
             await self._reap_dead_cells()
             # Shielded: stopping the server cancels this loop, but a
-            # round's capacity pushes keep running in executor threads.
-            # The round must hold the lock until they land, so the final
-            # merge in _on_stop never sees cells on different rounds.
+            # capacity push already written still lands on its cell.
+            # The round must hold the lock until every push is answered,
+            # so the final merge in _on_stop never sees cells on
+            # different rounds.
             await asyncio.shield(self._grant_round())
 
     def summary_line(self) -> str:
@@ -427,24 +437,17 @@ class ShardCoordinator(HttpServerBase):
     # ------------------------------------------------------------------
     # Worker RPC plumbing
 
-    async def _call(self, cell: CellWorker, fn: Callable[[ServeClient], T]) -> T:
-        """Run one blocking client call against ``cell`` off the loop.
+    async def _call(self, cell: CellWorker, fn: Callable[[CellLink], Awaitable[T]]) -> T:
+        """Await one route call on ``cell``'s link, e.g. ``link.allocation()``.
 
         Transport failures mark the cell for reaping and surface as 502
         so the caller (or `_proxy_retry`) can re-route.
         """
-        assert cell.client is not None
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(None, fn, cell.client)
+            return await fn(cell.link)
         except ServeError as error:
             if not error.is_transport:
                 raise  # semantic refusal from a live worker: caller's problem
-            cell.poll_dead()
-            raise _HttpError(
-                502, "cell_unreachable", f"cell {cell.name}: {error}"
-            ) from None
-        except (OSError, TimeoutError) as error:
             cell.poll_dead()
             raise _HttpError(
                 502, "cell_unreachable", f"cell {cell.name}: {error}"
@@ -510,7 +513,7 @@ class ShardCoordinator(HttpServerBase):
             started = self._loop.time() if self._loop is not None else 0.0
             try:
                 response = await self._call(
-                    cell, lambda client: client.grant_capacity(request.capacities)
+                    cell, lambda link: link.grant_capacity(request.capacities)
                 )
             except _HttpError:
                 return  # dead cell: reaped on the next tick
@@ -569,6 +572,8 @@ class ShardCoordinator(HttpServerBase):
             cell.agents = {}
             cell.aggregate = None
             cell.grant = {}
+            if cell.link is not None:
+                await cell.link.close()
             if not orphans:
                 continue
             self._rebalances += 1
@@ -591,7 +596,7 @@ class ShardCoordinator(HttpServerBase):
                     # (the class hint is preserved).
                     await self._call(
                         target,
-                        lambda client, a=agent, b=benchmark: client.register(
+                        lambda link, a=agent, b=benchmark: link.register(
                             a, b, self.agent_classes.get(a)
                         ),
                     )
@@ -650,7 +655,7 @@ class ShardCoordinator(HttpServerBase):
             try:
                 await self._call(
                     target,
-                    lambda client: client.register(
+                    lambda link: link.register(
                         request.agent, request.workload, request.workload_class
                     ),
                 )
@@ -665,7 +670,7 @@ class ShardCoordinator(HttpServerBase):
             async def attempt(owner: CellWorker):
                 try:
                     return await self._call(
-                        owner, lambda client: client.deregister(request.agent)
+                        owner, lambda link: link.deregister(request.agent)
                     )
                 except ServeError as error:
                     # The worker's 409 last_agent refusal is the invariant
@@ -697,7 +702,7 @@ class ShardCoordinator(HttpServerBase):
             try:
                 return await self._call(
                     owner,
-                    lambda client: client.submit_sample(
+                    lambda link: link.submit_sample(
                         request.agent,
                         request.bandwidth_gbps,
                         request.cache_kb,
@@ -743,7 +748,7 @@ class ShardCoordinator(HttpServerBase):
                 sub = [request.samples[i] for i in indexes]
                 try:
                     response = await self._call(
-                        cell, lambda client: client.post_samples_bulk(sub)
+                        cell, lambda link: link.post_samples_bulk(sub)
                     )
                 except _HttpError:
                     return 0  # dead cell: reaped below, samples retried
@@ -828,7 +833,7 @@ class ShardCoordinator(HttpServerBase):
         if not live:
             raise _HttpError(503, "no_cells", "no live cell workers")
         responses = await asyncio.gather(
-            *[self._call(cell, lambda client: client.allocation()) for cell in live],
+            *[self._call(cell, lambda link: link.allocation()) for cell in live],
             return_exceptions=True,
         )
         shares: Dict[str, Dict[str, float]] = {}

@@ -437,6 +437,26 @@ class TestMetricsCoverage:
         )
         assert total == rejected > 0
 
+    def test_event_counters_are_looked_up_once_per_kind(self, registry_calls):
+        from repro.dynamic import EpochEvent
+        from repro.obs import MetricsRegistry
+
+        allocator = static_allocator()
+        events = [EpochEvent(0, "x"), EpochEvent(0, "y"), EpochEvent(1, "x")]
+        for _ in range(3):
+            allocator._record_events(events)
+        lookups = [c for c in registry_calls if c[0] == "repro_dynamic_events_total"]
+        assert sorted(lookups) == [
+            ("repro_dynamic_events_total", (("kind", "x"),)),
+            ("repro_dynamic_events_total", (("kind", "y"),)),
+        ]
+        assert self._event_metric_counts(allocator) == {"x": 6, "y": 3}
+        # A replaced registry gets its own series.
+        first, allocator.metrics = allocator.metrics, MetricsRegistry()
+        allocator._record_events(events)
+        assert self._event_metric_counts(allocator) == {"x": 2, "y": 1}
+        assert first.get("repro_dynamic_events_total", kind="x").value == 6
+
     def test_custom_registry_is_used(self):
         from repro.obs import MetricsRegistry
 

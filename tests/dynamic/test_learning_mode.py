@@ -118,6 +118,31 @@ class TestLearningLoop:
             "repro_learning_convergence_epoch", agent="dedup"
         ) is not None
 
+    def test_a_service_tick_reports_once(self, monkeypatch):
+        # A service tick (measure=False) computes the learner's reports
+        # once and hands them to the caps and the epoch bookkeeping; a
+        # measuring tick re-fits after measuring, so its bookkeeping
+        # takes fresh reports.
+        from repro.learning import DemandLearner
+
+        allocator = _allocator(seed=3)
+        allocator.run(12)
+        # Confident fits: the caps need the reports too.
+        assert (allocator.learner.confidence(allocator.table) >= 1.0).any()
+        calls = []
+        report = DemandLearner.report
+
+        def counted(self, table):
+            calls.append(len(table))
+            return report(self, table)
+
+        monkeypatch.setattr(DemandLearner, "report", counted)
+        allocator.step(100, measure=False)
+        assert len(calls) == 1
+        calls.clear()
+        allocator.step(101, measure=True)
+        assert len(calls) == 2
+
     def test_metrics_exported(self):
         registry = MetricsRegistry()
         allocator = _allocator(metrics=registry)

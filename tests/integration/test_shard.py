@@ -46,6 +46,7 @@ def shard():
     coordinator, thread, client, registry = _start(cells=2)
     yield coordinator, client, registry
     thread.stop(timeout=30)
+    client.close()
 
 
 class TestShardedService:
@@ -111,11 +112,11 @@ class TestShardedService:
         _, client, _ = shard
         cells = client.cells()
         owner = cells.owner_of("freqmine")
-        direct = ServeClient(owner.host, owner.port)
-        response = direct.submit_sample("freqmine", 3.1, 600.0, 1.05)
-        assert response.queued
-        assert direct.health().status == "ok"
-        assert direct.allocation().feasible
+        with ServeClient(owner.host, owner.port) as direct:
+            response = direct.submit_sample("freqmine", 3.1, 600.0, 1.05)
+            assert response.queued
+            assert direct.health().status == "ok"
+            assert direct.allocation().feasible
 
     def test_grants_keep_flowing_and_are_measured(self, shard):
         coordinator, client, registry = shard
@@ -131,6 +132,33 @@ class TestShardedService:
         assert any(
             name.startswith("repro_shard_grant_latency_seconds") for name in names
         )
+
+    def test_bulk_proxy_and_grant_round_stay_on_the_loop(self, shard):
+        # Cell RPCs ride each cell's link on the coordinator's own event
+        # loop: neither a bulk proxy nor a grant round hops to a thread.
+        coordinator, client, _ = shard
+        loop = coordinator._loop
+        calls = []
+        run_in_executor = loop.run_in_executor
+
+        def counted(*args):
+            calls.append(args)
+            return run_in_executor(*args)
+
+        loop.run_in_executor = counted
+        try:
+            first = coordinator._epoch
+            bulk = client.post_samples_bulk(
+                [(agent, 3.0, 512.0, 1.0) for agent in WORKLOADS]
+            )
+            deadline = time.monotonic() + 15
+            while coordinator._epoch < first + 2:
+                assert time.monotonic() < deadline, "grant rounds stalled"
+                time.sleep(0.05)
+        finally:
+            del loop.run_in_executor
+        assert bulk.accepted == len(WORKLOADS)
+        assert calls == []
 
     def test_coordinator_health_is_ok(self, shard):
         _, client, _ = shard
@@ -161,10 +189,11 @@ class TestShardedCredit:
             assert set(allocation.shares) == set(WORKLOADS)
             # Every worker really runs credit within its cell.
             for cell in client.cells().cells:
-                direct = ServeClient(cell.host, cell.port)
-                assert direct.health().mechanism == "credit"
+                with ServeClient(cell.host, cell.port) as direct:
+                    assert direct.health().mechanism == "credit"
         finally:
             thread.stop(timeout=30)
+            client.close()
 
 
 class TestCellDeath:
@@ -208,6 +237,7 @@ class TestCellDeath:
                 assert client.submit_sample(agent, 2.5, 300.0, 0.8).queued
         finally:
             thread.stop(timeout=30)
+            client.close()
         assert "feasible=True" in coordinator.summary_line()
 
     def test_wait_ready_accepts_a_degraded_coordinator(self):
@@ -230,3 +260,4 @@ class TestCellDeath:
                 client.wait_ready(timeout=0.5, require="ok")
         finally:
             thread.stop(timeout=30)
+            client.close()

@@ -6,6 +6,29 @@ from repro.obs import MetricsRegistry, SpanRecord, Tracer, timed
 
 
 class TestTracer:
+    def test_mirror_histograms_are_looked_up_once_per_span_name(self, monkeypatch):
+        lookups = []
+        histogram = MetricsRegistry.histogram
+
+        def counted(self, name, *args, **kwargs):
+            lookups.append(kwargs.get("span"))
+            return histogram(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "histogram", counted)
+        tracer = Tracer(metrics=MetricsRegistry())
+        for _ in range(3):
+            with tracer.span("epoch"):
+                with tracer.span("allocate"):
+                    pass
+        assert sorted(lookups) == ["allocate", "epoch"]
+        assert tracer.metrics.get("repro_span_seconds", span="epoch").count == 3
+        # A replaced registry gets its own series.
+        first, tracer.metrics = tracer.metrics, MetricsRegistry()
+        with tracer.span("epoch"):
+            pass
+        assert tracer.metrics.get("repro_span_seconds", span="epoch").count == 1
+        assert first.get("repro_span_seconds", span="epoch").count == 3
+
     def test_nested_spans_build_a_tree(self):
         tracer = Tracer()
         with tracer.span("epoch", epoch=0):

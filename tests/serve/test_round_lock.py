@@ -79,8 +79,8 @@ class TestRoundLock:
         assert log == ["read_start", "read_end", "round"]
 
     def test_stop_lets_an_inflight_round_finish_before_the_merge(self):
-        # Stopping the server cancels the tick loop mid-round.  The
-        # round's capacity pushes still land (executor threads), so the
+        # Stopping the server cancels the tick loop mid-round.  A
+        # capacity push already written still lands on its cell, so the
         # round must keep the lock until it ends: the final merge may
         # not read cells under grants from two different rounds.
         coordinator = _coordinator()

@@ -108,6 +108,57 @@ class TestSummary:
             perf_ab.parse_claim("server_cpu_ms_per_op")
 
 
+class TestReported:
+    def test_run_once_keeps_the_runs_reported_latencies(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / ".perfbench_out" / "sharded-s7-t0"
+        run_dir.mkdir(parents=True)
+        reported = {
+            "write_p50_ms": {"value": 4.2, "unit": "ms"},
+            "write_tail_ms": {"value": 7.5, "unit": "ms"},
+        }
+        (run_dir / "result.json").write_text(json.dumps({"detail": {"reported": reported}}))
+        final = {"correct": True, "attempted": 10, "failed": 0,
+                 "metrics": {"setup_s": {"value": 0.5, "unit": "s"}}}
+
+        def fake_run(command, cwd, capture_output, text):
+            assert cwd == tmp_path
+            assert command[1:] == ["perfbench/run.py", "--workload", "sharded", "--seed", "7",
+                                   "--seconds", "18", "--trace", "0"]
+            stdout = "perfbench sharded seed=7\n" + json.dumps(final) + "\n"
+            return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+        monkeypatch.setattr(perf_ab.subprocess, "run", fake_run)
+        run = perf_ab.run_once(tmp_path, "sharded", 7, 18.0)
+        assert run["metrics"] == {"setup_s": 0.5}
+        assert run["reported"] == reported
+
+    def test_a_missing_or_broken_result_reports_nothing(self, tmp_path):
+        assert perf_ab.reported(tmp_path / "result.json") == {}
+        (tmp_path / "result.json").write_text("{not json")
+        assert perf_ab.reported(tmp_path / "result.json") == {}
+
+    def test_reported_latencies_get_rows_but_no_verdicts(self):
+        def run(cpu, write_p50):
+            return {"correct": True, "failed": 0, "attempted": 100,
+                    "metrics": {"server_cpu_ms_per_op": cpu, "setup_s": 0.5},
+                    "reported": {"write_p50_ms": {"value": write_p50, "unit": "ms"}}}
+
+        runs = {"sharded": [
+            {"seed": k, "first": "base", "base": run(b, 9.0 * b), "change": run(0.8 * b, 20 * b)}
+            for k, b in enumerate(BASE)
+        ]}
+        runs["sharded"][0]["change"]["reported"] = {}  # a run that printed none
+        summary = perf_ab.summarize(runs, TestSummary.SPEC, ("server_cpu_ms_per_op", "sharded"))
+        assert perf_ab.passed(summary)  # a doubled latency gates nothing
+        assert [v["metric"] for v in summary["verdicts"]] == ["setup_s"]
+        row = next(r for r in summary["rows"] if r["metric"] == "write_p50_ms")
+        assert not row["gated"] and row["pairs"] == 9 and row["change_better"] == 0
+        assert all(r["gated"] for r in summary["rows"] if r["metric"] != "write_p50_ms")
+        text = perf_ab.table(summary["rows"])
+        assert "| `sharded` (9) | `write_p50_ms` (ms, not gated) |" in text
+        assert "| `sharded` (10) | `setup_s` (s) |" in text
+
+
 def _git_checkout() -> bool:
     probe = subprocess.run(["git", "rev-parse", "HEAD"], cwd=perf_ab.ROOT,
                            capture_output=True)
