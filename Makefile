@@ -114,15 +114,16 @@ bench-solver:
 # alternating pairs per workload of `perfbench/run.py --seconds 18
 # --trace 0` (about 40 minutes), the paired table, the claim's verdict
 # (better in >= 9/10 pairs and beyond the base's quartile spread) and
-# BENCHMARK.json's bound on everything else.  SEED_BASE numbers the
-# pairs' seeds and has no default: name seeds not used while writing
-# the change.  Usage:
-#   make perf-ab BASE=<rev> CLAIM=<metric>:<workload> SEED_BASE=<n> [LEDGER=ledger/<name>.json]
+# BENCHMARK.json's bound on everything else.  CLAIM is optional: a
+# change that claims no gain gets the bound verdict on every metric
+# and workload.  SEED_BASE numbers the pairs' seeds and has no default:
+# name seeds not used while writing the change.  Usage:
+#   make perf-ab BASE=<rev> [CLAIM=<metric>:<workload>] SEED_BASE=<n> [LEDGER=ledger/<name>.json]
 LEDGER ?= ledger/perf-ab.json
 perf-ab:
-	@test -n "$(BASE)" -a -n "$(CLAIM)" -a -n "$(SEED_BASE)" || \
-		{ echo "usage: make perf-ab BASE=<rev> CLAIM=<metric>:<workload> SEED_BASE=<n>"; exit 2; }
-	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --claim $(CLAIM) \
+	@test -n "$(BASE)" -a -n "$(SEED_BASE)" || \
+		{ echo "usage: make perf-ab BASE=<rev> [CLAIM=<metric>:<workload>] SEED_BASE=<n>"; exit 2; }
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) $(if $(CLAIM),--claim $(CLAIM)) \
 		--seed-base $(SEED_BASE) --ledger $(LEDGER)
 
 # Hard budget on `python -m repro --help` in a fresh interpreter, plus

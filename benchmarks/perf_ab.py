@@ -1,7 +1,7 @@
 """Paired A/B of the serve benchmark: a base revision against this checkout.
 
 Run from the repository root (``make perf-ab BASE=<rev>
-CLAIM=<metric>:<workload> SEED_BASE=<n>``)::
+[CLAIM=<metric>:<workload>] SEED_BASE=<n>``)::
 
     python3 benchmarks/perf_ab.py --base HEAD~1 \\
         --claim server_cpu_ms_per_op:ingest-heavy --seed-base 2000
@@ -18,9 +18,11 @@ them.  It prints the paired table of ``docs/performance.md`` (median
 [q1–q3] per side, the ratio, and how often the change read better)
 and a verdict:
 
-* the **claim** holds when the change is better in at least 9 of 10
-  pairs and the medians differ by more than the base's quartile spread;
-* every other metric and workload is **within bound** unless its
+* the **claim** (optional) holds when the change is better in at least
+  9 of 10 pairs and the medians differ by more than the base's quartile
+  spread;
+* every other metric and workload (every one, without a claim) is
+  **within bound** unless its
   median is worse by more than its ``BENCHMARK.json`` bound
   (**regressed**), and **unresolved** when either side's quartile
   spread is wider than that bound;
@@ -30,8 +32,9 @@ Each run also keeps the latencies the benchmark prints but does not
 declare (``detail.reported`` of its ``result.json``: write, read,
 fresh, churn and scrape p50/tail); the table gets a row for each,
 marked not gated, with no verdict.  The runs, the table and the
-verdicts are written to ``--ledger``.  The exit status is 0 only when
-the claim holds and nothing regressed or failed.
+verdicts are written to ``--ledger`` (``"claim": null`` without one).
+The exit status is 0 only when the claim, if any, holds and nothing
+regressed or failed.
 """
 
 from __future__ import annotations
@@ -201,11 +204,15 @@ def _paired(pairs: List[dict], values) -> Tuple[List[float], List[float]]:
     return list(base), list(change)
 
 
-def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -> dict:
-    """The paired rows and every verdict (reported latencies get rows only)."""
+def summarize(
+    runs: Dict[str, List[dict]], spec: dict, claim: Optional[Tuple[str, str]]
+) -> dict:
+    """The paired rows and every verdict (reported latencies get rows only).
+
+    Without a ``claim`` every end-to-end metric gets its bound verdict.
+    """
     rows, verdicts = [], []
     failures = []
-    claim_metric, claim_workload = claim
     claim_result = None
     for workload, pairs in runs.items():
         for pair in pairs:
@@ -220,7 +227,7 @@ def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -
             if not base:
                 continue
             rows.append(_row(workload, name, metric["unit"], base, change, direction, True))
-            if (name, workload) == (claim_metric, claim_workload):
+            if (name, workload) == claim:
                 holds, detail = claim_verdict(base, change, direction)
                 claim_result = {"holds": holds, "detail": detail}
             else:
@@ -238,6 +245,8 @@ def summarize(runs: Dict[str, List[dict]], spec: dict, claim: Tuple[str, str]) -
             )
             if base:  # latencies: lower is better
                 rows.append(_row(workload, name, unit, base, change, "lower", False))
+    if claim is not None and claim_result is None:
+        claim_result = {"holds": False, "detail": "no data"}
     return {"rows": rows, "claim": claim_result, "verdicts": verdicts, "failures": failures}
 
 
@@ -267,10 +276,10 @@ def _fmt(scale: float):
     return lambda value: f"{value:.{digits}f}"
 
 
-def report(summary: dict, claim: Tuple[str, str]) -> str:
+def report(summary: dict, claim: Optional[Tuple[str, str]]) -> str:
     lines = [table(summary["rows"]), ""]
     if summary["claim"] is None:
-        lines.append(f"claim {claim[0]}:{claim[1]}: no data")
+        lines.append("no claim: every metric and workload judged by its bound")
     else:
         verdict = "HOLDS" if summary["claim"]["holds"] else "DOES NOT HOLD"
         lines.append(f"claim {claim[0]}:{claim[1]}: {verdict} ({summary['claim']['detail']})")
@@ -283,8 +292,7 @@ def report(summary: dict, claim: Tuple[str, str]) -> str:
 
 def passed(summary: dict) -> bool:
     return (
-        summary["claim"] is not None
-        and summary["claim"]["holds"]
+        (summary["claim"] is None or summary["claim"]["holds"])
         and not summary["failures"]
         and all(v["verdict"] != "regressed" for v in summary["verdicts"])
     )
@@ -300,8 +308,8 @@ def parse_claim(text: str) -> Tuple[str, str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--claim", required=True, type=parse_claim,
-                        help="the claimed gain, METRIC:WORKLOAD")
+    parser.add_argument("--claim", type=parse_claim,
+                        help="the claimed gain, METRIC:WORKLOAD (none: bounds only)")
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair k of workload w runs on seed SEED_BASE + 10 w + k")
     parser.add_argument("--ledger", type=Path, default=ROOT / "ledger" / "perf-ab.json")
@@ -310,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = json.loads(SPEC.read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     metric_names = {m["name"] for m in spec["end_to_end"]}
-    if args.claim[0] not in metric_names or args.claim[1] not in workloads:
+    if args.claim and (args.claim[0] not in metric_names or args.claim[1] not in workloads):
         parser.error("--claim must name an end-to-end metric and a workload of BENCHMARK.json")
 
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as scratch:
@@ -335,7 +343,9 @@ def ledger(args, summary: dict, runs: Dict[str, List[dict]]) -> dict:
         "seed_base": args.seed_base,
         "passed": passed(summary),
         "rows": summary["rows"],
-        "claim": {"metric": args.claim[0], "workload": args.claim[1], **(summary["claim"] or {})},
+        "claim": args.claim and {
+            "metric": args.claim[0], "workload": args.claim[1], **summary["claim"]
+        },
         "verdicts": summary["verdicts"],
         "failures": summary["failures"],
         "runs": runs,

@@ -57,6 +57,7 @@ from ..learning import DemandLearner
 from ..obs import MetricsRegistry, Tracer, timed
 from ..profiling.online import COUNTERS, AgentTable, OnlineProfiler
 from ..sim.analytic import AnalyticMachine
+from ..workloads.problems import RESOURCE_NAMES
 from .faults import FaultInjector, FaultSpec
 from .phases import ChurnSchedule
 
@@ -68,9 +69,6 @@ __all__ = [
     "RESOURCE_NAMES",
     "validate_capacities",
 ]
-
-#: The resources the allocator divides, in capacity order.
-RESOURCE_NAMES = ("membw_gbps", "cache_kb")
 
 #: Table counter column -> the event a rise in it logs on a measured epoch.
 _COUNTER_EVENTS = {

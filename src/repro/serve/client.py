@@ -29,6 +29,7 @@ import time
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, TypeVar, Union
 
 from .protocol import (
+    AgentRequest,
     AgentResponse,
     AllocationResponse,
     BulkSampleRequest,
@@ -142,21 +143,23 @@ class _Routes:
         (``"profile": null``) — the server must be running with
         ``--learn-demands`` and will learn the agent's demands online
         from its samples.  ``workload_class`` optionally hints the
-        agent's class (``"C"``/``"M"``) for centroid priors.
+        agent's class (``"C"``/``"M"``) for centroid priors; with a
+        workload it is refused (:class:`~repro.serve.protocol.ProtocolError`)
+        before anything is sent.
         """
-        payload: Dict[str, object] = {"action": "register", "agent": agent}
-        if workload is None:
-            payload["profile"] = None
-            if workload_class is not None:
-                payload["workload_class"] = workload_class
-        else:
-            payload["workload"] = workload
-        return self._call("POST", "/v1/agents", payload, AgentResponse.from_dict)
+        request = AgentRequest(
+            "register",
+            agent,
+            workload=workload,
+            profile_free=workload is None,
+            workload_class=workload_class,
+        )
+        return self._call("POST", "/v1/agents", request.as_dict(), AgentResponse.from_dict)
 
     def deregister(self, agent: str) -> AgentResponse:
         """Retire ``agent``; capacity is re-divided from the next epoch."""
-        payload = {"action": "deregister", "agent": agent}
-        return self._call("POST", "/v1/agents", payload, AgentResponse.from_dict)
+        request = AgentRequest("deregister", agent)
+        return self._call("POST", "/v1/agents", request.as_dict(), AgentResponse.from_dict)
 
     def submit_sample(
         self,

@@ -11,7 +11,10 @@ rejected-sample counters, because a fault-tolerant measurement pipeline
 must accept syntactically valid garbage without dropping the
 connection.
 
-Dataclasses round-trip exactly::
+Every message is a frozen dataclass whose fields declare a wire *kind*
+(:func:`_wire`); one codec (:class:`_Message`) checks and writes every
+message by those declarations, so the strictness rules are written
+once, per kind.  Dataclasses round-trip exactly::
 
     request = SampleRequest("dedup", 3.2, 512.0, 0.81)
     assert SampleRequest.from_dict(request.as_dict()) == request
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -61,13 +64,14 @@ def parse_json(text: str) -> Dict[str, object]:
 
     Rejects invalid JSON, non-object payloads and the non-standard
     ``NaN``/``Infinity`` constants (Prometheus would render them, but a
-    measurement that is not a finite number is not a measurement).
+    measurement that is not a finite number is not a measurement), and
+    bodies nested too deeply for the parser.
     """
     try:
         data = json.loads(text, parse_constant=_reject_constant)
     except ProtocolError:
         raise
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:  # also the digit limit, deep nesting
         raise ProtocolError(f"request body is not valid JSON: {error}") from None
     if not isinstance(data, dict):
         raise ProtocolError(
@@ -76,43 +80,192 @@ def parse_json(text: str) -> Dict[str, object]:
     return data
 
 
-def _check_keys(
-    data: Mapping[str, object],
-    required: Tuple[str, ...],
-    optional: Tuple[str, ...] = (),
-) -> None:
-    allowed = set(required) | set(optional) | {"version"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ProtocolError(f"unknown field(s): {', '.join(unknown)}")
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise ProtocolError(f"missing field(s): {', '.join(missing)}")
-    version = data.get("version", PROTOCOL_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise ProtocolError(f"version must be an integer, got {version!r}")
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {version} (this server speaks "
-            f"{PROTOCOL_VERSION})"
-        )
+# ---------------------------------------------------------------------------
+# Field kinds: each wire rule, written once
+# ---------------------------------------------------------------------------
 
 
-def _get_str(data: Mapping[str, object], key: str) -> str:
-    value = data[key]
+class _Kind(NamedTuple):
+    """How one field is checked on the way in and written on the way out.
+
+    ``decode(key, value)`` returns the field's Python value or raises
+    :class:`ProtocolError` naming ``key``; ``encode`` (None: the value
+    as is) returns its JSON value.
+    """
+
+    decode: Callable[[str, object], object]
+    encode: Optional[Callable[[object], object]] = None
+
+
+def _string(key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ProtocolError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _non_empty_string(key: str, value: object) -> str:
     if not isinstance(value, str) or not value:
         raise ProtocolError(f"{key} must be a non-empty string, got {value!r}")
     return value
 
 
-def _get_number(data: Mapping[str, object], key: str) -> float:
-    value = data[key]
+def _number(key: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{key} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ProtocolError(
+            f"{key} must be finite, got an integer too large for a float"
+        ) from None
     if not math.isfinite(value):
         raise ProtocolError(f"{key} must be finite, got {value!r}")
     return value
+
+
+def _integer(key: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(key: str, value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{key} must be a boolean, got {value!r}")
+    return value
+
+
+def _string_list(key: str, value: object) -> Tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(name, str) for name in value
+    ):
+        raise ProtocolError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _number_map(key: str, value: object, empty_ok: bool = False) -> Dict[str, float]:
+    """``{name: finite number}``; each entry is checked under its own name."""
+    if not isinstance(value, dict) or not (value or empty_ok):
+        what = "an object" if empty_ok else "a non-empty object"
+        raise ProtocolError(f"{key} must be {what}, got {value!r}")
+    return {str(name): _number(name, value[name]) for name in value}
+
+
+def _bundles(key: str, value: object) -> Dict[str, Dict[str, float]]:
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{key} must be an object of per-agent objects, got {value!r}")
+    return {str(agent): _number_map(agent, value[agent], True) for agent in value}
+
+
+def _array(message: type) -> _Kind:
+    """A JSON array of ``message`` objects, each decoded by its own codec."""
+
+    def decode(key: str, value: object) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ProtocolError(f"{key} must be an array, got {value!r}")
+        parsed = []
+        for i, item in enumerate(value):
+            if not isinstance(item, dict):
+                raise ProtocolError(f"{key}[{i}] must be an object, got {item!r}")
+            try:
+                parsed.append(message.from_dict(item))
+            except ProtocolError as error:
+                raise ProtocolError(f"{key}[{i}]: {error}") from None
+        return tuple(parsed)
+
+    return _Kind(decode, lambda items: [item.as_dict() for item in items])
+
+
+def _null_marker(key: str, value: object) -> bool:
+    # The only value the ``profile`` key takes: present means profile-free.
+    if value is not None:
+        raise ProtocolError(
+            "only profile: null is supported (inline profiles are not); "
+            "name a workload instead"
+        )
+    return True
+
+
+_STRING = _Kind(_string)
+_NON_EMPTY = _Kind(_non_empty_string)
+_NUMBER = _Kind(_number)
+_INTEGER = _Kind(_integer)
+_BOOLEAN = _Kind(_boolean)
+_STRING_LIST = _Kind(_string_list, list)
+_NUMBER_MAP = _Kind(_number_map, dict)
+_NUMBER_MAP_OR_EMPTY = _Kind(lambda key, value: _number_map(key, value, True), dict)
+_BUNDLES = _Kind(_bundles, lambda shares: {agent: dict(b) for agent, b in shares.items()})
+_NULL_MARKER = _Kind(_null_marker, lambda _: None)
+
+
+def _wire(kind: _Kind, default=MISSING, *, key: Optional[str] = None):
+    """A message field of wire ``kind``, sent as ``key`` (default: its name).
+
+    A field with a ``default`` is optional: absent on the wire it takes
+    the default.  An empty default (None, False, ``""``) is also left
+    out of :meth:`_Message.as_dict` while the field holds it.  An
+    explicit ``null`` is absent only for a field whose default is None;
+    elsewhere it is a value of the wrong kind.
+    """
+    return field(default=default, metadata={"kind": kind, "key": key})
+
+
+class _Message:
+    """The one codec: ``from_dict``/``as_dict`` by the fields' declarations.
+
+    Each subclass becomes a frozen dataclass, and its codec tables are
+    built once, when the class is defined.
+    """
+
+    #: Whether ``as_dict`` writes ``"version"`` (every top-level message).
+    _versioned = True
+    #: Per field: its name, wire key, decode, encode, default, and
+    #: whether ``as_dict`` leaves that (empty) default out.
+    _fields: Tuple[tuple, ...]
+    _allowed: frozenset
+    _required: frozenset
+
+    def __init_subclass__(cls) -> None:
+        dataclass(frozen=True)(cls)
+        cls._fields = tuple(
+            (spec.name, spec.metadata["key"] or spec.name, *spec.metadata["kind"],
+             spec.default, spec.default is not MISSING and not spec.default)
+            for spec in fields(cls)
+        )
+        cls._allowed = frozenset(row[1] for row in cls._fields) | {"version"}
+        cls._required = frozenset(row[1] for row in cls._fields if row[4] is MISSING)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]):
+        if not cls._allowed.issuperset(data):
+            unknown = sorted(set(data) - cls._allowed)
+            raise ProtocolError(f"unknown field(s): {', '.join(unknown)}")
+        if not data.keys() >= cls._required:
+            missing = sorted(cls._required - set(data))
+            raise ProtocolError(f"missing field(s): {', '.join(missing)}")
+        version = _integer("version", data.get("version", PROTOCOL_VERSION))
+        if version != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {version} (this server speaks "
+                f"{PROTOCOL_VERSION})"
+            )
+        values = {}
+        for name, key, decode, _, default, _ in cls._fields:
+            if key in data:
+                value = data[key]
+                if value is not None or default is not None:
+                    values[name] = decode(key, value)
+        return cls(**values)
+
+    def as_dict(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {"version": PROTOCOL_VERSION} if self._versioned else {}
+        values = self.__dict__
+        for name, key, _, encode, default, omit in self._fields:
+            value = values[name]
+            if omit and value == default:
+                continue
+            payload[key] = value if encode is None else encode(value)
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +273,7 @@ def _get_number(data: Mapping[str, object], key: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentRequest:
+class AgentRequest(_Message):
     """``POST /v1/agents`` — register or deregister an agent.
 
     ``workload`` names a benchmark from the bundled suite (the server
@@ -135,11 +287,11 @@ class AgentRequest:
     prior.  ``deregister`` takes neither.
     """
 
-    action: str
-    agent: str
-    workload: Optional[str] = None
-    profile_free: bool = False
-    workload_class: Optional[str] = None
+    action: str = _wire(_NON_EMPTY)
+    agent: str = _wire(_NON_EMPTY)
+    workload: Optional[str] = _wire(_NON_EMPTY, None)
+    profile_free: bool = _wire(_NULL_MARKER, False, key="profile")
+    workload_class: Optional[str] = _wire(_STRING, None)
 
     def __post_init__(self) -> None:
         if self.action not in ("register", "deregister"):
@@ -164,54 +316,8 @@ class AgentRequest:
                 f"workload_class must be 'C' or 'M', got {self.workload_class!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "AgentRequest":
-        _check_keys(
-            data,
-            required=("action", "agent"),
-            optional=("workload", "profile", "workload_class"),
-        )
-        workload = data.get("workload")
-        if workload is not None and (not isinstance(workload, str) or not workload):
-            raise ProtocolError(f"workload must be a non-empty string, got {workload!r}")
-        profile_free = False
-        if "profile" in data:
-            if data["profile"] is not None:
-                raise ProtocolError(
-                    "only profile: null is supported (inline profiles are not); "
-                    "name a workload instead"
-                )
-            profile_free = True
-        workload_class = data.get("workload_class")
-        if workload_class is not None and not isinstance(workload_class, str):
-            raise ProtocolError(
-                f"workload_class must be a string, got {workload_class!r}"
-            )
-        return cls(
-            action=_get_str(data, "action"),
-            agent=_get_str(data, "agent"),
-            workload=workload,
-            profile_free=profile_free,
-            workload_class=workload_class,
-        )
 
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "version": PROTOCOL_VERSION,
-            "action": self.action,
-            "agent": self.agent,
-        }
-        if self.workload is not None:
-            payload["workload"] = self.workload
-        if self.profile_free:
-            payload["profile"] = None
-        if self.workload_class is not None:
-            payload["workload_class"] = self.workload_class
-        return payload
-
-
-@dataclass(frozen=True)
-class SampleRequest:
+class SampleRequest(_Message):
     """``POST /v1/samples`` — one measured (bundle, IPC) observation.
 
     The resource amounts and the IPC must be finite numbers — that is a
@@ -224,51 +330,18 @@ class SampleRequest:
     :meth:`repro.profiling.online.OnlineProfiler.observe`).
     """
 
-    agent: str
-    bandwidth_gbps: float
-    cache_kb: float
-    ipc: float
-    exploration: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SampleRequest":
-        _check_keys(
-            data,
-            required=("agent", "bandwidth_gbps", "cache_kb", "ipc"),
-            optional=("exploration",),
-        )
-        exploration = data.get("exploration", False)
-        if not isinstance(exploration, bool):
-            raise ProtocolError(
-                f"exploration must be a boolean, got {exploration!r}"
-            )
-        return cls(
-            agent=_get_str(data, "agent"),
-            bandwidth_gbps=_get_number(data, "bandwidth_gbps"),
-            cache_kb=_get_number(data, "cache_kb"),
-            ipc=_get_number(data, "ipc"),
-            exploration=exploration,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "version": PROTOCOL_VERSION,
-            "agent": self.agent,
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "cache_kb": self.cache_kb,
-            "ipc": self.ipc,
-        }
-        if self.exploration:
-            payload["exploration"] = True
-        return payload
+    agent: str = _wire(_NON_EMPTY)
+    bandwidth_gbps: float = _wire(_NUMBER)
+    cache_kb: float = _wire(_NUMBER)
+    ipc: float = _wire(_NUMBER)
+    exploration: bool = _wire(_BOOLEAN, False)
 
     @property
     def bundle(self) -> Tuple[float, float]:
         return (self.bandwidth_gbps, self.cache_kb)
 
 
-@dataclass(frozen=True)
-class BulkSampleRequest:
+class BulkSampleRequest(_Message):
     """``POST /v1/samples`` with a ``samples`` array — bulk ingest.
 
     One round trip carries an epoch's worth of measurements: each
@@ -279,63 +352,24 @@ class BulkSampleRequest:
     the server dispatches on the presence of the key.
     """
 
-    samples: Tuple[SampleRequest, ...]
+    samples: Tuple[SampleRequest, ...] = _wire(_array(SampleRequest))
 
     def __post_init__(self) -> None:
         if not self.samples:
             raise ProtocolError("samples must be a non-empty array")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BulkSampleRequest":
-        _check_keys(data, required=("samples",))
-        samples = data["samples"]
-        if not isinstance(samples, (list, tuple)):
-            raise ProtocolError(f"samples must be an array, got {samples!r}")
-        parsed = []
-        for i, item in enumerate(samples):
-            if not isinstance(item, dict):
-                raise ProtocolError(f"samples[{i}] must be an object, got {item!r}")
-            try:
-                parsed.append(SampleRequest.from_dict(item))
-            except ProtocolError as error:
-                raise ProtocolError(f"samples[{i}]: {error}") from None
-        return cls(samples=tuple(parsed))
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "samples": [sample.as_dict() for sample in self.samples],
-        }
-
-
-@dataclass(frozen=True)
-class SampleOutcome:
+class SampleOutcome(_Message):
     """Per-sample accept/reject inside a :class:`BulkSampleResponse`."""
 
-    agent: str
-    queued: bool
-    error: str = ""
+    _versioned = False
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SampleOutcome":
-        _check_keys(data, required=("agent", "queued"), optional=("error",))
-        queued = data["queued"]
-        if not isinstance(queued, bool):
-            raise ProtocolError(f"queued must be a boolean, got {queued!r}")
-        error = data.get("error", "")
-        if not isinstance(error, str):
-            raise ProtocolError(f"error must be a string, got {error!r}")
-        return cls(agent=_get_str(data, "agent"), queued=queued, error=error)
-
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"agent": self.agent, "queued": self.queued}
-        if self.error:
-            payload["error"] = self.error
-        return payload
+    agent: str = _wire(_NON_EMPTY)
+    queued: bool = _wire(_BOOLEAN)
+    error: str = _wire(_STRING, "")
 
 
-@dataclass(frozen=True)
-class BulkSampleResponse:
+class BulkSampleResponse(_Message):
     """Acknowledges a bulk sample POST, per-sample.
 
     ``results`` is index-aligned with the request's ``samples`` array;
@@ -344,57 +378,14 @@ class BulkSampleResponse:
     occupancy after this call (as with :class:`SampleResponse`).
     """
 
-    epoch: int
-    pending: int
-    accepted: int
-    rejected: int
-    results: Tuple[SampleOutcome, ...]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BulkSampleResponse":
-        _check_keys(
-            data, required=("epoch", "pending", "accepted", "rejected", "results")
-        )
-        for key in ("epoch", "pending", "accepted", "rejected"):
-            if isinstance(data[key], bool) or not isinstance(data[key], int):
-                raise ProtocolError(f"{key} must be an integer, got {data[key]!r}")
-        results = data["results"]
-        if not isinstance(results, (list, tuple)):
-            raise ProtocolError(f"results must be an array, got {results!r}")
-        parsed = []
-        for i, item in enumerate(results):
-            if not isinstance(item, dict):
-                raise ProtocolError(f"results[{i}] must be an object, got {item!r}")
-            parsed.append(SampleOutcome.from_dict(item))
-        return cls(
-            epoch=int(data["epoch"]),
-            pending=int(data["pending"]),
-            accepted=int(data["accepted"]),
-            rejected=int(data["rejected"]),
-            results=tuple(parsed),
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "epoch": self.epoch,
-            "pending": self.pending,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "results": [outcome.as_dict() for outcome in self.results],
-        }
+    epoch: int = _wire(_INTEGER)
+    pending: int = _wire(_INTEGER)
+    accepted: int = _wire(_INTEGER)
+    rejected: int = _wire(_INTEGER)
+    results: Tuple[SampleOutcome, ...] = _wire(_array(SampleOutcome))
 
 
-def _get_number_map(data: Mapping[str, object], key: str) -> Dict[str, float]:
-    """A ``{resource: finite number}`` object field, strictly validated."""
-    value = data[key]
-    if not isinstance(value, dict) or not value:
-        raise ProtocolError(f"{key} must be a non-empty object, got {value!r}")
-    return {str(name): _get_number(value, name) for name in value}
-
-
-@dataclass(frozen=True)
-class CapacityRequest:
+class CapacityRequest(_Message):
     """``POST /v1/capacity`` — a hierarchical capacity grant for this cell.
 
     Sent by the shard coordinator once per coordinator epoch: the cell's
@@ -404,7 +395,7 @@ class CapacityRequest:
     immediately so the grant takes effect before the next read.
     """
 
-    capacities: Dict[str, float]
+    capacities: Dict[str, float] = _wire(_NUMBER_MAP)
 
     def __post_init__(self) -> None:
         if not self.capacities:
@@ -416,62 +407,22 @@ class CapacityRequest:
                     f"got {value!r}"
                 )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CapacityRequest":
-        _check_keys(data, required=("capacities",))
-        return cls(capacities=_get_number_map(data, "capacities"))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "capacities": dict(self.capacities),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Responses
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentResponse:
+class AgentResponse(_Message):
     """Acknowledges a register/deregister; lists current membership."""
 
-    action: str
-    agent: str
-    agents: Tuple[str, ...]
-    epoch: int
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "AgentResponse":
-        _check_keys(data, required=("action", "agent", "agents", "epoch"))
-        agents = data["agents"]
-        if not isinstance(agents, (list, tuple)) or not all(
-            isinstance(name, str) for name in agents
-        ):
-            raise ProtocolError(f"agents must be a list of strings, got {agents!r}")
-        epoch = data["epoch"]
-        if isinstance(epoch, bool) or not isinstance(epoch, int):
-            raise ProtocolError(f"epoch must be an integer, got {epoch!r}")
-        return cls(
-            action=_get_str(data, "action"),
-            agent=_get_str(data, "agent"),
-            agents=tuple(agents),
-            epoch=epoch,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "action": self.action,
-            "agent": self.agent,
-            "agents": list(self.agents),
-            "epoch": self.epoch,
-        }
+    action: str = _wire(_NON_EMPTY)
+    agent: str = _wire(_NON_EMPTY)
+    agents: Tuple[str, ...] = _wire(_STRING_LIST)
+    epoch: int = _wire(_INTEGER)
 
 
-@dataclass(frozen=True)
-class SampleResponse:
+class SampleResponse(_Message):
     """Acknowledges a queued sample.
 
     ``epoch`` is the index of the epoch the sample will be folded into
@@ -479,94 +430,27 @@ class SampleResponse:
     sample, so clients can see coalescing happen.
     """
 
-    agent: str
-    queued: bool
-    epoch: int
-    pending: int
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SampleResponse":
-        _check_keys(data, required=("agent", "queued", "epoch", "pending"))
-        queued = data["queued"]
-        if not isinstance(queued, bool):
-            raise ProtocolError(f"queued must be a boolean, got {queued!r}")
-        for key in ("epoch", "pending"):
-            if isinstance(data[key], bool) or not isinstance(data[key], int):
-                raise ProtocolError(f"{key} must be an integer, got {data[key]!r}")
-        return cls(
-            agent=_get_str(data, "agent"),
-            queued=queued,
-            epoch=int(data["epoch"]),
-            pending=int(data["pending"]),
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "agent": self.agent,
-            "queued": self.queued,
-            "epoch": self.epoch,
-            "pending": self.pending,
-        }
+    agent: str = _wire(_NON_EMPTY)
+    queued: bool = _wire(_BOOLEAN)
+    epoch: int = _wire(_INTEGER)
+    pending: int = _wire(_INTEGER)
 
 
-@dataclass(frozen=True)
-class AllocationResponse:
+class AllocationResponse(_Message):
     """``GET /v1/allocation`` — the current epoch's *enforced* allocation."""
 
-    epoch: int
-    mechanism: str
-    feasible: bool
-    capacities: Dict[str, float]
-    shares: Dict[str, Dict[str, float]]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "AllocationResponse":
-        _check_keys(
-            data, required=("epoch", "mechanism", "feasible", "capacities", "shares")
-        )
-        epoch = data["epoch"]
-        if isinstance(epoch, bool) or not isinstance(epoch, int):
-            raise ProtocolError(f"epoch must be an integer, got {epoch!r}")
-        feasible = data["feasible"]
-        if not isinstance(feasible, bool):
-            raise ProtocolError(f"feasible must be a boolean, got {feasible!r}")
-        capacities = data["capacities"]
-        if not isinstance(capacities, dict):
-            raise ProtocolError("capacities must be an object")
-        shares = data["shares"]
-        if not isinstance(shares, dict) or not all(
-            isinstance(bundle, dict) for bundle in shares.values()
-        ):
-            raise ProtocolError("shares must be an object of per-agent objects")
-        return cls(
-            epoch=epoch,
-            mechanism=_get_str(data, "mechanism"),
-            feasible=feasible,
-            capacities={str(k): _get_number(capacities, k) for k in capacities},
-            shares={
-                str(agent): {str(r): _get_number(bundle, r) for r in bundle}
-                for agent, bundle in shares.items()
-            },
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "epoch": self.epoch,
-            "mechanism": self.mechanism,
-            "feasible": self.feasible,
-            "capacities": dict(self.capacities),
-            "shares": {agent: dict(bundle) for agent, bundle in self.shares.items()},
-        }
+    epoch: int = _wire(_INTEGER)
+    mechanism: str = _wire(_NON_EMPTY)
+    feasible: bool = _wire(_BOOLEAN)
+    capacities: Dict[str, float] = _wire(_NUMBER_MAP)
+    shares: Dict[str, Dict[str, float]] = _wire(_BUNDLES)
 
     def bundle(self, agent: str) -> Dict[str, float]:
         """The named agent's enforced bundle (KeyError if absent)."""
         return dict(self.shares[agent])
 
 
-@dataclass(frozen=True)
-class CapacityResponse:
+class CapacityResponse(_Message):
     """Acknowledges a capacity grant; reports the cell's state back.
 
     ``aggregate_elasticity`` carries the cell's per-resource sum of
@@ -575,99 +459,28 @@ class CapacityResponse:
     grant round is one request/response per cell.
     """
 
-    epoch: int
-    agents: Tuple[str, ...]
-    capacities: Dict[str, float]
-    aggregate_elasticity: Dict[str, float]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CapacityResponse":
-        _check_keys(
-            data,
-            required=("epoch", "agents", "capacities", "aggregate_elasticity"),
-        )
-        epoch = data["epoch"]
-        if isinstance(epoch, bool) or not isinstance(epoch, int):
-            raise ProtocolError(f"epoch must be an integer, got {epoch!r}")
-        agents = data["agents"]
-        if not isinstance(agents, (list, tuple)) or not all(
-            isinstance(name, str) for name in agents
-        ):
-            raise ProtocolError(f"agents must be a list of strings, got {agents!r}")
-        return cls(
-            epoch=epoch,
-            agents=tuple(agents),
-            capacities=_get_number_map(data, "capacities"),
-            aggregate_elasticity=_get_number_map(data, "aggregate_elasticity"),
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "epoch": self.epoch,
-            "agents": list(self.agents),
-            "capacities": dict(self.capacities),
-            "aggregate_elasticity": dict(self.aggregate_elasticity),
-        }
+    epoch: int = _wire(_INTEGER)
+    agents: Tuple[str, ...] = _wire(_STRING_LIST)
+    capacities: Dict[str, float] = _wire(_NUMBER_MAP)
+    aggregate_elasticity: Dict[str, float] = _wire(_NUMBER_MAP)
 
 
-@dataclass(frozen=True)
-class CellInfo:
-    """One cell worker's identity and state, as the coordinator sees it."""
+class CellInfo(_Message):
+    """One cell worker's identity and state, as the coordinator sees it.
 
-    cell: str
-    host: str
-    port: int
-    pid: int
-    alive: bool
-    agents: Tuple[str, ...]
-    grant: Dict[str, float]
+    A dead cell's ``grant`` is empty.
+    """
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CellInfo":
-        _check_keys(
-            data,
-            required=("cell", "host", "port", "pid", "alive", "agents", "grant"),
-        )
-        for key in ("port", "pid"):
-            if isinstance(data[key], bool) or not isinstance(data[key], int):
-                raise ProtocolError(f"{key} must be an integer, got {data[key]!r}")
-        alive = data["alive"]
-        if not isinstance(alive, bool):
-            raise ProtocolError(f"alive must be a boolean, got {alive!r}")
-        agents = data["agents"]
-        if not isinstance(agents, (list, tuple)) or not all(
-            isinstance(name, str) for name in agents
-        ):
-            raise ProtocolError(f"agents must be a list of strings, got {agents!r}")
-        grant = data["grant"]
-        if not isinstance(grant, dict):
-            raise ProtocolError(f"grant must be an object, got {grant!r}")
-        return cls(
-            cell=_get_str(data, "cell"),
-            host=_get_str(data, "host"),
-            port=int(data["port"]),
-            pid=int(data["pid"]),
-            alive=alive,
-            agents=tuple(agents),
-            grant={str(k): _get_number(grant, k) for k in grant},
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "cell": self.cell,
-            "host": self.host,
-            "port": self.port,
-            "pid": self.pid,
-            "alive": self.alive,
-            "agents": list(self.agents),
-            "grant": dict(self.grant),
-        }
+    cell: str = _wire(_NON_EMPTY)
+    host: str = _wire(_NON_EMPTY)
+    port: int = _wire(_INTEGER)
+    pid: int = _wire(_INTEGER)
+    alive: bool = _wire(_BOOLEAN)
+    agents: Tuple[str, ...] = _wire(_STRING_LIST)
+    grant: Dict[str, float] = _wire(_NUMBER_MAP_OR_EMPTY)
 
 
-@dataclass(frozen=True)
-class CellsResponse:
+class CellsResponse(_Message):
     """``GET /v1/cells`` — the coordinator's shard map.
 
     Smart clients use this to submit samples *directly* to the worker
@@ -675,35 +488,9 @@ class CellsResponse:
     find each cell's metrics endpoint and pid.
     """
 
-    epoch: int
-    capacities: Dict[str, float]
-    cells: Tuple[CellInfo, ...]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CellsResponse":
-        _check_keys(data, required=("epoch", "capacities", "cells"))
-        epoch = data["epoch"]
-        if isinstance(epoch, bool) or not isinstance(epoch, int):
-            raise ProtocolError(f"epoch must be an integer, got {epoch!r}")
-        cells = data["cells"]
-        if not isinstance(cells, (list, tuple)):
-            raise ProtocolError(f"cells must be a list, got {cells!r}")
-        return cls(
-            epoch=epoch,
-            capacities=_get_number_map(data, "capacities"),
-            cells=tuple(
-                CellInfo.from_dict(cell) if isinstance(cell, dict) else _bad_cell(cell)
-                for cell in cells
-            ),
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "epoch": self.epoch,
-            "capacities": dict(self.capacities),
-            "cells": [cell.as_dict() for cell in self.cells],
-        }
+    epoch: int = _wire(_INTEGER)
+    capacities: Dict[str, float] = _wire(_NUMBER_MAP)
+    cells: Tuple[CellInfo, ...] = _wire(_array(CellInfo))
 
     def owner_of(self, agent: str) -> CellInfo:
         """The live cell currently hosting ``agent`` (KeyError if none)."""
@@ -713,74 +500,19 @@ class CellsResponse:
         raise KeyError(f"no live cell owns agent {agent!r}")
 
 
-def _bad_cell(value: object) -> CellInfo:
-    raise ProtocolError(f"each cell must be an object, got {value!r}")
-
-
-@dataclass(frozen=True)
-class HealthResponse:
+class HealthResponse(_Message):
     """``GET /healthz`` — liveness plus a tiny service summary."""
 
-    status: str
-    epoch: int
-    agents: Tuple[str, ...]
-    pending_samples: int
-    uptime_seconds: float
-    mechanism: str = "ref"
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "HealthResponse":
-        _check_keys(
-            data,
-            required=("status", "epoch", "agents", "pending_samples", "uptime_seconds"),
-            optional=("mechanism",),
-        )
-        agents = data["agents"]
-        if not isinstance(agents, (list, tuple)) or not all(
-            isinstance(name, str) for name in agents
-        ):
-            raise ProtocolError(f"agents must be a list of strings, got {agents!r}")
-        for key in ("epoch", "pending_samples"):
-            if isinstance(data[key], bool) or not isinstance(data[key], int):
-                raise ProtocolError(f"{key} must be an integer, got {data[key]!r}")
-        return cls(
-            status=_get_str(data, "status"),
-            epoch=int(data["epoch"]),
-            agents=tuple(agents),
-            pending_samples=int(data["pending_samples"]),
-            uptime_seconds=_get_number(data, "uptime_seconds"),
-            mechanism=_get_str(data, "mechanism") if "mechanism" in data else "ref",
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": PROTOCOL_VERSION,
-            "status": self.status,
-            "epoch": self.epoch,
-            "agents": list(self.agents),
-            "pending_samples": self.pending_samples,
-            "uptime_seconds": self.uptime_seconds,
-            "mechanism": self.mechanism,
-        }
+    status: str = _wire(_NON_EMPTY)
+    epoch: int = _wire(_INTEGER)
+    agents: Tuple[str, ...] = _wire(_STRING_LIST)
+    pending_samples: int = _wire(_INTEGER)
+    uptime_seconds: float = _wire(_NUMBER)
+    mechanism: str = _wire(_NON_EMPTY, "ref")
 
 
-@dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(_Message):
     """Any non-2xx response body."""
 
-    error: str
-    detail: str = ""
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ErrorResponse":
-        _check_keys(data, required=("error",), optional=("detail",))
-        detail = data.get("detail", "")
-        if not isinstance(detail, str):
-            raise ProtocolError(f"detail must be a string, got {detail!r}")
-        return cls(error=_get_str(data, "error"), detail=detail)
-
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"version": PROTOCOL_VERSION, "error": self.error}
-        if self.detail:
-            payload["detail"] = self.detail
-        return payload
+    error: str = _wire(_NON_EMPTY)
+    detail: str = _wire(_STRING, "")

@@ -75,7 +75,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..dynamic.controller import DynamicAllocator, EpochRecord
 from ..obs import MetricsRegistry, global_registry, to_prometheus
@@ -136,6 +136,16 @@ FIRST_REQUEST_TIMEOUT = 30.0
 #: Default seconds an idle persistent connection is held open between
 #: requests before the server closes it.
 DEFAULT_IDLE_TIMEOUT = 30.0
+
+
+class _Series(NamedTuple):
+    """A metric a server touches: kind, name, help, label names, histogram buckets."""
+
+    kind: str
+    name: str
+    help: str
+    labels: Tuple[str, ...] = ()
+    buckets: Optional[Tuple[float, ...]] = None
 
 
 class _HttpError(Exception):
@@ -440,43 +450,72 @@ class HttpServerBase:
     :meth:`_snapshot` / :meth:`_invalidate_snapshots`.
     """
 
-    #: Metrics the request path touches, resolved per label set at first
-    #: use by :meth:`_metric`: ``(kind, name, help, label names, options)``.
+    #: Every metric the flat server touches, resolved per label set at
+    #: first use by :meth:`_metric`; the coordinator extends the table.
     _METRICS = {
-        "connections": (
+        "connections": _Series(
             "counter",
             "repro_serve_connections_total",
             "TCP connections accepted by the HTTP listener.",
-            (),
-            {},
         ),
-        "per_connection": (
+        "per_connection": _Series(
             "histogram",
             "repro_serve_requests_per_connection",
             "Requests served over each connection before it closed.",
-            (),
-            {"buckets": _CONNECTION_BUCKETS},
+            buckets=_CONNECTION_BUCKETS,
         ),
-        "requests": (
+        "requests": _Series(
             "counter",
             "repro_serve_requests_total",
             "HTTP requests handled, by route and status.",
             ("route", "status"),
-            {},
         ),
-        "latency": (
+        "latency": _Series(
             "histogram",
             "repro_serve_request_latency_seconds",
             "Server-side request handling latency.",
             ("route",),
-            {},
         ),
-        "snapshots": (
+        "snapshots": _Series(
             "counter",
             "repro_serve_snapshots_total",
             "Snapshot-served reads, by route and cache result.",
             ("route", "result"),
-            {},
+        ),
+        "internal_errors": _Series(
+            "counter",
+            "repro_serve_internal_errors_total",
+            "Unexpected exceptions while handling a request.",
+        ),
+        "orphaned": _Series(
+            "counter",
+            "repro_serve_orphaned_samples_total",
+            "Pending samples dropped at flush time because their agent had deregistered.",
+        ),
+        "samples": _Series(
+            "counter",
+            "repro_serve_samples_total",
+            "Samples applied at epoch ticks, by outcome.",
+            ("outcome",),
+        ),
+        "batches": _Series(
+            "counter",
+            "repro_serve_batches_total",
+            "Epoch ticks, by what triggered the flush.",
+            ("trigger",),
+        ),
+        "batch_size": _Series(
+            "histogram",
+            "repro_serve_batch_size",
+            "Samples coalesced into each epoch tick.",
+            buckets=_BATCH_BUCKETS,
+        ),
+        "epoch": _Series("gauge", "repro_serve_epoch", "Most recently completed epoch index."),
+        "bulk_samples": _Series(
+            "counter",
+            "repro_serve_bulk_samples_total",
+            "Samples carried by bulk POSTs, by ingress outcome.",
+            ("outcome",),
         ),
     }
 
@@ -581,7 +620,7 @@ class HttpServerBase:
             await asyncio.sleep(3600.0)
 
     # ------------------------------------------------------------------
-    # Request metrics
+    # Metrics
 
     def _metric(self, key: str, *labels):
         """The registry child for ``key`` and ``labels``, held after first use.
@@ -592,10 +631,11 @@ class HttpServerBase:
         """
         handle = self._handles.get((key, *labels))
         if handle is None:
-            kind, name, text, names, options = self._METRICS[key]
-            handle = getattr(self.metrics, kind)(
-                name, help=text, **options, **dict(zip(names, map(str, labels)))
-            )
+            series = self._METRICS[key]
+            options = dict(zip(series.labels, map(str, labels)))
+            if series.buckets is not None:
+                options["buckets"] = series.buckets
+            handle = getattr(self.metrics, series.kind)(series.name, help=series.help, **options)
             self._handles[(key, *labels)] = handle
         return handle
 
@@ -684,10 +724,7 @@ class HttpServerBase:
         elif isinstance(error, _HttpError):
             status, payload = error.status, ErrorResponse(error.error, error.detail)
         else:
-            self.metrics.counter(
-                "repro_serve_internal_errors_total",
-                help="Unexpected exceptions while handling a request.",
-            ).inc()
+            self._metric("internal_errors").inc()
             detail = f"{type(error).__name__}: {error}"
             status, payload = 500, ErrorResponse("internal_error", detail)
         return status, payload.as_dict(), "application/json"
@@ -839,39 +876,17 @@ class AllocationServer(HttpServerBase):
                     # not crash the epoch.
                     outcome = "unknown_agent"
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        # One counter bump per outcome, not per sample: at bulk-ingest
-        # rates the per-sample registry lookups were a measurable slice
-        # of the tick.
+        # One counter bump per outcome, not per sample.
         if outcomes.get("orphaned"):
-            self.metrics.counter(
-                "repro_serve_orphaned_samples_total",
-                help=(
-                    "Pending samples dropped at flush time because their "
-                    "agent had deregistered."
-                ),
-            ).inc(outcomes["orphaned"])
+            self._metric("orphaned").inc(outcomes["orphaned"])
         for outcome, count in outcomes.items():
-            self.metrics.counter(
-                "repro_serve_samples_total",
-                help="Samples applied at epoch ticks, by outcome.",
-                outcome=outcome,
-            ).inc(count)
+            self._metric("samples", outcome).inc(count)
         record = self.allocator.step(self._epoch, measure=False)
         self._current = record
         self._epoch += 1
-        self.metrics.counter(
-            "repro_serve_batches_total",
-            help="Epoch ticks, by what triggered the flush.",
-            trigger=trigger,
-        ).inc()
-        self.metrics.histogram(
-            "repro_serve_batch_size",
-            help="Samples coalesced into each epoch tick.",
-            buckets=_BATCH_BUCKETS,
-        ).observe(len(batch))
-        self.metrics.gauge(
-            "repro_serve_epoch", help="Most recently completed epoch index."
-        ).set(self._epoch - 1)
+        self._metric("batches", trigger).inc()
+        self._metric("batch_size").observe(len(batch))
+        self._metric("epoch").set(self._epoch - 1)
         # Every state change flows through here (startup, churn, grants,
         # policy flushes, shutdown), so this is the single invalidation
         # point for the snapshot read path.
@@ -977,11 +992,7 @@ class AllocationServer(HttpServerBase):
         self._queued(batch)
         for outcome, count in (("queued", len(accepted)), ("rejected", rejected)):
             if count:
-                self.metrics.counter(
-                    "repro_serve_bulk_samples_total",
-                    help="Samples carried by bulk POSTs, by ingress outcome.",
-                    outcome=outcome,
-                ).inc(count)
+                self._metric("bulk_samples", outcome).inc(count)
         response = BulkSampleResponse(
             epoch=fold_epoch,
             pending=pending,

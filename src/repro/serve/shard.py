@@ -60,6 +60,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, T
 import numpy as np
 
 from ..core.registry import hierarchical_mechanism_names
+from ..dynamic.controller import RESOURCE_NAMES, validate_capacities
 from ..obs import MetricsRegistry, global_registry, to_prometheus
 from ..optimize.hierarchy import split_capacity
 from ..workloads import BENCHMARKS
@@ -80,7 +81,7 @@ from .protocol import (
     SampleRequest,
     parse_json,
 )
-from .server import DEFAULT_IDLE_TIMEOUT, HttpServerBase, _HttpError
+from .server import DEFAULT_IDLE_TIMEOUT, HttpServerBase, _HttpError, _Series
 
 __all__ = ["CellWorker", "ShardCoordinator", "cell_for"]
 
@@ -226,6 +227,36 @@ class ShardCoordinator(HttpServerBase):
         Interpreter used to spawn workers (defaults to this one).
     """
 
+    _METRICS = {
+        **HttpServerBase._METRICS,
+        "cells": _Series("gauge", "repro_shard_cells", "Live cell workers behind the coordinator."),
+        "grant_errors": _Series(
+            "counter",
+            "repro_shard_grant_errors_total",
+            "Capacity grants a cell rejected.",
+            ("cell",),
+        ),
+        "grant_latency": _Series(
+            "histogram",
+            "repro_shard_grant_latency_seconds",
+            "Round-trip latency of one cell capacity grant.",
+            ("cell",),
+            buckets=_GRANT_BUCKETS,
+        ),
+        "grant_rounds": _Series(
+            "counter", "repro_shard_grant_rounds_total", "Completed coordinator grant rounds."
+        ),
+        "round": _Series("gauge", "repro_shard_epoch", "Most recently completed grant round."),
+        "rebalances": _Series(
+            "counter", "repro_shard_rebalances_total", "Rebalances triggered by cell death."
+        ),
+        "rehashed": _Series(
+            "counter",
+            "repro_shard_agents_rehashed_total",
+            "Agents re-homed from a dead cell to a survivor.",
+        ),
+    }
+
     def __init__(
         self,
         workloads: Dict[str, str],
@@ -265,11 +296,9 @@ class ShardCoordinator(HttpServerBase):
         unknown = sorted(set(workloads.values()) - set(BENCHMARKS))
         if unknown:
             raise ValueError(f"unknown benchmark(s): {unknown}")
-        if any(c <= 0 or not np.isfinite(c) for c in capacities):
-            raise ValueError(f"capacities must be positive finite, got {capacities}")
         self.workloads = dict(workloads)
-        self.capacities = (float(capacities[0]), float(capacities[1]))
-        self.resource_names: Tuple[str, str] = ("membw_gbps", "cache_kb")
+        self.capacities = validate_capacities(capacities)
+        self.resource_names = RESOURCE_NAMES
         self.epoch_ms = float(epoch_ms)
         self.max_batch = int(max_batch)
         self.grant_ms = float(grant_ms) if grant_ms is not None else 4.0 * self.epoch_ms
@@ -389,9 +418,7 @@ class ShardCoordinator(HttpServerBase):
                 cell.command += ["--learn-demands", "--prior", self.prior]
             spawns.append(loop.run_in_executor(None, cell.spawn))
         await asyncio.gather(*spawns)
-        self.metrics.gauge(
-            "repro_shard_cells", help="Live cell workers behind the coordinator."
-        ).set(len(self.live_cells()))
+        self._metric("cells").set(len(self.live_cells()))
         await self._grant_round()
 
     async def _on_stop(self) -> None:
@@ -518,19 +545,10 @@ class ShardCoordinator(HttpServerBase):
             except _HttpError:
                 return  # dead cell: reaped on the next tick
             except (ServeError, ValueError):
-                self.metrics.counter(
-                    "repro_shard_grant_errors_total",
-                    help="Capacity grants a cell rejected.",
-                    cell=cell.name,
-                ).inc()
+                self._metric("grant_errors", cell.name).inc()
                 return
             if self._loop is not None:
-                self.metrics.histogram(
-                    "repro_shard_grant_latency_seconds",
-                    help="Round-trip latency of one cell capacity grant.",
-                    buckets=_GRANT_BUCKETS,
-                    cell=cell.name,
-                ).observe(self._loop.time() - started)
+                self._metric("grant_latency", cell.name).observe(self._loop.time() - started)
             names = self.resource_names
             cell.aggregate = np.array(
                 [response.aggregate_elasticity.get(name, 0.0) for name in names]
@@ -545,13 +563,8 @@ class ShardCoordinator(HttpServerBase):
 
         await asyncio.gather(*[push(cell) for cell in live])
         self._epoch += 1
-        self.metrics.counter(
-            "repro_shard_grant_rounds_total",
-            help="Completed coordinator grant rounds.",
-        ).inc()
-        self.metrics.gauge(
-            "repro_shard_epoch", help="Most recently completed grant round."
-        ).set(self._epoch - 1)
+        self._metric("grant_rounds").inc()
+        self._metric("round").set(self._epoch - 1)
         # Grants moved every cell's capacity slice and advanced the
         # epoch: the cached read snapshots are stale now.
         self._invalidate_snapshots()
@@ -577,10 +590,7 @@ class ShardCoordinator(HttpServerBase):
             if not orphans:
                 continue
             self._rebalances += 1
-            self.metrics.counter(
-                "repro_shard_rebalances_total",
-                help="Rebalances triggered by cell death.",
-            ).inc()
+            self._metric("rebalances").inc()
             for agent, benchmark in sorted(orphans.items()):
                 try:
                     target = self._place(agent)
@@ -608,13 +618,8 @@ class ShardCoordinator(HttpServerBase):
                     self.workloads.pop(agent, None)
                     continue
                 target.agents[agent] = benchmark
-                self.metrics.counter(
-                    "repro_shard_agents_rehashed_total",
-                    help="Agents re-homed from a dead cell to a survivor.",
-                ).inc()
-        self.metrics.gauge(
-            "repro_shard_cells", help="Live cell workers behind the coordinator."
-        ).set(len(self.live_cells()))
+                self._metric("rehashed").inc()
+        self._metric("cells").set(len(self.live_cells()))
         # Liveness or placement may have changed (including cells marked
         # dead by a failed RPC since the last round).
         self._invalidate_snapshots()

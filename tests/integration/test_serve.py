@@ -477,3 +477,54 @@ class TestProfileFreeServing:
         client.register("mystery", None)
         response = client.deregister("mystery")
         assert "mystery" not in response.agents
+
+
+def _post(port: int, path: str, body: bytes) -> bytes:
+    blob = b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (
+        path.encode(), len(body), body
+    )
+    return _raw_request(port, blob)
+
+
+class TestHostileBodies:
+    """Bodies that once escaped ProtocolError come back as 400, not 500."""
+
+    NESTED = b"[" * 100_000 + b"]" * 100_000
+    HUGE = b"1" + b"0" * 400  # an integer too large for a float
+
+    def _assert_bad_request(self, client, response):
+        assert response.startswith(b"HTTP/1.1 400 "), response[:200]
+        assert b"bad_request" in response
+        assert "repro_serve_internal_errors_total" not in client.metrics_text()
+        assert client.health().status == "ok"
+
+    @pytest.mark.parametrize("path", ["/v1/samples", "/v1/agents", "/v1/capacity"])
+    def test_deep_nesting_is_a_400(self, service, path):
+        server, client, _ = service
+        response = _post(server.port, path, self.NESTED)
+        self._assert_bad_request(client, response)
+        assert b"maximum recursion depth" in response
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"agent": "freqmine", "bandwidth_gbps": 1, "cache_kb": 1, "ipc": %s}',
+            b'{"samples": [{"agent": "freqmine", "bandwidth_gbps": %s, "cache_kb": 1,'
+            b' "ipc": 1}]}',
+            b'{"capacities": {"membw_gbps": 25.6, "cache_kb": %s}}',
+        ],
+        ids=["single", "bulk", "capacity"],
+    )
+    def test_integer_too_large_for_a_float_is_a_400(self, service, body):
+        server, client, _ = service
+        path = "/v1/capacity" if b"capacities" in body else "/v1/samples"
+        response = _post(server.port, path, body % self.HUGE)
+        self._assert_bad_request(client, response)
+        assert b"must be finite" in response
+
+    def test_integer_past_the_parser_digit_limit_is_a_400(self, service):
+        server, client, _ = service
+        body = b'{"agent": "freqmine", "bandwidth_gbps": 1, "cache_kb": 1, "ipc": 1%s}'
+        response = _post(server.port, "/v1/samples", body % (b"0" * 5000))
+        self._assert_bad_request(client, response)
+        assert b"not valid JSON" in response

@@ -10,6 +10,9 @@ flight before it closes the connection.
 import asyncio
 import json
 
+import pytest
+
+from repro.dynamic.controller import RESOURCE_NAMES
 from repro.obs import MetricsRegistry
 from repro.serve import ShardCoordinator
 from repro.serve.protocol import AllocationResponse, SampleResponse
@@ -185,3 +188,19 @@ class TestShutdown:
             (200, "freqmine")
         ]
         assert closed and still_open == 0
+
+
+class TestCapacityValidation:
+    """The coordinator checks its capacities by the allocator's one rule."""
+
+    @pytest.mark.parametrize(
+        "capacities", [(25.6, 4096.0, 7.0), ("abc", 4096.0), (25.6, 0.0), (25.6, float("inf"))]
+    )
+    def test_bad_capacities_are_a_value_error(self, capacities):
+        with pytest.raises(ValueError, match="2 positive finite numbers"):
+            ShardCoordinator(dict(WORKLOADS), capacities=capacities, cells=2)
+
+    def test_capacities_and_resource_names(self):
+        coordinator = _coordinator()
+        assert coordinator.capacities == (25.6, 4096.0)
+        assert coordinator.resource_names is RESOURCE_NAMES

@@ -101,6 +101,37 @@ class TestSummary:
         assert summary["failures"]
         assert not perf_ab.passed(summary)
 
+    def test_without_a_claim_every_pair_gets_its_bound(self):
+        runs = self._runs(BASE, [b * 1.1 for b in BASE])
+        summary = perf_ab.summarize(runs, self.SPEC, None)
+        assert summary["claim"] is None
+        assert [(v["metric"], v["verdict"]) for v in summary["verdicts"]] == [
+            ("setup_s", "within bound"), ("server_cpu_ms_per_op", "within bound")]
+        assert perf_ab.passed(summary)
+        assert "no claim: every metric and workload judged by its bound" in perf_ab.report(
+            summary, None)
+
+    def test_without_a_claim_a_regression_fails(self):
+        runs = self._runs(BASE, [b * 1.4 for b in BASE])
+        summary = perf_ab.summarize(runs, self.SPEC, None)
+        verdicts = {v["metric"]: v["verdict"] for v in summary["verdicts"]}
+        assert verdicts == {"setup_s": "within bound", "server_cpu_ms_per_op": "regressed"}
+        assert not perf_ab.passed(summary)
+
+    def test_without_a_claim_an_unresolved_pair_does_not_fail(self):
+        noisy = [b * (1.0 + (0.4 if k % 2 else -0.4)) for k, b in enumerate(BASE)]
+        summary = perf_ab.summarize(self._runs(BASE, noisy), self.SPEC, None)
+        verdicts = {v["metric"]: v["verdict"] for v in summary["verdicts"]}
+        assert verdicts["server_cpu_ms_per_op"] == "unresolved"
+        assert perf_ab.passed(summary)
+
+    def test_a_claim_without_data_fails(self):
+        runs = self._runs(BASE, [b * 0.7 for b in BASE])
+        summary = perf_ab.summarize(runs, self.SPEC, ("server_cpu_ms_per_op", "sharded"))
+        assert summary["claim"] == {"holds": False, "detail": "no data"}
+        assert len(summary["verdicts"]) == 2
+        assert not perf_ab.passed(summary)
+
     def test_claim_parser(self):
         assert perf_ab.parse_claim("server_cpu_ms_per_op:ingest-heavy") == (
             "server_cpu_ms_per_op", "ingest-heavy")
@@ -207,6 +238,28 @@ class TestDriver:
         ledger = json.loads(ledger_path.read_text())
         assert ledger["seed_base"] == 5000 and ledger["passed"]
         assert ledger["runs"]["read-mostly"][0]["seed"] == 5000
+
+    @needs_git
+    def test_main_without_a_claim_records_a_null_claim(self, tmp_path, monkeypatch):
+        def measure(base, workloads, pairs, seed_base, seconds):
+            def run(value):
+                return {"correct": True, "failed": 0, "attempted": 100,
+                        "metrics": {"setup_s": 0.5, "fresh_mean_ms": value,
+                                    "server_cpu_ms_per_op": value, "server_rss_mb": 60.0}}
+
+            return {workload: [{"seed": seed_base + k, "first": "base", "base": run(b),
+                                "change": run(b)} for k, b in enumerate(BASE)]
+                    for workload in workloads}
+
+        monkeypatch.setattr(perf_ab, "measure", measure)
+        ledger_path = tmp_path / "ledger.json"
+        code = perf_ab.main(["--base", "HEAD", "--seed-base", "5000",
+                             "--ledger", str(ledger_path)])
+        assert code == 0
+        ledger = json.loads(ledger_path.read_text())
+        assert ledger["claim"] is None and ledger["passed"]
+        assert len(ledger["verdicts"]) == 16
+        assert {v["verdict"] for v in ledger["verdicts"]} == {"within bound"}
 
     def test_seeds_must_be_named(self, capsys):
         with pytest.raises(SystemExit):
