@@ -21,11 +21,10 @@ and a verdict:
 * the **claim** (optional) holds when the change is better in at least
   9 of 10 pairs and the medians differ by more than the base's quartile
   spread;
-* every other metric and workload (every one, without a claim) is
-  **within bound** unless its
-  median is worse by more than its ``BENCHMARK.json`` bound
-  (**regressed**), and **unresolved** when either side's quartile
-  spread is wider than that bound;
+* every other metric and workload (all of them, without a claim) is
+  **within bound** unless its median is worse by more than its
+  ``BENCHMARK.json`` bound (**regressed**), and **unresolved** when
+  either side's quartile spread is wider than that bound;
 * every run must be correct with no failed operation.
 
 Each run also keeps the latencies the benchmark prints but does not
