@@ -56,13 +56,14 @@ perfbench-check:
 # perfbench-check only imports the hooked modules; these call the
 # wrapped bindings the ticks run through, so one that imports but
 # breaks at call time (e.g. `OnlineProfiler.needs_refit` ceasing to be
-# a property) fails here.  ingest-heavy covers the fit and the solve,
-# churn-learn the credit mechanism's observe and the demand learner,
-# sharded the coordinator (grant rounds, merged reads and the
-# hierarchical split, each wrapped by the hook) and its cells.
-# Each passes only when the run's final JSON line reports
-# "correct": true.
-PERFBENCH_SMOKE_WORKLOADS := ingest-heavy churn-learn sharded
+# a property) fails here.  read-mostly covers the request path (HTTP
+# plumbing, snapshot reads, scrapes and the request series it touches
+# most), ingest-heavy the fit and the solve, churn-learn the credit
+# mechanism's observe and the demand learner, sharded the coordinator
+# (grant rounds, merged reads and the hierarchical split, each wrapped
+# by the hook) and its cells.  Each passes only when the run's final
+# JSON line reports "correct": true.
+PERFBENCH_SMOKE_WORKLOADS := read-mostly ingest-heavy churn-learn sharded
 perfbench-smoke:
 	@for workload in $(PERFBENCH_SMOKE_WORKLOADS); do \
 		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 1 \

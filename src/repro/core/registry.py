@@ -49,7 +49,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, Series
 from .mechanism import (
     Allocation,
     AllocationProblem,
@@ -91,6 +91,20 @@ class SolveContext:
     metrics: Optional[MetricsRegistry] = None
 
 
+_FAST_PATH = Series(
+    "counter",
+    "repro_solver_fast_path_total",
+    "Epoch allocations served by a closed-form mechanism.",
+    ("mechanism",),
+)
+_WARM_STARTS = Series(
+    "counter",
+    "repro_solver_warm_starts_total",
+    "SLSQP epoch solves by warm-start availability.",
+    ("mechanism", "outcome"),
+)
+
+
 class Mechanism:
     """Base strategy object: one allocation mechanism, registered by name."""
 
@@ -117,18 +131,10 @@ class Mechanism:
         ctx = context if context is not None else SolveContext()
         if ctx.metrics is not None:
             if self.fast_path:
-                ctx.metrics.counter(
-                    "repro_solver_fast_path_total",
-                    help="Epoch allocations served by a closed-form mechanism.",
-                    mechanism=self.name,
-                ).inc()
+                ctx.metrics.child(_FAST_PATH, self.name).inc()
             elif self.warm_startable:
-                ctx.metrics.counter(
-                    "repro_solver_warm_starts_total",
-                    help="SLSQP epoch solves by warm-start availability.",
-                    mechanism=self.name,
-                    outcome="hit" if ctx.warm_shares is not None else "miss",
-                ).inc()
+                outcome = "hit" if ctx.warm_shares is not None else "miss"
+                ctx.metrics.child(_WARM_STARTS, self.name, outcome).inc()
         return self._solve(problem, ctx)
 
     def _solve(self, problem: AllocationProblem, context: SolveContext) -> Allocation:
@@ -370,27 +376,31 @@ class CreditMechanism(Mechanism):
     one_shot = False  # needs history; a single solve is just REF
     hierarchical = True  # within-cell credit under the Eq. 13 split
 
-    #: Per-agent series: handle key -> (kind, metric name, help).
+    #: Per-agent series, by the amount each mirrors.
     _METRICS = {
-        "banked": (
+        "banked": Series(
             "counter",
             "repro_credit_banked_total",
             "Credit banked by under-served agents (capacity fractions).",
+            ("agent",),
         ),
-        "spent": (
+        "spent": Series(
             "counter",
             "repro_credit_spent_total",
             "Credit spent by over-served agents (capacity fractions).",
+            ("agent",),
         ),
-        "forfeited": (
+        "forfeited": Series(
             "counter",
             "repro_credit_forfeited_total",
             "Credit lost to the balance clip (capacity fractions).",
+            ("agent",),
         ),
-        "balance": (
+        "balance": Series(
             "gauge",
             "repro_credit_balance",
             "Per-agent credit balance in capacity fractions.",
+            ("agent", "resource"),
         ),
     }
 
@@ -406,9 +416,6 @@ class CreditMechanism(Mechanism):
         #: (problem, its agents' balances as one (N, R) array), until a
         #: balance changes; the solve and the observe of one tick share it.
         self._gathered: Optional[Tuple[AllocationProblem, np.ndarray]] = None
-        #: agent name -> its metric children in ``_handles_of`` (see _metric).
-        self._handles: Dict[str, Dict[Tuple[str, Optional[str]], Any]] = {}
-        self._handles_of: Optional[MetricsRegistry] = None
 
     def balance(self, name: str, n_resources: int = 2) -> np.ndarray:
         """The agent's current balance vector (zeros when unseen)."""
@@ -488,40 +495,17 @@ class CreditMechanism(Mechanism):
             "forfeited": forfeited,
         }
         for key, amount in amounts.items():
+            series = self._METRICS[key]
             for name, value in zip(names, amount.tolist()):
                 if value > 0:
-                    self._metric(metrics, name, key).inc(value)
+                    metrics.child(series, name).inc(value)
+        balance = self._METRICS["balance"]
         for name, row in zip(names, clipped.tolist()):
             for resource, value in zip(problem.resource_names, row):
-                self._metric(metrics, name, "balance", resource).set(value)
-
-    def _metric(
-        self, metrics: MetricsRegistry, agent: str, key: str, resource: Optional[str] = None
-    ):
-        """Agent ``agent``'s ``key`` series (per ``resource`` if given), looked up once.
-
-        Like ``AgentTable._metric``: held afterwards, so a later epoch
-        pays one dict lookup, while a series still appears only once it
-        is first touched.  An agent's children are dropped when it
-        leaves, all of them when ``metrics`` is another registry.
-        """
-        if metrics is not self._handles_of:
-            self._handles = {}
-            self._handles_of = metrics
-        handles = self._handles.setdefault(agent, {})
-        handle = handles.get((key, resource))
-        if handle is None:
-            kind, name, text = self._METRICS[key]
-            labels = {"agent": agent}
-            if resource is not None:
-                labels["resource"] = resource
-            handle = getattr(metrics, kind)(name, help=text, **labels)
-            handles[(key, resource)] = handle
-        return handle
+                metrics.child(balance, name, resource).set(value)
 
     def forget_agent(self, name: str) -> None:
         self._balances.pop(name, None)
-        self._handles.pop(name, None)
         self._gathered = None
 
     def state_dict(self) -> Dict[str, Any]:

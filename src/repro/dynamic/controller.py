@@ -54,7 +54,7 @@ from ..core.registry import (
     mechanism_names,
 )
 from ..learning import DemandLearner
-from ..obs import MetricsRegistry, Tracer, timed
+from ..obs import MetricsRegistry, Series, Tracer, timed
 from ..profiling.online import COUNTERS, AgentTable, OnlineProfiler
 from ..sim.analytic import AnalyticMachine
 from ..workloads.problems import RESOURCE_NAMES
@@ -78,6 +78,26 @@ _COUNTER_EVENTS = {
 }
 _EVENT_COLUMNS = [COUNTERS.index(column) for column in _COUNTER_EVENTS]
 _EVENT_KINDS = list(_COUNTER_EVENTS.values())
+
+_EPOCHS = Series("counter", "repro_dynamic_epochs_total", "Epochs stepped by the controller.")
+_AGENTS = Series("gauge", "repro_dynamic_agents", "Agents present in the last stepped epoch.")
+_EVENTS = Series(
+    "counter", "repro_dynamic_events_total", "Structured controller events by kind.", ("kind",)
+)
+_BATCH_FITS = Series(
+    "counter", "repro_solver_batch_fits_total", "Stacked multi-agent re-fit calls."
+)
+_BATCH_FIT_AGENTS = Series(
+    "histogram",
+    "repro_solver_batch_fit_agents",
+    "Agents re-fitted per stacked call.",
+    buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0),
+)
+_BATCH_FIT_FALLBACKS = Series(
+    "counter",
+    "repro_solver_batch_fit_fallbacks_total",
+    "Stacked re-fit calls that fell back to per-agent fits.",
+)
 
 
 def validate_capacities(capacities: Iterable[float]) -> Tuple[float, ...]:
@@ -365,9 +385,6 @@ class DynamicAllocator:
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = Tracer(metrics=self.metrics)
-        #: ``repro_dynamic_events_total`` children of ``_events_of`` by kind.
-        self._event_counters: Dict[str, object] = {}
-        self._events_of: Optional[MetricsRegistry] = None
         self.mechanism = mechanism
         self._mechanism_impl = create_mechanism(mechanism)
         self._fallback_impl = create_mechanism("equal-split-fallback")
@@ -540,24 +557,9 @@ class DynamicAllocator:
         )
 
     def _record_events(self, events) -> None:
-        """Mirror structured events into per-kind counters.
-
-        Each kind's counter is looked up once and held, until
-        ``metrics`` is replaced.
-        """
-        if self.metrics is not self._events_of:
-            self._event_counters = {}
-            self._events_of = self.metrics
-        held = self._event_counters
+        """Mirror structured events into per-kind counters."""
         for event in events:
-            counter = held.get(event.kind)
-            if counter is None:
-                counter = held[event.kind] = self.metrics.counter(
-                    "repro_dynamic_events_total",
-                    help="Structured controller events by kind.",
-                    kind=event.kind,
-                )
-            counter.inc()
+            self.metrics.child(_EVENTS, event.kind).inc()
 
     # ------------------------------------------------------------------
     # Measurement (with fault injection and bounded retry)
@@ -704,22 +706,12 @@ class DynamicAllocator:
                     block.allocations, block.performance, block.weights, counts=block.counts
                 )
             except (ValueError, np.linalg.LinAlgError):
-                self.metrics.counter(
-                    "repro_solver_batch_fit_fallbacks_total",
-                    help="Stacked re-fit calls that fell back to per-agent fits.",
-                ).inc()
+                self.metrics.child(_BATCH_FIT_FALLBACKS).inc()
                 self.table.refit_alone(block.rows, fit_cobb_douglas_batch)
                 return
             profiler.apply_fit(fits)
-        self.metrics.counter(
-            "repro_solver_batch_fits_total",
-            help="Stacked multi-agent re-fit calls.",
-        ).inc()
-        self.metrics.histogram(
-            "repro_solver_batch_fit_agents",
-            help="Agents re-fitted per stacked call.",
-            buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0),
-        ).observe(len(block.rows))
+        self.metrics.child(_BATCH_FITS).inc()
+        self.metrics.child(_BATCH_FIT_AGENTS).observe(len(block.rows))
 
     def step(self, epoch: int, measure: bool = True) -> EpochRecord:
         """Run one epoch: allocate on current reports, enforce floors,
@@ -735,12 +727,8 @@ class DynamicAllocator:
         with timed(self.metrics, "repro_dynamic_epoch_latency_seconds"):
             with self.tracer.span("epoch", epoch=epoch):
                 record = self._step(epoch, measure=measure)
-        self.metrics.counter(
-            "repro_dynamic_epochs_total", help="Epochs stepped by the controller."
-        ).inc()
-        self.metrics.gauge(
-            "repro_dynamic_agents", help="Agents present in the last stepped epoch."
-        ).set(len(record.agents))
+        self.metrics.child(_EPOCHS).inc()
+        self.metrics.child(_AGENTS).set(len(record.agents))
         self._record_events(record.events)
         return record
 

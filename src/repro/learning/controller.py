@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.mechanism import water_fill
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, Series
 from ..profiling.online import AgentTable
 from .caps import DemandCapEstimator, apply_demand_caps
 from .prior import PriorStore
@@ -111,28 +111,30 @@ class DemandLearner:
     telemetry.
     """
 
-    #: Handle key -> (kind, metric name, help); agent series add ``agent=``.
+    #: Every series the learner writes: fleet-wide ones, then per agent.
     _METRICS = {
-        "agents": ("gauge", "repro_learning_agents", "Agents currently learning demands."),
-        "caps": (
+        "agents": Series("gauge", "repro_learning_agents", "Agents currently learning demands."),
+        "caps": Series(
             "counter",
             "repro_learning_cap_events_total",
             "(agent, resource) entries clipped to a demand cap.",
         ),
-        "explored": (
+        "explored": Series(
             "gauge",
             "repro_learning_exploration_fraction",
             "Fraction of learning agents perturbed in the last epoch.",
         ),
-        "drift": (
+        "drift": Series(
             "gauge",
             "repro_learning_report_drift",
             "Max abs per-epoch change of the blended report.",
+            ("agent",),
         ),
-        "converged": (
+        "converged": Series(
             "gauge",
             "repro_learning_convergence_epoch",
             "Epoch at which the agent's report converged.",
+            ("agent",),
         ),
     }
 
@@ -152,28 +154,10 @@ class DemandLearner:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._rng = np.random.default_rng(seed)
         self._states: Dict[str, AgentLearnState] = {}
-        #: (agent name or None for fleet series, key) -> metric child in
-        #: ``_handles_of``, held after first use; an agent's are dropped
-        #: when it leaves, all of them when ``metrics`` is replaced.
-        self._handles: Dict[Tuple[Optional[str], str], object] = {}
-        self._handles_of: Optional[MetricsRegistry] = None
 
-    def _metric(self, key: str, agent: Optional[str] = None):
-        """The registry child for ``key`` (per ``agent`` if given), looked up once.
-
-        Like ``AgentTable._metric``: later calls cost one dict lookup,
-        and a series still appears only when it is first touched.
-        """
-        if self.metrics is not self._handles_of:
-            self._handles = {}
-            self._handles_of = self.metrics
-        handle = self._handles.get((agent, key))
-        if handle is None:
-            kind, name, text = self._METRICS[key]
-            labels = {} if agent is None else {"agent": agent}
-            handle = getattr(self.metrics, kind)(name, help=text, **labels)
-            self._handles[(agent, key)] = handle
-        return handle
+    def _metric(self, key: str, *labels: str):
+        """The registry child of series ``key`` labelled ``labels``."""
+        return self.metrics.child(self._METRICS[key], *labels)
 
     # ------------------------------------------------------------------
     # Membership
@@ -192,8 +176,6 @@ class DemandLearner:
     def forget(self, name: str) -> None:
         """Drop an agent's learning state (no-op when unknown)."""
         if self._states.pop(name, None) is not None:
-            self._handles.pop((name, "drift"), None)
-            self._handles.pop((name, "converged"), None)
             self._metric("agents").set(len(self._states))
 
     def state(self, name: str) -> Optional[AgentLearnState]:

@@ -6,6 +6,8 @@ hot path in the reproduction:
 * :class:`MetricsRegistry` — named counters, gauges and histograms
   (fixed Prometheus-style buckets plus a bounded sample reservoir for
   quantiles), with labels, JSON round-trips and registry merging;
+  producers declare a :class:`Series` per family and touch it through
+  ``registry.child(series, *label_values)``, which holds each child;
 * :class:`Tracer` / :func:`timed` — ``with``-block tracing producing
   hierarchical :class:`SpanRecord` trees and latency histograms;
 * :mod:`repro.obs.export` — JSON and Prometheus text-format exporters
@@ -45,6 +47,7 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Series,
     global_registry,
     set_global_registry,
 )
@@ -56,6 +59,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Series",
     "SpanRecord",
     "Tracer",
     "global_registry",

@@ -15,6 +15,10 @@ Prometheus children.  :class:`MetricsRegistry` creates metrics on first
 use, serializes to/from plain dicts (JSON-safe), and merges — the
 operation the CLI uses to combine a profiler's registry with the
 process-global one before export.
+
+A producer declares each family it writes as a :class:`Series` and
+touches it through :meth:`MetricsRegistry.child`, which holds every
+child it has handed out: a warm touch is one dict lookup.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -30,6 +34,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Series",
     "global_registry",
     "set_global_registry",
 ]
@@ -177,6 +182,21 @@ class Histogram:
         return self.sum / self.count if self.count else float("nan")
 
 
+class Series(NamedTuple):
+    """A declared metric family: kind, name, help, label names, histogram buckets.
+
+    ``kind`` names the registry method that creates it (``"counter"``,
+    ``"gauge"`` or ``"histogram"``); :meth:`MetricsRegistry.child` takes
+    one value per label name, in order.
+    """
+
+    kind: str
+    name: str
+    help: str = ""
+    labels: Tuple[str, ...] = ()
+    buckets: Optional[Tuple[float, ...]] = None
+
+
 class _Family:
     """One metric name: its kind, help string and per-label children."""
 
@@ -207,6 +227,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
         self._lock = threading.Lock()
+        #: (series, label values) -> the child :meth:`child` handed out.
+        self._children: Dict[Tuple[Series, tuple], object] = {}
 
     # ------------------------------------------------------------------
     # Creation / lookup
@@ -227,25 +249,23 @@ class MetricsRegistry:
             family.help = help
         return family
 
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        """Get or create the counter ``name{labels}``."""
+    def _get(self, kind: str, name: str, help: str, labels: Mapping[str, str], make):
+        """The child ``name{labels}`` of a ``kind`` family; ``make(key)`` creates it."""
         with self._lock:
-            family = self._family(name, "counter", help)
+            family = self._family(name, kind, help)
             key = _label_key(labels)
             child = family.children.get(key)
             if child is None:
-                child = family.children[key] = Counter(name, key)
-            return child  # type: ignore[return-value]
+                child = family.children[key] = make(key)
+            return child
+
+    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
+        """Get or create the counter ``name{labels}``."""
+        return self._get("counter", name, help, labels, lambda key: Counter(name, key))
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         """Get or create the gauge ``name{labels}``."""
-        with self._lock:
-            family = self._family(name, "gauge", help)
-            key = _label_key(labels)
-            child = family.children.get(key)
-            if child is None:
-                child = family.children[key] = Gauge(name, key)
-            return child  # type: ignore[return-value]
+        return self._get("gauge", name, help, labels, lambda key: Gauge(name, key))
 
     def histogram(
         self,
@@ -260,23 +280,36 @@ class MetricsRegistry:
         ``buckets`` applies only on first creation; later calls for the
         same child must agree (or omit the argument).
         """
-        with self._lock:
-            family = self._family(name, "histogram", help)
-            key = _label_key(labels)
-            child = family.children.get(key)
-            if child is None:
-                child = family.children[key] = Histogram(
-                    name,
-                    key,
-                    buckets=buckets if buckets is not None else DEFAULT_BUCKETS,
-                    reservoir_size=reservoir_size,
-                )
-            elif buckets is not None and tuple(float(b) for b in buckets) != child.buckets:
-                raise ValueError(
-                    f"histogram {name!r}{dict(key)} already exists with buckets "
-                    f"{child.buckets}; cannot change them to {tuple(buckets)}"
-                )
-            return child  # type: ignore[return-value]
+        bounds = DEFAULT_BUCKETS if buckets is None else buckets
+        child = self._get(
+            "histogram", name, help, labels, lambda key: Histogram(name, key, bounds, reservoir_size)
+        )
+        if buckets is not None and tuple(float(b) for b in buckets) != child.buckets:
+            raise ValueError(
+                f"histogram {name!r}{dict(child.labels)} already exists with buckets "
+                f"{child.buckets}; cannot change them to {tuple(buckets)}"
+            )
+        return child
+
+    def child(self, series: Series, *label_values):
+        """The child of ``series`` labelled ``label_values``, one per label name.
+
+        Once the child exists this is one dict lookup.  The first touch
+        creates it through :meth:`counter`, :meth:`gauge` or
+        :meth:`histogram`, looked up when called (so a wrapped method
+        sees every creation); a series appears only once it is touched.
+        """
+        try:
+            return self._children[series, label_values]
+        except KeyError:
+            if len(label_values) != len(series.labels):
+                raise ValueError(f"{series.name} takes labels {series.labels}, got {label_values}")
+            options = dict(zip(series.labels, map(str, label_values)))
+            if series.buckets is not None:
+                options["buckets"] = series.buckets
+            child = getattr(self, series.kind)(series.name, series.help, **options)
+            self._children[series, label_values] = child
+            return child
 
     # ------------------------------------------------------------------
     # Introspection

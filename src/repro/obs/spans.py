@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .registry import Histogram, MetricsRegistry
+from .registry import MetricsRegistry, Series
 
 __all__ = ["SpanRecord", "Tracer", "timed"]
 
@@ -63,6 +63,12 @@ class SpanRecord:
         return record
 
 
+#: The mirror histogram of every completed span, by span name.
+SPAN_SECONDS = Series(
+    "histogram", "repro_span_seconds", "Durations of traced spans, by span name.", ("span",)
+)
+
+
 class Tracer:
     """Builds span trees from nested ``with`` blocks.
 
@@ -70,32 +76,20 @@ class Tracer:
     ----------
     metrics:
         Optional registry; when given, every completed span also
-        observes its duration into the ``histogram_name`` histogram,
-        labeled by span name.
+        observes its duration into ``repro_span_seconds{span=<name>}``.
     max_roots:
         Bound on retained completed root spans (oldest dropped first;
         ``dropped_roots`` counts them).
-    histogram_name:
-        Name of the mirror histogram when ``metrics`` is set.
     """
 
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        max_roots: int = 1024,
-        histogram_name: str = "repro_span_seconds",
-    ):
+    def __init__(self, metrics: Optional[MetricsRegistry] = None, max_roots: int = 1024):
         if max_roots < 1:
             raise ValueError(f"max_roots must be >= 1, got {max_roots}")
         self.metrics = metrics
         self.max_roots = int(max_roots)
-        self.histogram_name = histogram_name
         self.roots: List[SpanRecord] = []
         self.dropped_roots = 0
         self._stack: List[SpanRecord] = []
-        #: Mirror histogram children of ``_held_of``, by span name.
-        self._held: Dict[str, Histogram] = {}
-        self._held_of: Optional[MetricsRegistry] = None
 
     @property
     def current(self) -> Optional[SpanRecord]:
@@ -121,22 +115,7 @@ class Tracer:
                     del self.roots[: len(self.roots) - self.max_roots]
                     self.dropped_roots += 1
             if self.metrics is not None:
-                self._histogram(name).observe(record.duration)
-
-    def _histogram(self, name: str) -> Histogram:
-        """The mirror histogram of span ``name``, looked up once and held
-        until ``metrics`` is replaced."""
-        if self.metrics is not self._held_of:
-            self._held = {}
-            self._held_of = self.metrics
-        handle = self._held.get(name)
-        if handle is None:
-            handle = self._held[name] = self.metrics.histogram(
-                self.histogram_name,
-                help="Durations of traced spans, by span name.",
-                span=name,
-            )
-        return handle
+                self.metrics.child(SPAN_SECONDS, name).observe(record.duration)
 
     def spans_as_dicts(self) -> List[Dict[str, object]]:
         """All retained root span trees, JSON-safe."""
@@ -151,16 +130,16 @@ def timed(
     buckets: Optional[Tuple[float, ...]] = None,
     **labels: str,
 ) -> Iterator[None]:
-    """Time one block into ``registry.histogram(name, **labels)``.
+    """Time one block into the histogram ``name{labels}`` of ``registry``.
 
     The duration is recorded even when the block raises — a failing
     epoch still costs wall-clock time and must show up in latency
     telemetry.
     """
+    bounds = None if buckets is None else tuple(buckets)
+    series = Series("histogram", name, help, tuple(labels), bounds)
     start = time.perf_counter()
     try:
         yield
     finally:
-        registry.histogram(name, help=help, buckets=buckets, **labels).observe(
-            time.perf_counter() - start
-        )
+        registry.child(series, *labels.values()).observe(time.perf_counter() - start)

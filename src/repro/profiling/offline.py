@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from ..core.fitting import CobbDouglasFit
-from ..obs import MetricsRegistry, timed
+from ..obs import MetricsRegistry, Series, timed
 from ..sim.analytic import AnalyticMachine
 from ..sim.machine import TraceMachine
 from ..sim.platform import PlatformConfig
@@ -54,6 +54,9 @@ __all__ = ["OfflineProfiler", "ProfilerStats"]
 #: Default multiplicative measurement-noise sigma (log-space).  About 1%
 #: run-to-run variation, typical of sampled cycle-accurate simulation.
 DEFAULT_NOISE_SIGMA = 0.01
+
+_CACHE_HITS = Series("counter", "repro_profiler_cache_hits_total", labels=("tier",))
+_FASTCACHE_POINTS = Series("counter", "repro_profiler_fastcache_points_total", labels=("path",))
 
 
 @dataclass
@@ -164,20 +167,16 @@ class OfflineProfiler:
     def _bump(self, stat: str, n: int = 1) -> None:
         """Increment one ProfilerStats field and its metric mirror together."""
         setattr(self.stats, stat, getattr(self.stats, stat) + n)
-        name, labels = self._STAT_METRICS[stat]
-        self.metrics.counter(name, **labels).inc(n)
+        self.metrics.child(*self._STAT_METRICS[stat]).inc(n)
 
-    #: ProfilerStats field -> (metric name, labels) mirror map.
+    #: ProfilerStats field -> (series, label values) mirror map.
     _STAT_METRICS = {
-        "simulated_points": ("repro_profiler_simulated_points_total", {}),
-        "simulated_workloads": ("repro_profiler_simulated_workloads_total", {}),
-        "memory_hits": ("repro_profiler_cache_hits_total", {"tier": "memory"}),
-        "disk_hits": ("repro_profiler_cache_hits_total", {"tier": "disk"}),
-        "fastcache_points": ("repro_profiler_fastcache_points_total", {"path": "fast"}),
-        "fallback_points": (
-            "repro_profiler_fastcache_points_total",
-            {"path": "fallback"},
-        ),
+        "simulated_points": (Series("counter", "repro_profiler_simulated_points_total"),),
+        "simulated_workloads": (Series("counter", "repro_profiler_simulated_workloads_total"),),
+        "memory_hits": (_CACHE_HITS, "memory"),
+        "disk_hits": (_CACHE_HITS, "disk"),
+        "fastcache_points": (_FASTCACHE_POINTS, "fast"),
+        "fallback_points": (_FASTCACHE_POINTS, "fallback"),
     }
 
     def _bump_trace_path(self, n_points: int) -> None:

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..core.fitting import CobbDouglasFit, fit_cobb_douglas
 from ..core.utility import CobbDouglasUtility, rescale_elasticities
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, Series
 
 __all__ = ["AgentTable", "FitBlock", "OnlineProfiler"]
 
@@ -67,6 +67,8 @@ class FitBlock(NamedTuple):
 #: Counter columns of :attr:`AgentTable.counters`, in event order.
 COUNTERS = ("rejected_non_positive", "rejected_outliers", "fit_fallbacks", "trimmed_samples")
 _NON_POSITIVE, _OUTLIER, _FALLBACK, _TRIMMED = range(len(COUNTERS))
+
+_REJECTED = Series("counter", "repro_online_samples_rejected_total", labels=("reason",))
 
 
 class AgentTable:
@@ -105,6 +107,7 @@ class AgentTable:
         rejection/fallback counters are mirrored into it
         (``repro_online_*`` metrics, labelled per row) and every
         attempted re-fit's condition number is exposed as a gauge.
+        Every row carries the same label names (see :meth:`add`).
 
     Columns
     -------
@@ -128,22 +131,15 @@ class AgentTable:
     of removed and moved rows.
     """
 
-    #: Mirror key -> (registry method, metric name, extra labels).
+    #: Mirror key -> (series, the key's own label values); a row's
+    #: series take the row's label names first (see :meth:`extend`).
     _METRICS = {
-        "rejected_non_positive": (
-            "counter",
-            "repro_online_samples_rejected_total",
-            {"reason": "non_positive"},
-        ),
-        "rejected_outliers": (
-            "counter",
-            "repro_online_samples_rejected_total",
-            {"reason": "outlier"},
-        ),
-        "fit_fallbacks": ("counter", "repro_online_fit_fallbacks_total", {}),
-        "trimmed_samples": ("counter", "repro_online_samples_trimmed_total", {}),
-        "refits": ("counter", "repro_online_refits_total", {}),
-        "condition": ("gauge", "repro_online_fit_condition_number", {}),
+        "rejected_non_positive": (_REJECTED, "non_positive"),
+        "rejected_outliers": (_REJECTED, "outlier"),
+        "fit_fallbacks": (Series("counter", "repro_online_fit_fallbacks_total"),),
+        "trimmed_samples": (Series("counter", "repro_online_samples_trimmed_total"),),
+        "refits": (Series("counter", "repro_online_refits_total"),),
+        "condition": (Series("gauge", "repro_online_fit_condition_number"),),
     }
 
     def __init__(
@@ -206,8 +202,12 @@ class AgentTable:
         self._metrics = metrics
         self.names: List[str] = []
         self._rows: Dict[str, int] = {}
-        self._labels: List[Dict[str, str]] = []
-        self._handles: List[Dict[str, object]] = []
+        #: The label names every row takes (the first row's), and each
+        #: row's values for them.
+        self._label_names: Optional[Tuple[str, ...]] = None
+        self._labels: List[Tuple[str, ...]] = []
+        #: Mirror key -> (series with the rows' label names first, own values).
+        self._series: Dict[str, Tuple[Series, Tuple[str, ...]]] = {}
         self._first_depth = self.max_history or 2 * min_samples
         # Row i's live samples, oldest first, are arena slots
         # _start[i] + (_head[i] - count[i] + j) % _depth[i] for j < count[i];
@@ -254,7 +254,8 @@ class AgentTable:
         """Append a naive row for ``name``; returns its index.
 
         ``labels`` are attached to every metric the row mirrors (e.g.
-        ``{"agent": name}`` when one registry serves many rows).
+        ``{"agent": name}`` when one registry serves many rows); every
+        row of a table takes the label names of its first.
         """
         self.extend([name], [labels or {}])
         return self._rows[name]
@@ -266,6 +267,15 @@ class AgentTable:
                 raise ValueError(f"agent {name!r} already exists")
         if len(set(names)) != len(names):
             raise ValueError(f"agent names must be unique, got {list(names)}")
+        for row_labels in labels:
+            if self._label_names is None:
+                self._label_names = first = tuple(row_labels)
+                self._series = {
+                    key: (series._replace(labels=(*first, *series.labels)), tuple(own))
+                    for key, (series, *own) in self._METRICS.items()
+                }
+            elif tuple(row_labels) != self._label_names:
+                raise ValueError(f"every row takes the label names {self._label_names}")
         k, depth = len(names), self._first_depth
         start = self._reserve(k * depth)
         for column, value in self._fresh.items():
@@ -274,8 +284,7 @@ class AgentTable:
         for name, row_labels in zip(names, labels):
             self._rows[name] = len(self.names)
             self.names.append(name)
-            self._labels.append(dict(row_labels))
-            self._handles.append({})
+            self._labels.append(tuple(row_labels.values()))
 
     def remove(self, name: str) -> None:
         """Drop agent ``name``'s row; later rows move up one, in order.
@@ -288,25 +297,16 @@ class AgentTable:
         keep[row:] += 1
         for column in self._fresh:
             setattr(self, column, getattr(self, column)[keep])
-        del self.names[row], self._labels[row], self._handles[row]
+        del self.names[row], self._labels[row]
         self._rows = {agent: i for i, agent in enumerate(self.names)}
 
     # ------------------------------------------------------------------
     # Metrics
 
     def _metric(self, row: int, key: str):
-        """The registry child mirroring ``key`` for ``row``, looked up once.
-
-        Held afterwards, so a hot path pays no locked registry lookup,
-        while a series still appears only once it is first touched.
-        """
-        handles = self._handles[row]
-        handle = handles.get(key)
-        if handle is None:
-            kind, name, extra = self._METRICS[key]
-            handle = getattr(self._metrics, kind)(name, **{**self._labels[row], **extra})
-            handles[key] = handle
-        return handle
+        """The registry child mirroring ``key`` for ``row``."""
+        series, own = self._series[key]
+        return self._metrics.child(series, *self._labels[row], *own)
 
     def _count(self, row: int, column: int, n: int = 1) -> None:
         """Bump a row's counter and its metric mirror (if any)."""

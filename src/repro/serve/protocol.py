@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -59,18 +59,22 @@ def _reject_constant(text: str) -> float:
     raise ProtocolError(f"non-finite JSON constant {text!r} is not allowed")
 
 
-def parse_json(text: str) -> Dict[str, object]:
-    """Parse a request body into a dict, strictly.
+def parse_json(text: Union[str, bytes]) -> Dict[str, object]:
+    """Parse a request body (text, or bytes that must be UTF-8) into a dict, strictly.
 
-    Rejects invalid JSON, non-object payloads and the non-standard
-    ``NaN``/``Infinity`` constants (Prometheus would render them, but a
-    measurement that is not a finite number is not a measurement), and
-    bodies nested too deeply for the parser.
+    Rejects bytes that are not UTF-8, invalid JSON, non-object payloads
+    and the non-standard ``NaN``/``Infinity`` constants (Prometheus
+    would render them, but a measurement that is not a finite number is
+    not a measurement), and bodies nested too deeply for the parser.
     """
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         data = json.loads(text, parse_constant=_reject_constant)
     except ProtocolError:
         raise
+    except UnicodeDecodeError as error:
+        raise ProtocolError(f"request body is not valid UTF-8: {error}") from None
     except (ValueError, RecursionError) as error:  # also the digit limit, deep nesting
         raise ProtocolError(f"request body is not valid JSON: {error}") from None
     if not isinstance(data, dict):

@@ -75,10 +75,10 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..dynamic.controller import DynamicAllocator, EpochRecord
-from ..obs import MetricsRegistry, global_registry, to_prometheus
+from ..obs import MetricsRegistry, Series, global_registry, to_prometheus
 from ..workloads import BENCHMARKS, get_workload
 from .batching import BatchPolicy, SampleBatcher
 from .protocol import (
@@ -136,16 +136,6 @@ FIRST_REQUEST_TIMEOUT = 30.0
 #: Default seconds an idle persistent connection is held open between
 #: requests before the server closes it.
 DEFAULT_IDLE_TIMEOUT = 30.0
-
-
-class _Series(NamedTuple):
-    """A metric a server touches: kind, name, help, label names, histogram buckets."""
-
-    kind: str
-    name: str
-    help: str
-    labels: Tuple[str, ...] = ()
-    buckets: Optional[Tuple[float, ...]] = None
 
 
 class _HttpError(Exception):
@@ -450,68 +440,67 @@ class HttpServerBase:
     :meth:`_snapshot` / :meth:`_invalidate_snapshots`.
     """
 
-    #: Every metric the flat server touches, resolved per label set at
-    #: first use by :meth:`_metric`; the coordinator extends the table.
+    #: Every metric the flat server touches; the coordinator extends the table.
     _METRICS = {
-        "connections": _Series(
+        "connections": Series(
             "counter",
             "repro_serve_connections_total",
             "TCP connections accepted by the HTTP listener.",
         ),
-        "per_connection": _Series(
+        "per_connection": Series(
             "histogram",
             "repro_serve_requests_per_connection",
             "Requests served over each connection before it closed.",
             buckets=_CONNECTION_BUCKETS,
         ),
-        "requests": _Series(
+        "requests": Series(
             "counter",
             "repro_serve_requests_total",
             "HTTP requests handled, by route and status.",
             ("route", "status"),
         ),
-        "latency": _Series(
+        "latency": Series(
             "histogram",
             "repro_serve_request_latency_seconds",
             "Server-side request handling latency.",
             ("route",),
         ),
-        "snapshots": _Series(
+        "snapshots": Series(
             "counter",
             "repro_serve_snapshots_total",
             "Snapshot-served reads, by route and cache result.",
             ("route", "result"),
         ),
-        "internal_errors": _Series(
+        "internal_errors": Series(
             "counter",
             "repro_serve_internal_errors_total",
             "Unexpected exceptions while handling a request.",
         ),
-        "orphaned": _Series(
+        "orphaned": Series(
             "counter",
             "repro_serve_orphaned_samples_total",
             "Pending samples dropped at flush time because their agent had deregistered.",
         ),
-        "samples": _Series(
+        "samples": Series(
             "counter",
             "repro_serve_samples_total",
             "Samples applied at epoch ticks, by outcome.",
             ("outcome",),
         ),
-        "batches": _Series(
+        "batches": Series(
             "counter",
             "repro_serve_batches_total",
             "Epoch ticks, by what triggered the flush.",
             ("trigger",),
         ),
-        "batch_size": _Series(
+        "batch_size": Series(
             "histogram",
             "repro_serve_batch_size",
             "Samples coalesced into each epoch tick.",
             buckets=_BATCH_BUCKETS,
         ),
-        "epoch": _Series("gauge", "repro_serve_epoch", "Most recently completed epoch index."),
-        "bulk_samples": _Series(
+        "epoch": Series("gauge", "repro_serve_epoch", "Most recently completed epoch index."),
+        "bulk_samples": Series(
             "counter",
             "repro_serve_bulk_samples_total",
             "Samples carried by bulk POSTs, by ingress outcome.",
@@ -544,8 +533,6 @@ class HttpServerBase:
         self._connections: Set[_Connection] = set()
         #: Path -> (method, handler); _routes() names only bound methods.
         self._route_table = self._routes()
-        #: Request-path metric children held by _metric.
-        self._handles: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -623,29 +610,17 @@ class HttpServerBase:
     # Metrics
 
     def _metric(self, key: str, *labels):
-        """The registry child for ``key`` and ``labels``, held after first use.
-
-        Like ``OnlineProfiler._metric``: a request pays one dict lookup,
-        not a locked, label-validating registry lookup, and a series
-        still appears only once it is first touched.
-        """
-        handle = self._handles.get((key, *labels))
-        if handle is None:
-            series = self._METRICS[key]
-            options = dict(zip(series.labels, map(str, labels)))
-            if series.buckets is not None:
-                options["buckets"] = series.buckets
-            handle = getattr(self.metrics, series.kind)(series.name, help=series.help, **options)
-            self._handles[(key, *labels)] = handle
-        return handle
+        """The registry child of series ``key`` labelled ``labels``."""
+        return self.metrics.child(self._METRICS[key], *labels)
 
     def _count_request(self, route: str, status: int, started: float) -> float:
         """Count one handled request into the request metrics; returns now."""
         if self._loop is None:
             return started
         now = self._loop.time()
-        self._metric("requests", route, status).inc()
-        self._metric("latency", route).observe(now - started)
+        metrics, series = self.metrics, self._METRICS
+        metrics.child(series["requests"], route, status).inc()
+        metrics.child(series["latency"], route).observe(now - started)
         return now
 
     # ------------------------------------------------------------------
@@ -668,7 +643,7 @@ class HttpServerBase:
             result = "miss"
             body = json.dumps(build().as_dict()).encode()
             self._snapshots[route] = body
-        self._metric("snapshots", route, result).inc()
+        self.metrics.child(self._METRICS["snapshots"], route, result).inc()
         return 200, body, "application/json"
 
     def _invalidate_snapshots(self) -> None:
@@ -907,7 +882,7 @@ class AllocationServer(HttpServerBase):
         }
 
     def _route_agents(self, body: bytes) -> Tuple[int, object, str]:
-        request = AgentRequest.from_dict(parse_json(body.decode("utf-8", "replace")))
+        request = AgentRequest.from_dict(parse_json(body))
         if request.action == "register":
             if request.profile_free and not self.allocator.learn_demands:
                 raise _HttpError(
@@ -949,7 +924,7 @@ class AllocationServer(HttpServerBase):
         return 200, response.as_dict(), "application/json"
 
     def _route_samples(self, body: bytes) -> Tuple[int, object, str]:
-        data = parse_json(body.decode("utf-8", "replace"))
+        data = parse_json(body)
         if "samples" in data:
             return self._ingest_bulk(BulkSampleRequest.from_dict(data))
         request = SampleRequest.from_dict(data)
@@ -1011,7 +986,7 @@ class AllocationServer(HttpServerBase):
         re-scaled agent elasticities the coordinator needs for the next
         Eq. 13 split.
         """
-        request = CapacityRequest.from_dict(parse_json(body.decode("utf-8", "replace")))
+        request = CapacityRequest.from_dict(parse_json(body))
         names = self.allocator.resource_names
         if set(request.capacities) != set(names):
             raise _HttpError(

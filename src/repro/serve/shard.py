@@ -61,7 +61,7 @@ import numpy as np
 
 from ..core.registry import hierarchical_mechanism_names
 from ..dynamic.controller import RESOURCE_NAMES, validate_capacities
-from ..obs import MetricsRegistry, global_registry, to_prometheus
+from ..obs import MetricsRegistry, Series, global_registry, to_prometheus
 from ..optimize.hierarchy import split_capacity
 from ..workloads import BENCHMARKS
 from .client import ServeClient, ServeError
@@ -81,7 +81,7 @@ from .protocol import (
     SampleRequest,
     parse_json,
 )
-from .server import DEFAULT_IDLE_TIMEOUT, HttpServerBase, _HttpError, _Series
+from .server import DEFAULT_IDLE_TIMEOUT, HttpServerBase, _HttpError
 
 __all__ = ["CellWorker", "ShardCoordinator", "cell_for"]
 
@@ -229,28 +229,28 @@ class ShardCoordinator(HttpServerBase):
 
     _METRICS = {
         **HttpServerBase._METRICS,
-        "cells": _Series("gauge", "repro_shard_cells", "Live cell workers behind the coordinator."),
-        "grant_errors": _Series(
+        "cells": Series("gauge", "repro_shard_cells", "Live cell workers behind the coordinator."),
+        "grant_errors": Series(
             "counter",
             "repro_shard_grant_errors_total",
             "Capacity grants a cell rejected.",
             ("cell",),
         ),
-        "grant_latency": _Series(
+        "grant_latency": Series(
             "histogram",
             "repro_shard_grant_latency_seconds",
             "Round-trip latency of one cell capacity grant.",
             ("cell",),
             buckets=_GRANT_BUCKETS,
         ),
-        "grant_rounds": _Series(
+        "grant_rounds": Series(
             "counter", "repro_shard_grant_rounds_total", "Completed coordinator grant rounds."
         ),
-        "round": _Series("gauge", "repro_shard_epoch", "Most recently completed grant round."),
-        "rebalances": _Series(
+        "round": Series("gauge", "repro_shard_epoch", "Most recently completed grant round."),
+        "rebalances": Series(
             "counter", "repro_shard_rebalances_total", "Rebalances triggered by cell death."
         ),
-        "rehashed": _Series(
+        "rehashed": Series(
             "counter",
             "repro_shard_agents_rehashed_total",
             "Agents re-homed from a dead cell to a survivor.",
@@ -639,7 +639,7 @@ class ShardCoordinator(HttpServerBase):
         }
 
     async def _route_agents(self, body: bytes):
-        request = AgentRequest.from_dict(parse_json(body.decode("utf-8", "replace")))
+        request = AgentRequest.from_dict(parse_json(body))
         if request.action == "register":
             if request.profile_free and not self.learn_demands:
                 raise _HttpError(
@@ -698,7 +698,7 @@ class ShardCoordinator(HttpServerBase):
         return 200, response.as_dict(), "application/json"
 
     async def _route_samples(self, body: bytes):
-        data = parse_json(body.decode("utf-8", "replace"))
+        data = parse_json(body)
         if "samples" in data:
             return await self._proxy_bulk(BulkSampleRequest.from_dict(data))
         request = SampleRequest.from_dict(data)
@@ -794,7 +794,7 @@ class ShardCoordinator(HttpServerBase):
 
     async def _route_capacity(self, body: bytes):
         """Replace the *global* capacity vector; re-grant immediately."""
-        request = CapacityRequest.from_dict(parse_json(body.decode("utf-8", "replace")))
+        request = CapacityRequest.from_dict(parse_json(body))
         names = self.resource_names
         if set(request.capacities) != set(names):
             raise _HttpError(
@@ -877,7 +877,7 @@ class ShardCoordinator(HttpServerBase):
         body = self._snapshots.get("/v1/allocation")
         if body is None:
             return self._allocation_miss()
-        self._metric("snapshots", "/v1/allocation", "hit").inc()
+        self.metrics.child(self._METRICS["snapshots"], "/v1/allocation", "hit").inc()
         return 200, body, "application/json"
 
     async def _allocation_miss(self):

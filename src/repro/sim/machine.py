@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import MetricsRegistry, global_registry, timed
+from ..obs import MetricsRegistry, Series, global_registry, timed
 from .cache import CacheHierarchy
 from .dram import DramChannel
 from .fastcache import FastHierarchy
@@ -44,6 +44,10 @@ from .platform import PlatformConfig
 from .trace import generate_trace
 
 __all__ = ["TraceSimulationResult", "TraceMachine"]
+
+_POINTS = Series(
+    "counter", "repro_fastcache_points_total", "Trace grid points by simulation path", ("path",)
+)
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,7 @@ class TraceMachine:
             return []
         if not self.kernel_active:
             if self.use_fast_kernel:
-                self.metrics.counter(
-                    "repro_fastcache_points_total",
-                    help="Trace grid points by simulation path",
-                    path="fallback",
-                ).inc(len(point_list))
+                self.metrics.child(_POINTS, "fallback").inc(len(point_list))
             return [
                 self._simulate_reference(workload, kb, bw, seed)
                 for bw, kb in point_list
@@ -215,11 +215,7 @@ class TraceMachine:
                     l1_miss_ratio,
                     global_miss_ratio,
                 )
-        self.metrics.counter(
-            "repro_fastcache_points_total",
-            help="Trace grid points by simulation path",
-            path="fast",
-        ).inc(len(point_list))
+        self.metrics.child(_POINTS, "fast").inc(len(point_list))
         return [results[point] for point in point_list]
 
     def _simulate_reference(

@@ -5,8 +5,8 @@ reports through its logger, such as a task exception that is never
 retrieved or an exception raised in a callback, fails the test it
 happened in.  Without dev mode that hook does nothing.
 
-``registry_calls`` records every counter and gauge lookup made on any
-metrics registry during a test.
+``registry_calls`` records every counter, gauge and histogram lookup
+made on any metrics registry during a test.
 """
 
 import gc
@@ -45,16 +45,19 @@ def asyncio_errors_fail_the_test():
 
 @pytest.fixture()
 def registry_calls(monkeypatch):
-    """Every ``MetricsRegistry.counter``/``gauge`` call, as ``(metric, labels)``."""
+    """Every ``MetricsRegistry.counter``/``gauge``/``histogram`` call, as ``(metric, labels)``."""
     from repro.obs import MetricsRegistry
 
     calls = []
-    for kind in ("counter", "gauge"):
+    for kind in ("counter", "gauge", "histogram"):
         lookup = getattr(MetricsRegistry, kind)
 
         def counted(self, name, help="", _lookup=lookup, **labels):
+            options = {
+                key: labels.pop(key) for key in ("buckets", "reservoir_size") if key in labels
+            }
             calls.append((name, tuple(sorted(labels.items()))))
-            return _lookup(self, name, help=help, **labels)
+            return _lookup(self, name, help=help, **options, **labels)
 
         monkeypatch.setattr(MetricsRegistry, kind, counted)
     return calls

@@ -201,19 +201,23 @@ class TestHeldHandles:
         assert registry.get("repro_credit_forfeited_total", agent=names[0]) is not None
         assert len(registry_calls) == len(set(registry_calls))
 
-    def test_forgotten_agent_looks_its_series_up_again(self, registry_calls):
+    def test_a_returning_agent_continues_its_series(self, registry_calls):
+        # forget_agent drops the balance, not the series: a returning
+        # agent's counters continue, its balance restarts from zero, and
+        # no series is looked up again.
         registry = MetricsRegistry()
         mechanism = CreditMechanism(max_balance=100.0)
         enforced = steady_epoch()
         mechanism.observe(enforced, metrics=registry)
+        first = mechanism.balance("a")
         mechanism.forget_agent("a")
         registry_calls.clear()
         mechanism.observe(enforced, metrics=registry)
-        assert {labels for _, labels in registry_calls} == {
-            (("agent", "a"),),
-            (("agent", "a"), ("resource", "bw")),
-            (("agent", "a"), ("resource", "cache")),
-        }
+        assert registry_calls == []
+        assert registry.get("repro_credit_banked_total", agent="a").value == 2 * first.sum()
+        np.testing.assert_array_equal(mechanism.balance("a"), first)
+        gauge = registry.get("repro_credit_balance", agent="a", resource="bw")
+        assert gauge.value == first[0]
 
     def test_a_new_registry_gets_its_own_series(self):
         first, second = MetricsRegistry(), MetricsRegistry()

@@ -522,6 +522,16 @@ class TestHostileBodies:
         self._assert_bad_request(server, client, response)
         assert b"must be finite" in response
 
+    @pytest.mark.parametrize("path", ["/v1/samples", "/v1/agents", "/v1/capacity"])
+    def test_a_body_that_is_not_utf8_is_a_400(self, service, path):
+        server, client, _ = service
+        agents = client.health().agents
+        body = b'{"action": "register", "agent": "w\xffb", "workload": "canneal"}'
+        response = _post(server.port, path, body)
+        self._assert_bad_request(server, client, response)
+        assert b"not valid UTF-8" in response
+        assert client.health().agents == agents
+
     def test_integer_past_the_parser_digit_limit_is_a_400(self, service):
         server, client, _ = service
         body = b'{"agent": "freqmine", "bandwidth_gbps": 1, "cache_kb": 1, "ipc": 1%s}'

@@ -325,9 +325,7 @@ def test_series_match_recording(scenario):
 
 
 def test_scenarios_cover_every_producer():
-    families = {
-        ident[0] for scenario in SCENARIOS for ident, _ in _recorded_steps(scenario)[-1]
-    }
+    families = {ident[0] for scenario in SCENARIOS for ident, _ in _recorded_steps(scenario)[-1]}
     for prefix in (
         "repro_credit_forfeited_total",
         "repro_learning_convergence_epoch",

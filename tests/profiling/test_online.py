@@ -310,9 +310,12 @@ class TestMetricsMirror:
                 return super().gauge(name, help, **labels)
 
         def lookup_every_bump(table, row, key):
-            kind, name, extra = table._METRICS[key]
-            labels = {**table._labels[row], **extra}
-            return getattr(table._metrics, kind)(name, **labels)
+            series, *own = table._METRICS[key]
+            labels = {
+                **dict(zip(table._label_names, table._labels[row])),
+                **dict(zip(series.labels, own)),
+            }
+            return getattr(table._metrics, series.kind)(series.name, **labels)
 
         held_registry, lookup_registry = CountingRegistry(), CountingRegistry()
         kwargs = dict(

@@ -4,7 +4,8 @@ The single-sample proxy forwards the exploration flag.  A cached
 ``/v1/allocation`` read is answered inline; only a miss awaits the
 cells.  Pipelined requests whose proxied calls finish out of order are
 still answered in request order, and ``stop()`` delivers the reply in
-flight before it closes the connection.
+flight before it closes the connection.  A body that is not UTF-8 is a
+400 before any cell hears of it.
 """
 
 import asyncio
@@ -86,6 +87,31 @@ class TestSampleProxy:
         results = asyncio.run(scenario())
         assert [status for status, _, _ in results] == [200, 200]
         assert log == [("freqmine", True), ("freqmine", False)]
+
+
+class TestUndecodableBody:
+    def test_a_register_that_is_not_utf8_is_a_400(self):
+        coordinator = _coordinator()
+        registered = []
+
+        class StubLink:
+            async def register(self, agent, workload, workload_class=None):
+                registered.append(agent)
+
+        async def call(cell, fn):
+            return await fn(StubLink())
+
+        coordinator._call = call
+        body = b'{"action": "register", "agent": "w\xffb", "workload": "canneal"}'
+
+        async def scenario():
+            return await coordinator._dispatch("POST", "/v1/agents", body)
+
+        status, payload, _ = asyncio.run(scenario())
+        assert (status, payload["error"]) == (400, "bad_request")
+        assert "not valid UTF-8" in payload["detail"]
+        assert registered == []
+        assert set(coordinator.workloads) == set(WORKLOADS)
 
 
 class TestAllocationSnapshot:

@@ -1,12 +1,16 @@
-"""Serve-layer metrics are held handles: no registry lookup once they exist.
+"""Serve-path metrics are held children: no registry lookup once they exist.
 
-Every series the flat server and the coordinator touch is declared in
-their ``_METRICS`` table and reached through ``HttpServerBase._metric``,
-so after a series is first touched a tick, a bulk POST, a 500 or a
-grant round costs no ``MetricsRegistry.counter``/``gauge`` lookup.
+Every series the flat server, the coordinator and the allocator under
+them touch is a declared ``Series`` reached through
+``MetricsRegistry.child``, so after a series is first touched a tick, a
+bulk POST, a 500 or a grant round costs no
+``MetricsRegistry.counter``/``gauge``/``histogram`` lookup.
 """
 
 import asyncio
+
+import numpy as np
+import pytest
 
 from repro.dynamic import DynamicAllocator
 from repro.obs import MetricsRegistry
@@ -21,13 +25,14 @@ def _serve_lookups(calls):
     return [call for call in calls if call[0].startswith(SERVE_PREFIXES)]
 
 
-def _server() -> AllocationServer:
+def _server(**options) -> AllocationServer:
     registry = MetricsRegistry()
     allocator = DynamicAllocator(
         {"freqmine": get_workload("freqmine"), "dedup": get_workload("dedup")},
         capacities=(25.6, 4096.0),
         seed=5,
         metrics=registry,
+        **options,
     )
     return AllocationServer(allocator, metrics=registry)
 
@@ -47,6 +52,34 @@ def test_flat_tick_with_samples_looks_nothing_up(registry_calls):
     registry_calls.clear()
     server._run_epoch(SAMPLES, trigger="max_delay")
     assert _serve_lookups(registry_calls) == []
+
+
+@pytest.mark.parametrize(
+    "options", [{}, {"mechanism": "credit", "learn_demands": True}], ids=["ref", "credit-learn"]
+)
+def test_warm_tick_looks_nothing_up(registry_calls, options):
+    # The whole tick: serve counters, the allocator's epoch series and
+    # latency histogram, the batched re-fit, the mechanism's solve
+    # counter, credit and learning bookkeeping, spans and events.
+    server = _server(**options)
+    rng = np.random.default_rng(9)
+
+    def tick():
+        samples = [
+            SampleRequest(agent, *rng.uniform((1.0, 128.0), (12.0, 2048.0)), rng.uniform(0.5, 2.0))
+            for agent in ("freqmine", "dedup", "ghost")
+            for _ in range(3)
+        ]
+        server._run_epoch(samples, trigger="max_delay")
+
+    server._run_epoch([], trigger="startup")
+    for _ in range(12):
+        tick()
+    fits = server.metrics.get("repro_solver_batch_fits_total").value
+    registry_calls.clear()
+    tick()
+    assert registry_calls == []
+    assert server.metrics.get("repro_solver_batch_fits_total").value == fits + 1
 
 
 def test_bulk_post_and_internal_error_look_nothing_up(registry_calls):
@@ -105,6 +138,10 @@ def test_coordinator_grant_round_looks_nothing_up(registry_calls):
         return first, _serve_lookups(registry_calls)
 
     first, second = asyncio.run(scenario())
-    assert {name for name, _ in first} == {"repro_shard_grant_rounds_total", "repro_shard_epoch"}
+    assert {name for name, _ in first} == {
+        "repro_shard_grant_rounds_total",
+        "repro_shard_epoch",
+        "repro_shard_grant_latency_seconds",
+    }
     assert second == []
     assert coordinator._metric("grant_rounds").value == 2
