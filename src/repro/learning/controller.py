@@ -339,6 +339,7 @@ class DemandLearner:
             previous = np.array([states[i].last_report for i in seen])
             drifts[seen] = np.max(np.abs(reports[seen] - previous), axis=1)
         drifts = drifts.tolist()
+        metrics, drift_series = self.metrics, self._METRICS["drift"]
         for i, (name, state) in enumerate(zip(table.names, states)):
             if state is None:
                 continue
@@ -346,7 +347,7 @@ class DemandLearner:
             report = reports[i]
             if state.last_report is not None:
                 drift = drifts[i]
-                self._metric("drift", name).set(drift)
+                metrics.child(drift_series, name).set(drift)
                 if state.converged_epoch is not None and drift > self.config.rearm_drift:
                     # A big jump after convergence is a phase change:
                     # re-arm exploration and start converging again.

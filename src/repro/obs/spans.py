@@ -64,7 +64,7 @@ class SpanRecord:
 
 
 #: The mirror histogram of every completed span, by span name.
-SPAN_SECONDS = Series(
+_SPAN_SECONDS = Series(
     "histogram", "repro_span_seconds", "Durations of traced spans, by span name.", ("span",)
 )
 
@@ -115,7 +115,7 @@ class Tracer:
                     del self.roots[: len(self.roots) - self.max_roots]
                     self.dropped_roots += 1
             if self.metrics is not None:
-                self.metrics.child(SPAN_SECONDS, name).observe(record.duration)
+                self.metrics.child(_SPAN_SECONDS, name).observe(record.duration)
 
     def spans_as_dicts(self) -> List[Dict[str, object]]:
         """All retained root span trees, JSON-safe."""
