@@ -525,9 +525,13 @@ class AgentTable:
             self.report[taken] = kept / kept.sum(axis=1, keepdims=True)
         self.counters[rows[~accepted], _FALLBACK] += 1
         if self._metrics is not None:
+            child, labels = self._metrics.child, self._labels
+            gauge, refits, fallbacks = (
+                self._series[key][0] for key in ("condition", "refits", "fit_fallbacks")
+            )
             for row, ok, value in zip(rows.tolist(), accepted.tolist(), condition.tolist()):
-                self._metric(row, "condition").set(value)
-                self._metric(row, "refits" if ok else "fit_fallbacks").inc()
+                child(gauge, *labels[row]).set(value)
+                child(refits if ok else fallbacks, *labels[row]).inc()
         return accepted
 
     def reject_fits(self, rows: np.ndarray) -> None:
