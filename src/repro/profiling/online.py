@@ -524,7 +524,7 @@ class AgentTable:
             self.fitted[taken] = True
             self.report[taken] = kept / kept.sum(axis=1, keepdims=True)
         self.counters[rows[~accepted], _FALLBACK] += 1
-        if self._metrics is not None:
+        if self._metrics is not None and rows.size:
             child, labels = self._metrics.child, self._labels
             gauge, refits, fallbacks = (
                 self._series[key][0] for key in ("condition", "refits", "fit_fallbacks")

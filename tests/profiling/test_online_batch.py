@@ -112,6 +112,11 @@ class TestDeferredRefit:
         counter = registry.get("repro_online_refits_total", agent="a")
         assert counter is not None and counter.value == 1
 
+    def test_no_rows_to_apply_on_an_empty_mirrored_table(self):
+        table = AgentTable(metrics=MetricsRegistry())
+        accepted = table.apply_fits(np.zeros(0, np.intp), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+        assert accepted.shape == (0,)
+
     def test_eager_default_unchanged(self):
         profiler = OnlineProfiler()
         feed_synthetic(profiler.observe, (0.7, 0.3), 12)
