@@ -18,7 +18,7 @@ COV_FLOOR ?= 80
 .PHONY: install test serve-devmode perfbench-check perfbench-smoke coverage bench bench-kernel \
 	bench-serve bench-solver cold-start-check examples reproduce \
 	lint smoke dynamic-smoke metrics-smoke serve-smoke shard-smoke \
-	credit-smoke regret-smoke perf-ab ci clean
+	credit-smoke regret-smoke perf-ab loc ci clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -126,6 +126,13 @@ perf-ab:
 		{ echo "usage: make perf-ab BASE=<rev> [CLAIM=<metric>:<workload>] SEED_BASE=<n>"; exit 2; }
 	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) $(if $(CLAIM),--claim $(CLAIM)) \
 		--seed-base $(SEED_BASE) --ledger $(LEDGER)
+
+# The net src/ line count against a base revision, two ways: all lines
+# (git diff --numstat) and lines that carry code (no blank lines,
+# comments or docstrings).  Usage: make loc BASE=<rev>
+loc:
+	@test -n "$(BASE)" || { echo "usage: make loc BASE=<rev>"; exit 2; }
+	$(PYTHON) benchmarks/loc.py --base $(BASE)
 
 # Hard budget on `python -m repro --help` in a fresh interpreter, plus
 # a probe that building the parser imports neither NumPy nor SciPy.

@@ -39,6 +39,7 @@ pays only for what it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -759,30 +760,31 @@ def _lookup_benchmark(benchmark: str):
     return get_workload(benchmark)
 
 
-def _parse_workload_set(text: str):
-    """``--workloads`` value -> {agent_name: workload} (repeats suffixed)."""
+def _workload_agents(text: str) -> "dict[str, str]":
+    """``--workloads`` value -> ``{agent_name: benchmark_name}``; a
+    repeated benchmark's agents are suffixed ``_2``, ``_3``, ..."""
+    from .workloads import BENCHMARKS
+
     members = [name.strip() for name in text.split(",") if name.strip()]
     if not members:
         raise SystemExit("--workloads needs at least one benchmark")
-    workloads = {}
+    agents: "dict[str, str]" = {}
     for member in members:
-        workload = _lookup_benchmark(member)
-        name = member
-        suffix = 2
-        while name in workloads:
+        if member not in BENCHMARKS:
+            raise SystemExit(f"unknown benchmark {member!r}")
+        name, suffix = member, 2
+        while name in agents:
             name = f"{member}_{suffix}"
             suffix += 1
-        workloads[name] = workload
-    return workloads
+        agents[name] = member
+    return agents
 
 
 def _serve_agent_benchmarks(args) -> "dict[str, str]":
     """Initial agents for ``serve`` as ``{agent_name: benchmark_name}``.
 
     ``--agents name=bench,...`` wins (the shard coordinator uses it to
-    seed cell workers with exact names); otherwise ``--workloads``
-    derives names the same way ``_parse_workload_set`` does (repeats
-    suffixed ``_2``, ``_3``, ...).
+    seed cell workers with exact names); otherwise ``--workloads``.
     """
     from .workloads import BENCHMARKS
 
@@ -803,19 +805,7 @@ def _serve_agent_benchmarks(args) -> "dict[str, str]":
         if not agents:
             raise SystemExit("--agents needs at least one NAME=BENCHMARK entry")
         return agents
-    members = [name.strip() for name in args.workloads.split(",") if name.strip()]
-    if not members:
-        raise SystemExit("--workloads needs at least one benchmark")
-    for member in members:
-        if member not in BENCHMARKS:
-            raise SystemExit(f"unknown benchmark {member!r}")
-        name = member
-        suffix = 2
-        while name in agents:
-            name = f"{member}_{suffix}"
-            suffix += 1
-        agents[name] = member
-    return agents
+    return _workload_agents(args.workloads)
 
 
 def _checked_capacities(text: str):
@@ -837,30 +827,44 @@ def _parse_capacities(text: Optional[str], n_agents: int):
     return _checked_capacities(text)
 
 
+@contextlib.contextmanager
+def _one_line_errors():
+    """A ValueError from building a service object, as a one-line usage error."""
+    try:
+        yield
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+
+
 def _cmd_dynamic(args) -> int:
     from .dynamic import DynamicAllocator, FaultSpec
+    from .workloads import get_workload
 
-    workloads = _parse_workload_set(args.workloads)
+    if args.epochs < 1:
+        raise SystemExit("--epochs must be >= 1")
+    benchmarks = _workload_agents(args.workloads)
+    workloads = {name: get_workload(bench) for name, bench in benchmarks.items()}
     capacities = _parse_capacities(args.capacities, len(workloads))
-    faults = FaultSpec(
-        drop=args.fault_drop,
-        non_positive=args.fault_non_positive,
-        outlier=args.fault_outlier,
-        outlier_scale=args.outlier_scale,
-        max_retries=args.max_retries,
-    )
-    allocator = DynamicAllocator(
-        workloads,
-        capacities=capacities,
-        decay=args.decay,
-        exploration_samples=args.exploration,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        faults=faults if faults.is_active else None,
-        mechanism=args.mechanism,
-        learn_demands=args.learn_demands,
-        prior=args.prior,
-    )
+    with _one_line_errors():
+        faults = FaultSpec(
+            drop=args.fault_drop,
+            non_positive=args.fault_non_positive,
+            outlier=args.fault_outlier,
+            outlier_scale=args.outlier_scale,
+            max_retries=args.max_retries,
+        )
+        allocator = DynamicAllocator(
+            workloads,
+            capacities=capacities,
+            decay=args.decay,
+            exploration_samples=args.exploration,
+            noise_sigma=args.noise,
+            seed=args.seed,
+            faults=faults if faults.is_active else None,
+            mechanism=args.mechanism,
+            learn_demands=args.learn_demands,
+            prior=args.prior,
+        )
     churn = _parse_churn_specs(args.churn, _lookup_benchmark)
     result = allocator.run(args.epochs, churn=churn if churn.events else None)
     feasible = result.all_feasible()
@@ -878,7 +882,7 @@ def _cmd_dynamic(args) -> int:
                     "learn_demands": bool(args.learn_demands),
                     "agents": list(result.agent_names),
                     "counters": counters,
-                    "final_allocation": (final.enforced or final.allocation).as_dict(),
+                    "final_allocation": final.enforced.as_dict(),
                 }
             )
         )
@@ -887,7 +891,7 @@ def _cmd_dynamic(args) -> int:
         print()
         print("final enforced allocation:")
         final = result.records[-1]
-        print((final.enforced or final.allocation).summary())
+        print(final.enforced.summary())
         if args.events:
             print()
             print(f"last {min(args.events, len(result.events))} events:")
@@ -948,39 +952,27 @@ def _cmd_serve(args) -> int:
     if args.cells > 1:
         # Sharded: a hierarchical coordinator over N worker subprocesses
         # (repro.serve.shard).  Capacity splits are Eq. 13 on aggregate
-        # elasticities; the within-cell mechanism must compose with that
-        # split, which is what the registry's hierarchical flag records.
-        from .core.registry import hierarchical_mechanism_names
+        # elasticities; the coordinator refuses a within-cell mechanism
+        # that does not compose with that split, and a cell without a
+        # seed agent.
         from .serve import ShardCoordinator
 
-        hierarchical = hierarchical_mechanism_names()
-        if args.mechanism not in hierarchical:
-            raise SystemExit(
-                f"--cells > 1 requires a hierarchical mechanism "
-                f"({', '.join(hierarchical)}); {args.mechanism!r} does not "
-                f"compose with the Eq. 13 capacity split"
+        with _one_line_errors():
+            coordinator = ShardCoordinator(
+                benchmarks,
+                capacities=capacities,
+                cells=args.cells,
+                host=args.host,
+                port=args.port,
+                epoch_ms=args.epoch_ms,
+                max_batch=args.max_batch,
+                grant_ms=args.grant_ms,
+                decay=args.decay,
+                seed=args.seed,
+                mechanism=args.mechanism,
+                learn_demands=args.learn_demands,
+                prior=args.prior,
             )
-        if len(benchmarks) < args.cells:
-            raise SystemExit(
-                f"--cells {args.cells} needs at least {args.cells} initial "
-                f"agents (got {len(benchmarks)}); every cell must start "
-                "non-empty"
-            )
-        coordinator = ShardCoordinator(
-            benchmarks,
-            capacities=capacities,
-            cells=args.cells,
-            host=args.host,
-            port=args.port,
-            epoch_ms=args.epoch_ms,
-            max_batch=args.max_batch,
-            grant_ms=args.grant_ms,
-            decay=args.decay,
-            seed=args.seed,
-            mechanism=args.mechanism,
-            learn_demands=args.learn_demands,
-            prior=args.prior,
-        )
         _serve_event_loop(
             coordinator,
             f"cells={args.cells} epoch_ms={args.epoch_ms:g} "
@@ -996,21 +988,18 @@ def _cmd_serve(args) -> int:
     from .workloads import get_workload
 
     workloads = {name: get_workload(bench) for name, bench in benchmarks.items()}
-    allocator = DynamicAllocator(
-        workloads,
-        capacities=capacities,
-        decay=args.decay,
-        seed=args.seed,
-        mechanism=args.mechanism,
-        learn_demands=args.learn_demands,
-        prior=args.prior,
-    )
-    server = AllocationServer(
-        allocator,
-        policy=BatchPolicy(max_delay=args.epoch_ms / 1000.0, max_batch=args.max_batch),
-        host=args.host,
-        port=args.port,
-    )
+    with _one_line_errors():
+        allocator = DynamicAllocator(
+            workloads,
+            capacities=capacities,
+            decay=args.decay,
+            seed=args.seed,
+            mechanism=args.mechanism,
+            learn_demands=args.learn_demands,
+            prior=args.prior,
+        )
+        policy = BatchPolicy(max_delay=args.epoch_ms / 1000.0, max_batch=args.max_batch)
+    server = AllocationServer(allocator, policy=policy, host=args.host, port=args.port)
     _serve_event_loop(
         server,
         f"epoch_ms={args.epoch_ms:g} max_batch={args.max_batch} "

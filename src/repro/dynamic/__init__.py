@@ -1,6 +1,6 @@
 """Dynamic reallocation: a fault-tolerant on-line REF service (§4.4)."""
 
-from .controller import ControllerResult, DynamicAllocator, EpochEvent, EpochRecord
+from .controller import ControllerResult, DynamicAllocator, EpochEvent, EpochRecord, StageRecord
 from .faults import FaultInjector, FaultSpec
 from .phases import ChurnEvent, ChurnSchedule, Phase, PhasedWorkload
 
@@ -15,4 +15,5 @@ __all__ = [
     "FaultSpec",
     "Phase",
     "PhasedWorkload",
+    "StageRecord",
 ]

@@ -12,9 +12,10 @@ Every epoch the controller
 2. computes the REF allocation for the reports (closed form, so the
    per-epoch control cost is negligible), falling back to an equal
    split if the mechanism cannot produce a valid allocation,
-3. projects the allocation onto the floor-constrained simplex — the
-   *enforced* allocation is always capacity-feasible and keeps every
-   agent inside the profiled operating regime,
+3. runs the allocation through the enforcement stages (floors, then
+   demand caps and exploration when learning) — the *enforced*
+   allocation is always capacity-feasible and keeps every agent inside
+   the profiled operating regime,
 4. lets each agent run one epoch at its enforced bundle — measured on
    the analytic machine with optional noise and optional injected
    measurement faults — plus a configurable number of log-uniform
@@ -40,19 +41,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fitting import fit_cobb_douglas_batch
 from ..core.mechanism import Allocation, AllocationProblem, apply_allocation_floors
-from ..core.registry import (
-    SolveContext,
-    controller_mechanism_names,
-    create_mechanism,
-    mechanism_names,
-)
+from ..core.registry import SolveContext, controller_mechanism_names, create_mechanism
 from ..learning import DemandLearner
 from ..obs import MetricsRegistry, Series, Tracer, timed
 from ..profiling.online import COUNTERS, AgentTable, OnlineProfiler
@@ -64,6 +60,7 @@ from .phases import ChurnSchedule
 __all__ = [
     "EpochEvent",
     "EpochRecord",
+    "StageRecord",
     "ControllerResult",
     "DynamicAllocator",
     "RESOURCE_NAMES",
@@ -136,20 +133,45 @@ class EpochRecord:
     """Everything observed during one epoch.
 
     ``allocation`` is the raw mechanism output for the epoch's reports;
-    ``enforced`` is the floor-projected allocation the agents actually
-    ran at — always feasible, every share at or above the floors.
-    ``measured_ipc`` holds only the agents whose measurement succeeded
-    this epoch (skipped measurements are recorded as events).
+    ``enforced`` is what the agents actually ran at, the shares after
+    every enforcement stage (not only the floors) — always feasible,
+    every share at or above the floors.  ``measured_ipc`` holds only the
+    agents whose measurement succeeded this epoch (skipped measurements
+    are recorded as events).
     """
 
     epoch: int
     reported_alpha: Dict[str, np.ndarray]
     allocation: Allocation
     measured_ipc: Dict[str, float]
-    enforced: Optional[Allocation] = None
+    enforced: Allocation
     agents: Tuple[str, ...] = ()
     events: Tuple[EpochEvent, ...] = ()
     fit_condition: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """The latest epoch's shares after the solve and after each enforcement stage.
+
+    ``shares`` is an ``(S, N, R)`` stack, ``shares[k]`` the shares after
+    stage ``stages[k]``: ``"solve"`` (``EpochRecord.allocation``) first,
+    the enforced allocation (``EpochRecord.enforced``) last.  Rows
+    follow ``agents``.
+    """
+
+    stages: Tuple[str, ...]
+    agents: Tuple[str, ...]
+    shares: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Tick:
+    """What an enforcement stage reads besides the shares it reshapes."""
+
+    epoch: int
+    problem: AllocationProblem
+    reports: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -183,10 +205,7 @@ class ControllerResult:
 
     def all_feasible(self, tol: float = 1e-9) -> bool:
         """True when every epoch's enforced allocation is feasible."""
-        return all(
-            (record.enforced or record.allocation).is_feasible(tol)
-            for record in self.records
-        )
+        return all(record.enforced.is_feasible(tol) for record in self.records)
 
     def reported_series(self, agent: str, resource: int = 1) -> np.ndarray:
         """One agent's reported elasticity for a resource, per epoch.
@@ -213,7 +232,7 @@ class ControllerResult:
     def _share_series(self, agent: str, resource: int, enforced: bool) -> np.ndarray:
         values = []
         for record in self.records:
-            allocation = (record.enforced or record.allocation) if enforced else record.allocation
+            allocation = record.enforced if enforced else record.allocation
             try:
                 values.append(allocation[agent][resource])
             except KeyError:
@@ -301,8 +320,9 @@ class DynamicAllocator:
         ``"credit"`` are closed-form — the O(N·R) fast path, counted
         under ``repro_solver_fast_path_total``.  ``"max-welfare-fair"``
         and ``"equal-slowdown"`` run the SLSQP log-space program,
-        warm-started from the previous epoch's enforced shares whenever
-        the agent set is unchanged (hits/misses counted under
+        warm-started from the previous epoch's enforced shares (the last
+        slice of :attr:`stage_record`) whenever the agent set is
+        unchanged (hits/misses counted under
         ``repro_solver_warm_starts_total``).  Stateful mechanisms
         (``"credit"``) observe every enforced allocation and carry
         per-agent state across epochs; snapshot/restore it through
@@ -331,7 +351,9 @@ class DynamicAllocator:
     the agent's row; each tick re-fits every dirty row with one stacked
     :func:`~repro.core.fitting.fit_cobb_douglas_batch` call, gates the
     fits with array masks and hands the ``(N, R)`` report array to the
-    mechanism and the floor, cap and exploration projections.
+    mechanism.  The solve's shares then run through the enforcement
+    stages — ``floors``, then ``caps`` and ``exploration`` when learning
+    — and :attr:`stage_record` keeps the shares after each.
     """
 
     #: Lower bounds keeping every agent inside the profiled regime.
@@ -341,8 +363,6 @@ class DynamicAllocator:
     #: Mechanisms the controller can run (registry-derived: every
     #: controller-capable registration is accepted automatically).
     MECHANISM_NAMES = controller_mechanism_names()
-    #: The closed-form subset — no SLSQP process starts on this path.
-    FAST_PATH_MECHANISMS = mechanism_names(controller=True, fast_path=True)
 
     def __init__(
         self,
@@ -400,8 +420,15 @@ class DynamicAllocator:
             if self.learn_demands
             else None
         )
-        self._last_enforced_shares: Optional[np.ndarray] = None
-        self._last_agent_order: Tuple[str, ...] = ()
+        # The enforcement stages, in order.  They look their callees up
+        # when called, never at import, so a wrapper installed later
+        # (the open-loop benchmark's trace hook) still sees every tick.
+        self._stages = {"floors": self._stage_floors}
+        if self.learner is not None:
+            self._stages.update(caps=self._stage_caps, exploration=self._stage_exploration)
+        #: The latest epoch's :class:`StageRecord`; ``None`` before the
+        #: first step and after a capacity change.
+        self.stage_record: Optional[StageRecord] = None
         if not self.learn_demands and any(w is None for w in self.workloads.values()):
             raise ValueError("profile-free agents require learn_demands=True")
         self.table = AgentTable(
@@ -503,7 +530,7 @@ class DynamicAllocator:
         values = validate_capacities(capacities)
         if values != self.capacities:
             self.capacities = values
-            self._last_enforced_shares = None
+            self.stage_record = None
 
     def aggregate_elasticities(self) -> np.ndarray:
         """Per-resource sum of re-scaled agent elasticities, shape (R,).
@@ -668,14 +695,10 @@ class DynamicAllocator:
                 scale=self.table.scale.copy(),
                 rescaled=reports,
             )
+        record = self.stage_record
         warm = None
-        if (
-            self._mechanism_impl.warm_startable
-            and self._last_enforced_shares is not None
-            and self._last_agent_order == names
-            and self._last_enforced_shares.shape == (problem.n_agents, problem.n_resources)
-        ):
-            warm = self._last_enforced_shares
+        if self._mechanism_impl.warm_startable and record is not None and record.agents == names:
+            warm = record.shares[-1]
         context = SolveContext(epoch=epoch, warm_shares=warm, metrics=self.metrics)
         try:
             return self._mechanism_impl.solve(problem, context)
@@ -714,9 +737,9 @@ class DynamicAllocator:
         self.metrics.child(_BATCH_FIT_AGENTS).observe(len(block.rows))
 
     def step(self, epoch: int, measure: bool = True) -> EpochRecord:
-        """Run one epoch: allocate on current reports, enforce floors,
+        """Run one epoch: allocate on current reports, run the enforcement
 
-        measure under fault injection, and update the agent table.
+        stages, measure under fault injection, and update the agent table.
 
         With ``measure=False`` the controller only allocates and
         enforces — no internal measurement or exploration happens.  This
@@ -742,50 +765,23 @@ class DynamicAllocator:
         reports = self.reports()
         with self.tracer.span("allocate"):
             allocation = self._allocate(epoch, events, reports)
-        # Feasible floor enforcement: transient mis-fits can starve an
-        # agent toward a zero share, and log-space leverage points there
-        # would poison the regression (a feedback spiral).  Projection
-        # takes the excess from richer agents, so — unlike a per-agent
-        # clamp — the enforced bundles never exceed capacity.
+        tick = _Tick(epoch, allocation.problem, reports)
+        stack = [allocation.shares]
         with self.tracer.span("enforce"):
-            enforced = apply_allocation_floors(allocation, self.floors)
-        if not np.allclose(enforced.shares, allocation.shares, rtol=1e-9, atol=1e-12):
-            lifted = int(np.sum(np.any(allocation.shares < enforced.shares - 1e-12, axis=1)))
-            events.append(
-                EpochEvent(
-                    epoch,
-                    "floor_projection",
-                    detail=f"{lifted} agent(s) lifted to the floor",
-                )
-            )
-
-        explored: Tuple[str, ...] = ()
-        if self.learner is not None:
-            # Demand caps first (saturated agents release surplus with
-            # exact column sums), then bounded ε-greedy exploration
-            # perturbations (column sums and floors preserved) — the
-            # enforced allocation stays feasible through both.
-            shares, capped = self.learner.apply_caps(
-                enforced.shares, table, self.floors, self.capacities, reports
-            )
-            if capped:
-                events.append(
-                    EpochEvent(
-                        epoch, "demand_capped", detail=f"{capped} entr(ies) clipped"
-                    )
-                )
-            shares, explored = self.learner.perturb(shares, names, self.floors)
-            for name in explored:
-                events.append(EpochEvent(epoch, "exploration_perturbed", name))
-            enforced = Allocation(enforced.problem, shares, enforced.mechanism)
-
-        self._last_enforced_shares = enforced.shares.copy()
-        self._last_agent_order = names
+            for stage in self._stages.values():
+                shares, stage_events = stage(stack[-1], tick)
+                stack.append(shares)
+                events.extend(stage_events)
+        self.stage_record = StageRecord(("solve", *self._stages), names, np.stack(stack))
+        # Every stage list starts with the floor projection, which the
+        # served label names after the mechanism (proportional_elasticity+floors).
+        enforced = Allocation(allocation.problem, stack[-1], f"{allocation.mechanism}+floors")
+        explored = {e.agent for e in events if e.kind == "exploration_perturbed"}
 
         if self._mechanism_impl.stateful:
             # Stateful mechanisms (credit) learn from what agents
-            # actually ran at — the floor-projected allocation, whose
-            # columns partition capacity exactly.
+            # actually ran at — the enforced allocation, whose columns
+            # partition capacity exactly.
             for kind, agent, detail in self._mechanism_impl.observe(
                 enforced, epoch=epoch, metrics=self.metrics
             ):
@@ -837,6 +833,37 @@ class DynamicAllocator:
             fit_condition=dict(zip(names, table.condition.tolist())),
         )
 
+    # ------------------------------------------------------------------
+    # Enforcement stages: ``(shares, tick) -> (shares, events)``
+
+    def _stage_floors(self, shares: np.ndarray, tick: _Tick):
+        """Project onto the floor-constrained simplex.
+
+        Transient mis-fits can starve an agent toward a zero share, and
+        log-space leverage points there would poison the regression (a
+        feedback spiral).  Projection takes the excess from richer
+        agents, so — unlike a per-agent clamp — the enforced bundles
+        never exceed capacity.
+        """
+        floored = apply_allocation_floors(Allocation(tick.problem, shares), self.floors).shares
+        if np.allclose(floored, shares, rtol=1e-9, atol=1e-12):
+            return floored, []
+        lifted = int(np.sum(np.any(shares < floored - 1e-12, axis=1)))
+        detail = f"{lifted} agent(s) lifted to the floor"
+        return floored, [EpochEvent(tick.epoch, "floor_projection", detail=detail)]
+
+    def _stage_caps(self, shares: np.ndarray, tick: _Tick):
+        """Cap demand-saturated agents; the surplus goes to the others
+        with exact column sums."""
+        shares, capped = self.learner.apply_caps(shares, self.table, self.floors, tick.reports)
+        detail = f"{capped} entr(ies) clipped"
+        return shares, [EpochEvent(tick.epoch, "demand_capped", detail=detail)] if capped else []
+
+    def _stage_exploration(self, shares: np.ndarray, tick: _Tick):
+        """Bounded ε-greedy perturbations; column sums and floors kept."""
+        shares, explored = self.learner.perturb(shares, tick.problem.names, self.floors)
+        return shares, [EpochEvent(tick.epoch, "exploration_perturbed", name) for name in explored]
+
     def _apply_churn(
         self, schedule: ChurnSchedule, epoch: int, events: List[EpochEvent]
     ) -> None:
@@ -869,16 +896,7 @@ class DynamicAllocator:
                 self._record_events(churn_events)
             record = self.step(epoch)
             if churn_events:
-                record = EpochRecord(
-                    epoch=record.epoch,
-                    reported_alpha=record.reported_alpha,
-                    allocation=record.allocation,
-                    measured_ipc=record.measured_ipc,
-                    enforced=record.enforced,
-                    agents=record.agents,
-                    events=tuple(churn_events) + record.events,
-                    fit_condition=record.fit_condition,
-                )
+                record = replace(record, events=tuple(churn_events) + record.events)
             records.append(record)
             self._next_epoch = epoch + 1
         return ControllerResult(records=tuple(records))

@@ -198,13 +198,12 @@ def run_regret(
             allocator.resource_names,
         )
         ideal = apply_allocation_floors(proportional_elasticity(problem), floors)
-        enforced = record.enforced or record.allocation
         gaps = []
         for i, agent in enumerate(present):
             utility = oracle[agent]
             gap = float(
                 np.log(utility.value(ideal.shares[i]))
-                - np.log(utility.value(enforced[agent]))
+                - np.log(utility.value(record.enforced[agent]))
             )
             gaps.append(gap)
             per_agent[agent].append(gap)

@@ -19,9 +19,9 @@ Two pieces implement that here:
   (:func:`~repro.core.mechanism.water_fill` with the caps as upper
   bounds), the standard tool of the limited-demands setting.  As long
   as one agent in a resource column is below its cap, the column sum
-  is preserved **exactly**; only when every agent is capped is
-  capacity left on the table (sum of caps < capacity means nobody
-  wants it).
+  is preserved **exactly**; only when every agent is capped is part of
+  the column left on the table (a sum of caps below the column sum
+  means nobody wants the rest).
 """
 
 from __future__ import annotations
@@ -43,15 +43,11 @@ class CapResult:
     shares: np.ndarray
     #: Number of (agent, resource) entries clipped to their cap.
     capped_entries: int
-    #: Per-resource capacity released because *every* agent was capped.
+    #: Per-resource share released because *every* agent was capped.
     released: np.ndarray
 
 
-def apply_demand_caps(
-    shares: np.ndarray,
-    caps: np.ndarray,
-    capacities: Sequence[float],
-) -> CapResult:
+def apply_demand_caps(shares: np.ndarray, caps: np.ndarray) -> CapResult:
     """Clip shares to per-agent demand caps, redistributing the surplus.
 
     Parameters
@@ -64,9 +60,6 @@ def apply_demand_caps(
         un-capped entry.  Non-finite-but-not-inf or non-positive caps
         are treated as un-capped (a degenerate estimate must never
         zero an agent out).
-    capacities:
-        Capacity vector ``C``, shape ``(R,)``; used only for
-        validation and the released-capacity report.
 
     Returns
     -------
@@ -75,8 +68,8 @@ def apply_demand_caps(
     * no entry exceeds its cap (within fp tolerance),
     * if at least one agent is below its cap, the column sum equals
       the input column sum **exactly** (surplus fully redistributed),
-    * otherwise the column sums to the total of the caps and the
-      difference is reported in ``released``.
+    * otherwise the column sums to the total of the caps, and
+      ``released`` reports what the input column sum exceeds that by.
     """
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2:
@@ -85,11 +78,6 @@ def apply_demand_caps(
     caps = np.asarray(caps, dtype=float)
     if caps.shape != shares.shape:
         raise ValueError(f"caps must have shape {shares.shape}, got {caps.shape}")
-    caps_vector = np.asarray(capacities, dtype=float)
-    if caps_vector.shape != (n_resources,):
-        raise ValueError(
-            f"capacities must have shape ({n_resources},), got {caps_vector.shape}"
-        )
     # Degenerate caps (NaN, zero, negative) carry no information: treat
     # them as un-capped rather than starving the agent.
     caps = np.where(np.isnan(caps) | (caps <= 0.0), np.inf, caps)

@@ -256,7 +256,6 @@ class DemandLearner:
         shares: np.ndarray,
         table: AgentTable,
         floors: Sequence[float],
-        capacities: Sequence[float],
         reports: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, int]:
         """Cap saturated agents, redistribute surplus; returns (shares, capped).
@@ -266,7 +265,7 @@ class DemandLearner:
         caps = self.caps_for(table, floors, reports)
         if not np.isfinite(caps).any():
             return shares, 0
-        result = apply_demand_caps(shares, caps, capacities)
+        result = apply_demand_caps(shares, caps)
         if result.capped_entries:
             self._metric("caps").inc(result.capped_entries)
         return result.shares, result.capped_entries

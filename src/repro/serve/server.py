@@ -783,8 +783,7 @@ class AllocationServer(HttpServerBase):
     def summary_line(self) -> str:
         """Greppable one-line health summary (printed on shutdown)."""
         record = self._current
-        allocation = record.enforced or record.allocation if record else None
-        feasible = allocation.is_feasible() if allocation is not None else False
+        feasible = record.enforced.is_feasible() if record else False
         return (
             f"serve: epochs={self._epoch} samples={self._batcher.total_items} "
             f"batches={self._batcher.total_batches} "
@@ -1017,7 +1016,7 @@ class AllocationServer(HttpServerBase):
     def _build_allocation(self) -> AllocationResponse:
         record = self._current
         assert record is not None, "start() runs epoch 0 before binding"
-        allocation = record.enforced or record.allocation
+        allocation = record.enforced
         problem = allocation.problem
         return AllocationResponse(
             epoch=self.current_epoch,

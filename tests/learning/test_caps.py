@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from repro.learning import DemandCapEstimator, apply_demand_caps
 
-CAPACITIES = (25.6, 8192.0)
-
 
 class TestApplyDemandCaps:
     def test_no_caps_is_identity(self):
         shares = np.array([[10.0, 4000.0], [15.6, 4192.0]])
-        result = apply_demand_caps(shares, np.full((2, 2), np.inf), CAPACITIES)
+        result = apply_demand_caps(shares, np.full((2, 2), np.inf))
         assert np.array_equal(result.shares, shares)
         assert result.capped_entries == 0
         assert np.all(result.released == 0.0)
@@ -21,7 +19,7 @@ class TestApplyDemandCaps:
     def test_surplus_flows_to_the_free_agent(self):
         shares = np.array([[16.0, 4096.0], [9.6, 4096.0]])
         caps = np.array([[10.0, np.inf], [np.inf, np.inf]])
-        result = apply_demand_caps(shares, caps, CAPACITIES)
+        result = apply_demand_caps(shares, caps)
         assert result.shares[0, 0] == pytest.approx(10.0)
         # Column sum preserved exactly: agent 1 absorbs the surplus.
         assert result.shares[1, 0] == pytest.approx(15.6)
@@ -31,7 +29,7 @@ class TestApplyDemandCaps:
     def test_all_capped_releases_capacity(self):
         shares = np.array([[16.0, 4096.0], [9.6, 4096.0]])
         caps = np.array([[8.0, np.inf], [4.0, np.inf]])
-        result = apply_demand_caps(shares, caps, CAPACITIES)
+        result = apply_demand_caps(shares, caps)
         assert result.shares[:, 0] == pytest.approx([8.0, 4.0])
         assert result.released[0] == pytest.approx(25.6 - 12.0)
         assert result.released[1] == 0.0
@@ -41,7 +39,7 @@ class TestApplyDemandCaps:
         # cap; the iteration must pin it too and give the rest to 2.
         shares = np.array([[12.0], [6.0], [6.0]])
         caps = np.array([[4.0], [7.0], [np.inf]])
-        result = apply_demand_caps(shares, caps, (24.0,))
+        result = apply_demand_caps(shares, caps)
         assert result.shares[0, 0] == pytest.approx(4.0)
         assert result.shares[1, 0] <= 7.0 + 1e-9
         assert result.shares.sum() == pytest.approx(24.0)
@@ -49,15 +47,13 @@ class TestApplyDemandCaps:
     def test_degenerate_caps_treated_as_uncapped(self):
         shares = np.array([[10.0, 4000.0], [15.6, 4192.0]])
         caps = np.array([[np.nan, -3.0], [0.0, np.inf]])
-        result = apply_demand_caps(shares, caps, CAPACITIES)
+        result = apply_demand_caps(shares, caps)
         assert np.array_equal(result.shares, shares)
         assert result.capped_entries == 0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="caps"):
-            apply_demand_caps(np.ones((2, 2)), np.ones((3, 2)), CAPACITIES)
-        with pytest.raises(ValueError, match="capacities"):
-            apply_demand_caps(np.ones((2, 2)), np.ones((2, 2)), (1.0,))
+            apply_demand_caps(np.ones((2, 2)), np.ones((3, 2)))
 
     # ------------------------------------------------------------------
     # The ISSUE's property, mirroring the split_capacity exact-sum one:
@@ -92,7 +88,7 @@ class TestApplyDemandCaps:
             )
         )
         caps = np.asarray(caps, dtype=float)
-        result = apply_demand_caps(shares, caps, capacities)
+        result = apply_demand_caps(shares, caps)
 
         # Never over cap, never negative, never over capacity.
         assert np.all(result.shares <= caps + 1e-9)

@@ -9,7 +9,6 @@ from repro.obs import MetricsRegistry
 from repro.profiling.online import AgentTable, OnlineProfiler
 
 FLOORS = (0.4, 64.0)
-CAPACITIES = (25.6, 8192.0)
 
 
 def agent_table(name="a"):
@@ -217,7 +216,7 @@ class TestCaps:
             table.observe(0, allocation, float(allocation[0] ** 0.9))
         refit(table)
         shares = np.array([[12.0, 4096.0], [13.6, 4096.0]])
-        out, capped = learner.apply_caps(shares, table, FLOORS, CAPACITIES)
+        out, capped = learner.apply_caps(shares, table, FLOORS)
         assert capped >= 1
         assert out[0, 1] < shares[0, 1]  # the saturated entry shrank
         assert out.sum(axis=0)[1] == pytest.approx(shares.sum(axis=0)[1])

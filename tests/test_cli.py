@@ -446,6 +446,28 @@ class TestServeParser:
         assert "--capacities expects" in message and value in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["dynamic", "--decay", "0"], "decay"),
+            (["dynamic", "--decay", "1.5"], "decay"),
+            (["dynamic", "--exploration", "0"], "exploration_samples"),
+            (["dynamic", "--fault-drop", "2"], "drop"),
+            (["dynamic", "--epochs", "0"], "--epochs"),
+            (["serve", "--decay", "0"], "decay"),
+            (["serve", "--cells", "2", "--grant-ms", "0"], "grant_ms"),
+            (["serve", "--cells", "2", "--grant-ms", "-5"], "grant_ms"),
+        ],
+    )
+    def test_unservable_settings_exit_with_one_line(self, argv, reason):
+        # A setting the service refuses to be built with is a usage
+        # error before anything starts, not a ValueError traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and reason in message
+        assert "\n" not in message
+
 
 class TestLazyImports:
     """The cold-start contract: parser construction stays numpy/scipy-free."""
