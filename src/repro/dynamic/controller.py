@@ -773,8 +773,8 @@ class DynamicAllocator:
                 stack.append(shares)
                 events.extend(stage_events)
         self.stage_record = StageRecord(("solve", *self._stages), names, np.stack(stack))
-        # Every stage list starts with the floor projection, which the
-        # served label names after the mechanism (proportional_elasticity+floors).
+        # Every stage list starts with the floor projection, so the served
+        # label is the one apply_allocation_floors gives (mechanism+floors).
         enforced = Allocation(allocation.problem, stack[-1], f"{allocation.mechanism}+floors")
         explored = {e.agent for e in events if e.kind == "exploration_perturbed"}
 
