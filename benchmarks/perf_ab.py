@@ -15,8 +15,9 @@ side runs first, each pair on its own seed.  The seeds are numbered
 from ``--seed-base``, which has no default: a claim must be measured
 on seeds not used while the change was written, so every run names
 them.  It prints the paired table of ``docs/performance.md`` (median
-[q1–q3] per side, the ratio, and how often the change read better)
-and a verdict:
+[q1–q3] per side, the ratio, the median per-pair ratio over the pairs
+the parent ran first in and over those the change ran first in, and
+how often the change read better) and a verdict:
 
 * the **claim** (optional) holds when the change is better in at least
   9 of 10 pairs and the medians differ by more than the base's quartile
@@ -182,25 +183,42 @@ def measure(base: Path, workloads: Sequence[str], pairs: int, seed_base: int,
     return runs
 
 
-def _row(workload: str, name: str, unit: str, base: List[float], change: List[float],
+def order_ratios(base: Sequence[float], change: Sequence[float],
+                 firsts: Sequence[str]) -> Dict[str, Optional[float]]:
+    """The median change/parent ratio of the pairs, by the side that ran first.
+
+    Keyed ``"base"`` and ``"change"`` like ``pair["first"]``; ``None``
+    where no pair ran in that order.
+    """
+    ratios: Dict[str, Optional[float]] = {}
+    for side in ("base", "change"):
+        paired = [c / b for b, c, first in zip(base, change, firsts) if first == side and b]
+        ratios[side] = statistics.median(paired) if paired else None
+    return ratios
+
+
+def _row(workload: str, name: str, unit: str, measured: Tuple[List[float], ...],
          direction: str, gated: bool) -> dict:
+    base, change, firsts = measured
     b, c = Summary.of(base), Summary.of(change)
     return {
         "workload": workload, "metric": name, "unit": unit, "gated": gated,
         "pairs": len(base), "base": vars(b), "change": vars(c),
         "ratio": c.median / b.median if b.median else None,
+        "ratio_by_first": order_ratios(base, change, firsts),
         "change_better": sum(better(y, x, direction) for x, y in zip(base, change)),
     }
 
 
-def _paired(pairs: List[dict], values) -> Tuple[List[float], List[float]]:
-    """Per-side values of the pairs in which both sides measured one."""
-    measured = [(values(p["base"]), values(p["change"])) for p in pairs]
-    measured = [(b, c) for b, c in measured if b is not None and c is not None]
+def _paired(pairs: List[dict], values) -> Tuple[List[float], List[float], List[str]]:
+    """Per-side values, and which side ran first, of the pairs in which
+    both sides measured one."""
+    measured = [(values(p["base"]), values(p["change"]), p.get("first")) for p in pairs]
+    measured = [(b, c, f) for b, c, f in measured if b is not None and c is not None]
     if not measured:
-        return [], []
-    base, change = zip(*measured)
-    return list(base), list(change)
+        return [], [], []
+    base, change, firsts = zip(*measured)
+    return list(base), list(change), list(firsts)
 
 
 def summarize(
@@ -222,10 +240,11 @@ def summarize(
                                     f"correct={run['correct']} failed={run['failed']}")
         for metric in spec["end_to_end"]:
             name, direction = metric["name"], metric["better"]
-            base, change = _paired(pairs, lambda run: run["metrics"].get(name))
+            measured = _paired(pairs, lambda run: run["metrics"].get(name))
+            base, change, _ = measured
             if not base:
                 continue
-            rows.append(_row(workload, name, metric["unit"], base, change, direction, True))
+            rows.append(_row(workload, name, metric["unit"], measured, direction, True))
             if (name, workload) == claim:
                 holds, detail = claim_verdict(base, change, direction)
                 claim_result = {"holds": holds, "detail": detail}
@@ -239,11 +258,11 @@ def summarize(
                 for name, entry in pair[side].get("reported", {}).items():
                     units.setdefault(name, entry["unit"])
         for name, unit in units.items():
-            base, change = _paired(
+            measured = _paired(
                 pairs, lambda run: run.get("reported", {}).get(name, {}).get("value")
             )
-            if base:  # latencies: lower is better
-                rows.append(_row(workload, name, unit, base, change, "lower", False))
+            if measured[0]:  # latencies: lower is better
+                rows.append(_row(workload, name, unit, measured, "lower", False))
     if claim is not None and claim_result is None:
         claim_result = {"holds": False, "detail": "no data"}
     return {"rows": rows, "claim": claim_result, "verdicts": verdicts, "failures": failures}
@@ -252,8 +271,8 @@ def summarize(
 def table(rows: Sequence[dict]) -> str:
     lines = [
         "| workload (pairs) | metric | parent median [q1–q3] | change median [q1–q3] "
-        "| change/parent | change lower in |",
-        "|---|---|---|---|---|---|",
+        "| change/parent | parent first | change first | change lower in |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for row in rows:
         fmt = _fmt(row["base"]["median"])
@@ -264,6 +283,8 @@ def table(rows: Sequence[dict]) -> str:
             *(f"{fmt(s['median'])} [{fmt(s['q1'])}–{fmt(s['q3'])}]"
               for s in (row["base"], row["change"])),
             f"{row['ratio']:.2f}" if row["ratio"] is not None else "n/a",
+            *(f"{ratio:.3f}" if ratio is not None else "n/a"
+              for ratio in (row["ratio_by_first"][side] for side in ("base", "change"))),
             f"{row['change_better']}/{row['pairs']}",
         ]
         lines.append("| " + " | ".join(cells) + " |")

@@ -766,16 +766,14 @@ class DynamicAllocator:
         with self.tracer.span("allocate"):
             allocation = self._allocate(epoch, events, reports)
         tick = _Tick(epoch, allocation.problem, reports)
-        stack = [allocation.shares]
+        enforced = allocation
+        stack = [enforced.shares]
         with self.tracer.span("enforce"):
             for stage in self._stages.values():
-                shares, stage_events = stage(stack[-1], tick)
-                stack.append(shares)
+                enforced, stage_events = stage(enforced, tick)
+                stack.append(enforced.shares)
                 events.extend(stage_events)
         self.stage_record = StageRecord(("solve", *self._stages), names, np.stack(stack))
-        # Every stage list starts with the floor projection, so the served
-        # label is the one apply_allocation_floors gives (mechanism+floors).
-        enforced = Allocation(allocation.problem, stack[-1], f"{allocation.mechanism}+floors")
         explored = {e.agent for e in events if e.kind == "exploration_perturbed"}
 
         if self._mechanism_impl.stateful:
@@ -834,35 +832,40 @@ class DynamicAllocator:
         )
 
     # ------------------------------------------------------------------
-    # Enforcement stages: ``(shares, tick) -> (shares, events)``
+    # Enforcement stages: ``(allocation, tick) -> (allocation, events)``
 
-    def _stage_floors(self, shares: np.ndarray, tick: _Tick):
+    def _stage_floors(self, allocation: Allocation, tick: _Tick):
         """Project onto the floor-constrained simplex.
 
         Transient mis-fits can starve an agent toward a zero share, and
         log-space leverage points there would poison the regression (a
         feedback spiral).  Projection takes the excess from richer
         agents, so — unlike a per-agent clamp — the enforced bundles
-        never exceed capacity.
+        never exceed capacity.  Its ``<mechanism>+floors`` label is the served one.
         """
-        floored = apply_allocation_floors(Allocation(tick.problem, shares), self.floors).shares
-        if np.allclose(floored, shares, rtol=1e-9, atol=1e-12):
+        floored = apply_allocation_floors(allocation, self.floors)
+        if np.allclose(floored.shares, allocation.shares, rtol=1e-9, atol=1e-12):
             return floored, []
-        lifted = int(np.sum(np.any(shares < floored - 1e-12, axis=1)))
+        lifted = int(np.sum(np.any(allocation.shares < floored.shares - 1e-12, axis=1)))
         detail = f"{lifted} agent(s) lifted to the floor"
         return floored, [EpochEvent(tick.epoch, "floor_projection", detail=detail)]
 
-    def _stage_caps(self, shares: np.ndarray, tick: _Tick):
+    def _stage_caps(self, allocation: Allocation, tick: _Tick):
         """Cap demand-saturated agents; the surplus goes to the others
         with exact column sums."""
-        shares, capped = self.learner.apply_caps(shares, self.table, self.floors, tick.reports)
-        detail = f"{capped} entr(ies) clipped"
-        return shares, [EpochEvent(tick.epoch, "demand_capped", detail=detail)] if capped else []
+        shares, capped = self.learner.apply_caps(
+            allocation.shares, self.table, self.floors, tick.reports
+        )
+        if not capped:
+            return allocation, []
+        event = EpochEvent(tick.epoch, "demand_capped", detail=f"{capped} entr(ies) clipped")
+        return replace(allocation, shares=shares), [event]
 
-    def _stage_exploration(self, shares: np.ndarray, tick: _Tick):
+    def _stage_exploration(self, allocation: Allocation, tick: _Tick):
         """Bounded ε-greedy perturbations; column sums and floors kept."""
-        shares, explored = self.learner.perturb(shares, tick.problem.names, self.floors)
-        return shares, [EpochEvent(tick.epoch, "exploration_perturbed", name) for name in explored]
+        shares, explored = self.learner.perturb(allocation.shares, tick.problem.names, self.floors)
+        events = [EpochEvent(tick.epoch, "exploration_perturbed", name) for name in explored]
+        return (replace(allocation, shares=shares) if explored else allocation), events
 
     def _apply_churn(
         self, schedule: ChurnSchedule, epoch: int, events: List[EpochEvent]

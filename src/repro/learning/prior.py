@@ -19,11 +19,18 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["PRIOR_NAMES", "PriorStore"]
+__all__ = ["PRIOR_NAMES", "PriorStore", "validate_prior"]
 
 #: Prior policies the CLI accepts (static strings: the parser stays
 #: import-light, no registry or NumPy needed to build ``--prior``).
 PRIOR_NAMES = ("equal", "centroid")
+
+
+def validate_prior(policy: str) -> str:
+    """``policy``, or ValueError unless it is one of :data:`PRIOR_NAMES`."""
+    if policy not in PRIOR_NAMES:
+        raise ValueError(f"unknown prior policy {policy!r}; expected one of {PRIOR_NAMES}")
+    return policy
 
 
 class PriorStore:
@@ -40,13 +47,9 @@ class PriorStore:
     """
 
     def __init__(self, policy: str = "equal", n_resources: int = 2):
-        if policy not in PRIOR_NAMES:
-            raise ValueError(
-                f"unknown prior policy {policy!r}; expected one of {PRIOR_NAMES}"
-            )
+        self.policy = validate_prior(policy)
         if n_resources < 1:
             raise ValueError(f"n_resources must be >= 1, got {n_resources}")
-        self.policy = policy
         self.n_resources = n_resources
         self._sums: Dict[str, np.ndarray] = {}
         self._counts: Dict[str, int] = {}

@@ -44,7 +44,14 @@ from ..core.fitting import CobbDouglasFit, fit_cobb_douglas
 from ..core.utility import CobbDouglasUtility, rescale_elasticities
 from ..obs import MetricsRegistry, Series
 
-__all__ = ["AgentTable", "FitBlock", "OnlineProfiler"]
+__all__ = ["AgentTable", "FitBlock", "OnlineProfiler", "validate_decay"]
+
+
+def validate_decay(decay: float) -> float:
+    """``decay``, or ValueError unless it is in (0, 1] (the rule of :class:`AgentTable`)."""
+    if not 0 < decay <= 1:
+        raise ValueError(f"decay must be in (0, 1], got {decay}")
+    return decay
 
 
 class FitBlock(NamedTuple):
@@ -155,8 +162,7 @@ class AgentTable:
     ):
         if n_resources < 1:
             raise ValueError(f"n_resources must be >= 1, got {n_resources}")
-        if not 0 < decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
+        validate_decay(decay)
         minimum_viable = n_resources + 1
         if min_samples is None:
             min_samples = max(minimum_viable, 4)

@@ -75,12 +75,13 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Container, Dict, Optional, Sequence, Set, Tuple
 
 from ..dynamic.controller import DynamicAllocator, EpochRecord
 from ..obs import MetricsRegistry, Series, global_registry, to_prometheus
 from ..workloads import BENCHMARKS, get_workload
 from .batching import BatchPolicy, SampleBatcher
+from .client import ServeError
 from .protocol import (
     AgentRequest,
     AgentResponse,
@@ -146,6 +147,33 @@ class _HttpError(Exception):
         self.status = status
         self.error = error
         self.detail = detail
+
+
+def _check_register(
+    request: AgentRequest, learn_demands: bool, registered: Container[str]
+) -> None:
+    """Refuse a register the flat server and the coordinator both refuse."""
+    if request.profile_free and not learn_demands:
+        raise _HttpError(
+            400,
+            "learning_disabled",
+            "profile: null requires a server started with --learn-demands",
+        )
+    if not request.profile_free and request.workload not in BENCHMARKS:
+        raise _HttpError(400, "unknown_workload", f"no benchmark named {request.workload!r}")
+    if request.agent in registered:
+        raise _HttpError(409, "agent_exists", f"{request.agent!r} is registered")
+
+
+def _granted(request: CapacityRequest, names: Sequence[str]) -> Tuple[float, ...]:
+    """The grant's capacities in ``names`` order; it must cover exactly ``names``."""
+    if set(request.capacities) != set(names):
+        raise _HttpError(
+            400,
+            "unknown_resource",
+            f"grant must cover exactly {sorted(names)}, got {sorted(request.capacities)}",
+        )
+    return tuple(request.capacities[name] for name in names)
 
 
 #: A parsed request: ``(end, method, path, body, keep_alive)``, where
@@ -544,9 +572,13 @@ class HttpServerBase:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         await self._on_start()
-        self._server = await self._loop.create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
+        try:
+            self._server = await self._loop.create_server(
+                lambda: _Connection(self), self.host, self.port
+            )
+        except BaseException:
+            await self._on_stop()  # undo _on_start: nothing outlives a failed start
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = self._loop.time()
         self._ticker = asyncio.create_task(self._tick_loop())
@@ -567,17 +599,18 @@ class HttpServerBase:
         await self._stop_event.wait()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop listening, drain, then run :meth:`_on_stop`."""
+        """Graceful shutdown: stop listening, drain, then run :meth:`_on_stop`.
+
+        A tick task that died is re-raised once the teardown is complete.
+        """
         if self._stopped:
             return
         self._stopped = True
         self.request_stop()
-        if self._ticker is not None:
-            self._ticker.cancel()
-            try:
-                await self._ticker
-            except asyncio.CancelledError:
-                pass
+        ticker = self._ticker
+        if ticker is not None:
+            ticker.cancel()
+            await asyncio.wait([ticker])
         if self._server is not None:
             self._server.close()
         # A connection mid-handler closes after its reply, an idle one at
@@ -594,6 +627,8 @@ class HttpServerBase:
         if self._server is not None:
             await self._server.wait_closed()
         await self._on_stop()
+        if ticker is not None and not ticker.cancelled():
+            ticker.result()  # re-raise the failure that ended the tick loop
 
     async def _on_start(self) -> None:
         """Hook: runs inside :meth:`start`, before the socket binds."""
@@ -696,7 +731,7 @@ class HttpServerBase:
     def _error_result(self, error: Exception) -> Tuple[int, object, str]:
         if isinstance(error, ProtocolError):
             status, payload = 400, ErrorResponse("bad_request", str(error))
-        elif isinstance(error, _HttpError):
+        elif isinstance(error, (_HttpError, ServeError)) and error.status:  # a cell's refusal too
             status, payload = error.status, ErrorResponse(error.error, error.detail)
         else:
             self._metric("internal_errors").inc()
@@ -883,18 +918,7 @@ class AllocationServer(HttpServerBase):
     def _route_agents(self, body: bytes) -> Tuple[int, object, str]:
         request = AgentRequest.from_dict(parse_json(body))
         if request.action == "register":
-            if request.profile_free and not self.allocator.learn_demands:
-                raise _HttpError(
-                    400,
-                    "learning_disabled",
-                    "profile: null requires a server started with --learn-demands",
-                )
-            if not request.profile_free and request.workload not in BENCHMARKS:
-                raise _HttpError(
-                    400, "unknown_workload", f"no benchmark named {request.workload!r}"
-                )
-            if request.agent in self.allocator.workloads:
-                raise _HttpError(409, "agent_exists", f"{request.agent!r} is registered")
+            _check_register(request, self.allocator.learn_demands, self.allocator.workloads)
             if request.profile_free:
                 self.allocator.add_agent(
                     request.agent, None, workload_class=request.workload_class
@@ -987,16 +1011,7 @@ class AllocationServer(HttpServerBase):
         """
         request = CapacityRequest.from_dict(parse_json(body))
         names = self.allocator.resource_names
-        if set(request.capacities) != set(names):
-            raise _HttpError(
-                400,
-                "unknown_resource",
-                f"grant must cover exactly {sorted(names)}, "
-                f"got {sorted(request.capacities)}",
-            )
-        self.allocator.set_capacities(
-            tuple(request.capacities[name] for name in names)
-        )
+        self.allocator.set_capacities(_granted(request, names))
         self._run_epoch(self._batcher.flush(), trigger="grant")
         aggregate = self.allocator.aggregate_elasticities()
         response = CapacityResponse(

@@ -61,9 +61,12 @@ import numpy as np
 
 from ..core.registry import hierarchical_mechanism_names
 from ..dynamic.controller import RESOURCE_NAMES, validate_capacities
+from ..learning.prior import validate_prior
 from ..obs import MetricsRegistry, Series, global_registry, to_prometheus
 from ..optimize.hierarchy import split_capacity
+from ..profiling.online import validate_decay
 from ..workloads import BENCHMARKS
+from .batching import BatchPolicy
 from .client import ServeClient, ServeError
 from .link import CellLink
 from .protocol import (
@@ -81,7 +84,13 @@ from .protocol import (
     SampleRequest,
     parse_json,
 )
-from .server import DEFAULT_IDLE_TIMEOUT, HttpServerBase, _HttpError
+from .server import (
+    DEFAULT_IDLE_TIMEOUT,
+    HttpServerBase,
+    _check_register,
+    _granted,
+    _HttpError,
+)
 
 __all__ = ["CellWorker", "ShardCoordinator", "cell_for"]
 
@@ -124,9 +133,10 @@ class CellWorker:
         self.port = 0
         #: The coordinator's connection to the worker, once it listens.
         self.link: Optional[CellLink] = None
-        #: Agents the coordinator has placed here (authoritative map).
-        # agent -> benchmark name (None for profile-free learners)
-        self.agents: Dict[str, Optional[str]] = {}
+        #: agent -> (benchmark, workload_class) for the agents placed here
+        #: (benchmark None for a profile-free learner): the coordinator's
+        #: only membership record.
+        self.agents: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
         #: The most recent capacity grant applied to this cell.
         self.grant: Dict[str, float] = {}
         #: Aggregate elasticities reported by the last grant round.
@@ -210,12 +220,12 @@ class ShardCoordinator(HttpServerBase):
         least as many agents as ``cells`` so every cell starts
         non-empty.
     capacities:
-        The *global* ``(bandwidth_gbps, cache_kb)`` vector the grant
-        rounds keep re-slicing.
+        The *global* capacity vector, one entry per resource, that the
+        grant rounds keep re-slicing.
     cells:
         Number of worker subprocesses.
-    epoch_ms / max_batch:
-        Forwarded to every worker's batch policy.
+    epoch_ms / max_batch / decay / prior:
+        Forwarded to every worker, after the worker's own rules passed here.
     grant_ms:
         Coordinator grant-round period.  Defaults to ``4 * epoch_ms`` so
         each cell solves a few epochs per grant regime.
@@ -260,7 +270,7 @@ class ShardCoordinator(HttpServerBase):
     def __init__(
         self,
         workloads: Dict[str, str],
-        capacities: Tuple[float, float],
+        capacities: Sequence[float],
         cells: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -296,28 +306,27 @@ class ShardCoordinator(HttpServerBase):
         unknown = sorted(set(workloads.values()) - set(BENCHMARKS))
         if unknown:
             raise ValueError(f"unknown benchmark(s): {unknown}")
-        self.workloads = dict(workloads)
         self.capacities = validate_capacities(capacities)
         self.resource_names = RESOURCE_NAMES
         self.epoch_ms = float(epoch_ms)
         self.max_batch = int(max_batch)
+        BatchPolicy(max_delay=self.epoch_ms / 1000.0, max_batch=self.max_batch)
         self.grant_ms = float(grant_ms) if grant_ms is not None else 4.0 * self.epoch_ms
-        if self.epoch_ms <= 0 or self.grant_ms <= 0:
-            raise ValueError("epoch_ms and grant_ms must be positive")
-        self.decay = float(decay)
+        if not self.grant_ms > 0:
+            raise ValueError(f"grant_ms must be positive, got {self.grant_ms}")
+        self.decay = validate_decay(float(decay))
         self.seed = int(seed)
         # Demand learning is forwarded to every worker; profile-free
         # registers are then proxied to the owning cell.  Seed agents
         # still need benchmarks (the worker spawn command names them).
         self.learn_demands = bool(learn_demands)
-        self.prior = prior
-        #: ``workload_class`` hints from profile-free registers, kept so
-        #: a rehash re-registers the agent with the same prior class.
-        self.agent_classes: Dict[str, str] = {}
+        self.prior = validate_prior(prior)
         self.python = python if python is not None else sys.executable
         self.cells: List[CellWorker] = [
             CellWorker(f"cell-{k}", []) for k in range(cells)
         ]
+        self.cells[0].agents = {agent: (benchmark, None) for agent, benchmark in workloads.items()}
+        self._seed_placement()  # spread the seed agents over every cell
         self._epoch = 0  # completed grant rounds
         self._rebalances = 0
         self._last_feasible = False
@@ -328,9 +337,15 @@ class ShardCoordinator(HttpServerBase):
         # the previous one — a union that can transiently overshoot the
         # global capacities even though every cell is feasible.
         self._round_lock = asyncio.Lock()
+        self._reap_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------
     # Placement
+
+    @property
+    def workloads(self) -> Dict[str, Optional[str]]:
+        """Every placed agent's benchmark, read off the cells (a dead cell's until reaped)."""
+        return {agent: entry[0] for cell in self.cells for agent, entry in cell.agents.items()}
 
     def live_cells(self) -> List[CellWorker]:
         return [cell for cell in self.cells if cell.alive]
@@ -350,19 +365,23 @@ class ShardCoordinator(HttpServerBase):
         return next(cell for cell in live if cell.name == name)
 
     def _seed_placement(self) -> None:
-        """Assign seed agents to cells: rendezvous hash, then fix-empty.
+        """Re-assign the placed agents to cells: rendezvous hash, then fix-empty.
 
         Pure rendezvous can leave a cell with zero seed agents when
         agents are few; every cell must start non-empty, so agents are
         deterministically moved from the fullest cells into the empty
         ones.  Post-boot arrivals use pure rendezvous (live cells are
-        never empty again).
+        never empty again).  A second call changes nothing.
         """
+        placed = {}
+        for cell in self.cells:
+            placed.update(cell.agents)
+            cell.agents = {}
         names = [cell.name for cell in self.cells]
-        for agent in sorted(self.workloads):
+        for agent in sorted(placed):
             owner = cell_for(agent, names)
             cell = next(c for c in self.cells if c.name == owner)
-            cell.agents[agent] = self.workloads[agent]
+            cell.agents[agent] = placed[agent]
         for cell in self.cells:
             while not cell.agents:
                 donor = max(self.cells, key=lambda c: len(c.agents))
@@ -375,8 +394,7 @@ class ShardCoordinator(HttpServerBase):
     # Lifecycle
 
     async def _on_start(self) -> None:
-        self._seed_placement()
-        total = len(self.workloads)
+        total = sum(len(cell.agents) for cell in self.cells)
         caps = np.asarray(self.capacities)
         loop = asyncio.get_running_loop()
         spawns = []
@@ -388,7 +406,7 @@ class ShardCoordinator(HttpServerBase):
             cell.grant = dict(zip(self.resource_names, (float(g) for g in grant)))
             agents_spec = ",".join(
                 f"{agent}={benchmark}"
-                for agent, benchmark in sorted(cell.agents.items())
+                for agent, (benchmark, _) in sorted(cell.agents.items())
             )
             cell.command = [
                 self.python,
@@ -402,7 +420,7 @@ class ShardCoordinator(HttpServerBase):
                 "--agents",
                 agents_spec,
                 "--capacities",
-                f"{float(grant[0])!r},{float(grant[1])!r}",
+                ",".join(f"{float(g)!r}" for g in grant),
                 "--epoch-ms",
                 f"{self.epoch_ms:g}",
                 "--max-batch",
@@ -417,7 +435,10 @@ class ShardCoordinator(HttpServerBase):
             if self.learn_demands:
                 cell.command += ["--learn-demands", "--prior", self.prior]
             spawns.append(loop.run_in_executor(None, cell.spawn))
-        await asyncio.gather(*spawns)
+        for result in await asyncio.gather(*spawns, return_exceptions=True):
+            if isinstance(result, BaseException):
+                await self._close_cells()  # the workers that did start
+                raise result
         self._metric("cells").set(len(self.live_cells()))
         await self._grant_round()
 
@@ -429,6 +450,10 @@ class ShardCoordinator(HttpServerBase):
         except (ServeError, OSError, _HttpError, ValueError):
             pass
         self._final_summary = self.summary_line()
+        await self._close_cells()
+
+    async def _close_cells(self) -> None:
+        """Close every cell's link, then terminate every worker."""
         await asyncio.gather(
             *[cell.link.close() for cell in self.cells if cell.link is not None]
         )
@@ -468,7 +493,9 @@ class ShardCoordinator(HttpServerBase):
         """Await one route call on ``cell``'s link, e.g. ``link.allocation()``.
 
         Transport failures mark the cell for reaping and surface as 502
-        so the caller (or `_proxy_retry`) can re-route.
+        so the caller (or `_proxy_retry`) can re-route.  A live cell's
+        refusal stays a :class:`ServeError`; one that reaches a route
+        handler is answered as the cell gave it.
         """
         try:
             return await fn(cell.link)
@@ -480,18 +507,16 @@ class ShardCoordinator(HttpServerBase):
                 502, "cell_unreachable", f"cell {cell.name}: {error}"
             ) from None
 
-    async def _proxy_retry(
-        self, agent: str, attempt: Callable[[CellWorker], "asyncio.Future"]
-    ) -> T:
-        """Try the agent's owner; on cell death, reap + re-place and retry once."""
+    async def _proxy_retry(self, agent: str, fn: Callable[[CellLink], Awaitable[T]]) -> T:
+        """`_call` ``fn`` on the agent's owner; on cell death, reap and retry once."""
         for retry in (False, True):
             owner = self._owner(agent)
             if owner is None:
                 raise _HttpError(404, "unknown_agent", f"no agent {agent!r}")
             try:
-                return await attempt(owner)
-            except _HttpError as error:
-                if error.status != 502 or retry:
+                return await self._call(owner, fn)
+            except _HttpError:
+                if retry:
                     raise
                 await self._reap_dead_cells()
         raise AssertionError("unreachable")  # pragma: no cover
@@ -573,56 +598,49 @@ class ShardCoordinator(HttpServerBase):
     # Cell death and rebalancing
 
     async def _reap_dead_cells(self) -> None:
-        """Re-home agents from dead workers onto the survivors."""
-        for cell in self.cells:
-            if cell.alive:
-                cell.poll_dead()
-        # Covers both exit-detected deaths and cells marked dead by a
-        # failed RPC: any dead cell still holding agents needs reaping.
-        dead = [cell for cell in self.cells if not cell.alive and cell.agents]
-        for cell in dead:
-            orphans = dict(cell.agents)
-            cell.agents = {}
-            cell.aggregate = None
-            cell.grant = {}
-            if cell.link is not None:
-                await cell.link.close()
-            if not orphans:
-                continue
-            self._rebalances += 1
-            self._metric("rebalances").inc()
-            for agent, benchmark in sorted(orphans.items()):
-                try:
-                    target = self._place(agent)
-                except _HttpError:
-                    # Total outage: drop placement; agents can re-register
-                    # when a cell returns.
-                    self.workloads.pop(agent, None)
-                    continue
-                try:
-                    # A profile-free orphan (benchmark None) re-registers
-                    # profile-free on the survivor; its learned state died
-                    # with the cell, so learning restarts from the prior
-                    # (the class hint is preserved).
-                    await self._call(
-                        target,
-                        lambda link, a=agent, b=benchmark: link.register(
-                            a, b, self.agent_classes.get(a)
-                        ),
-                    )
-                except ServeError as error:
-                    if error.error != "agent_exists":
-                        self.workloads.pop(agent, None)
-                        continue
-                except _HttpError:
-                    self.workloads.pop(agent, None)
-                    continue
-                target.agents[agent] = benchmark
-                self._metric("rehashed").inc()
-        self._metric("cells").set(len(self.live_cells()))
-        # Liveness or placement may have changed (including cells marked
-        # dead by a failed RPC since the last round).
-        self._invalidate_snapshots()
+        """Re-home agents from dead workers onto the survivors, one reap at a time.
+
+        An orphan stays in its dead cell's map until a survivor takes it
+        or it is dropped, so membership never loses an agent mid-reap.
+        """
+        async with self._reap_lock:
+            for cell in self.cells:
+                if cell.alive:
+                    cell.poll_dead()
+            # Covers both exit-detected deaths and cells marked dead by a
+            # failed RPC: any dead cell still holding agents needs reaping.
+            dead = [cell for cell in self.cells if not cell.alive and cell.agents]
+            for cell in dead:
+                cell.aggregate = None
+                cell.grant = {}
+                if cell.link is not None:
+                    await cell.link.close()
+                self._rebalances += 1
+                self._metric("rebalances").inc()
+                for agent, placement in sorted(cell.agents.items()):
+                    if agent not in cell.agents:
+                        continue  # deregistered, or left with a grant reply, meanwhile
+                    # A profile-free orphan re-registers profile-free, with
+                    # its class hint; its learned state died with the cell,
+                    # so learning restarts from the prior.
+                    try:
+                        target = self._place(agent)
+                        await self._call(target, lambda link: link.register(agent, *placement))
+                        rehomed = True
+                    except ServeError as error:
+                        rehomed = error.error == "agent_exists"
+                    except _HttpError:
+                        # No live cell, or the survivor is unreachable:
+                        # the agent can re-register when a cell returns.
+                        rehomed = False
+                    cell.agents.pop(agent, None)
+                    if rehomed:
+                        target.agents[agent] = placement
+                        self._metric("rehashed").inc()
+            self._metric("cells").set(len(self.live_cells()))
+            # Liveness or placement may have changed (including cells marked
+            # dead by a failed RPC since the last round).
+            self._invalidate_snapshots()
 
     # ------------------------------------------------------------------
     # Routes
@@ -639,55 +657,19 @@ class ShardCoordinator(HttpServerBase):
         }
 
     async def _route_agents(self, body: bytes):
+        # A cell's refusal (say the 409 last_agent that keeps every cell
+        # non-empty) propagates as a ServeError and is answered as is.
         request = AgentRequest.from_dict(parse_json(body))
         if request.action == "register":
-            if request.profile_free and not self.learn_demands:
-                raise _HttpError(
-                    400,
-                    "learning_disabled",
-                    "profile: null requires a coordinator started with "
-                    "--learn-demands",
-                )
-            if not request.profile_free and request.workload not in BENCHMARKS:
-                raise _HttpError(
-                    400, "unknown_workload", f"no benchmark named {request.workload!r}"
-                )
-            if self._owner(request.agent) is not None:
-                raise _HttpError(
-                    409, "agent_exists", f"{request.agent!r} is registered"
-                )
+            _check_register(request, self.learn_demands, self.workloads)
             target = self._place(request.agent)
-            try:
-                await self._call(
-                    target,
-                    lambda link: link.register(
-                        request.agent, request.workload, request.workload_class
-                    ),
-                )
-            except ServeError as error:
-                raise _HttpError(error.status, error.error, error.detail) from None
-            target.agents[request.agent] = request.workload
-            self.workloads[request.agent] = request.workload
-            if request.workload_class is not None:
-                self.agent_classes[request.agent] = request.workload_class
+            placement = (request.workload, request.workload_class)
+            await self._call(target, lambda link: link.register(request.agent, *placement))
+            target.agents[request.agent] = placement
         else:
-
-            async def attempt(owner: CellWorker):
-                try:
-                    return await self._call(
-                        owner, lambda link: link.deregister(request.agent)
-                    )
-                except ServeError as error:
-                    # The worker's 409 last_agent refusal is the invariant
-                    # that keeps every cell non-empty; surface it as-is.
-                    raise _HttpError(error.status, error.error, error.detail) from None
-
-            await self._proxy_retry(request.agent, attempt)
-            owner = self._owner(request.agent)
-            if owner is not None:
-                owner.agents.pop(request.agent, None)
-            self.workloads.pop(request.agent, None)
-            self.agent_classes.pop(request.agent, None)
+            await self._proxy_retry(request.agent, lambda link: link.deregister(request.agent))
+            for cell in self.cells:
+                cell.agents.pop(request.agent, None)
         self._invalidate_snapshots()  # membership changed
         response = AgentResponse(
             action=request.action,
@@ -702,23 +684,16 @@ class ShardCoordinator(HttpServerBase):
         if "samples" in data:
             return await self._proxy_bulk(BulkSampleRequest.from_dict(data))
         request = SampleRequest.from_dict(data)
-
-        async def attempt(owner: CellWorker):
-            try:
-                return await self._call(
-                    owner,
-                    lambda link: link.submit_sample(
-                        request.agent,
-                        request.bandwidth_gbps,
-                        request.cache_kb,
-                        request.ipc,
-                        exploration=request.exploration,
-                    ),
-                )
-            except ServeError as error:
-                raise _HttpError(error.status, error.error, error.detail) from None
-
-        response = await self._proxy_retry(request.agent, attempt)
+        response = await self._proxy_retry(
+            request.agent,
+            lambda link: link.submit_sample(
+                request.agent,
+                request.bandwidth_gbps,
+                request.cache_kb,
+                request.ipc,
+                exploration=request.exploration,
+            ),
+        )
         return 200, response.as_dict(), "application/json"
 
     async def _proxy_bulk(self, request: BulkSampleRequest):
@@ -736,7 +711,7 @@ class ShardCoordinator(HttpServerBase):
         results: List[Optional[SampleOutcome]] = [None] * len(request.samples)
         pending = 0
         for retry in (False, True):
-            groups: Dict[str, List[int]] = {}
+            groups: Dict[CellWorker, List[int]] = {}
             for i, sample in enumerate(request.samples):
                 if results[i] is not None:
                     continue
@@ -744,12 +719,11 @@ class ShardCoordinator(HttpServerBase):
                 if owner is None:
                     results[i] = SampleOutcome(sample.agent, False, "unknown_agent")
                 else:
-                    groups.setdefault(owner.name, []).append(i)
+                    groups.setdefault(owner, []).append(i)
             if not groups:
                 break
 
-            async def forward(name: str, indexes: List[int]) -> int:
-                cell = next(c for c in self.cells if c.name == name)
+            async def forward(cell: CellWorker, indexes: List[int]) -> int:
                 sub = [request.samples[i] for i in indexes]
                 try:
                     response = await self._call(
@@ -769,7 +743,7 @@ class ShardCoordinator(HttpServerBase):
 
             pending += sum(
                 await asyncio.gather(
-                    *[forward(name, indexes) for name, indexes in groups.items()]
+                    *[forward(cell, indexes) for cell, indexes in groups.items()]
                 )
             )
             if all(result is not None for result in results):
@@ -796,26 +770,18 @@ class ShardCoordinator(HttpServerBase):
         """Replace the *global* capacity vector; re-grant immediately."""
         request = CapacityRequest.from_dict(parse_json(body))
         names = self.resource_names
-        if set(request.capacities) != set(names):
-            raise _HttpError(
-                400,
-                "unknown_resource",
-                f"grant must cover exactly {sorted(names)}, "
-                f"got {sorted(request.capacities)}",
-            )
+        capacities = _granted(request, names)
         # Swap the vector and re-grant under the round lock, so no
         # merged read ever judges old grants against the new capacities.
         async with self._round_lock:
-            self.capacities = tuple(request.capacities[name] for name in names)
+            self.capacities = capacities
             # _grant_round invalidates the snapshots too, but it returns
             # early during a total outage — the capacity change itself
             # must still drop the cached reads.
             self._invalidate_snapshots()
             await self._grant_round_locked()
-        aggregate = np.zeros(len(names))
-        for cell in self.live_cells():
-            if cell.aggregate is not None:
-                aggregate += cell.aggregate
+        known = [cell.aggregate for cell in self.live_cells() if cell.aggregate is not None]
+        aggregate = sum(known, np.zeros(len(names)))
         response = CapacityResponse(
             epoch=self._epoch - 1,
             agents=tuple(sorted(self.workloads)),

@@ -457,6 +457,7 @@ class TestServeParser:
             (["serve", "--decay", "0"], "decay"),
             (["serve", "--cells", "2", "--grant-ms", "0"], "grant_ms"),
             (["serve", "--cells", "2", "--grant-ms", "-5"], "grant_ms"),
+            (["serve", "--cells", "2", "--decay", "1.5"], "decay"),
         ],
     )
     def test_unservable_settings_exit_with_one_line(self, argv, reason):

@@ -265,3 +265,87 @@ class TestDriver:
         with pytest.raises(SystemExit):
             perf_ab.main(["--base", "HEAD", "--claim", "server_cpu_ms_per_op:ingest-heavy"])
         assert "--seed-base" in capsys.readouterr().err
+
+
+class TestRunOrder:
+    """Each row's change/parent ratio by which side of the pair ran first."""
+
+    def _runs(self, base_values, change_values):
+        def run(value):
+            return {"correct": True, "failed": 0, "attempted": 100,
+                    "metrics": {"server_cpu_ms_per_op": value, "setup_s": 0.5}}
+
+        return {"sharded": [
+            {"seed": k, "first": "change" if k % 2 else "base",
+             "base": run(b), "change": run(c)}
+            for k, (b, c) in enumerate(zip(base_values, change_values))
+        ]}
+
+    def test_ratios_are_the_median_pair_ratio_of_each_order(self):
+        # The change reads 10% lower when it runs first, 2% higher when
+        # the parent does: the pooled ratio hides the split.
+        change = [b * (0.9 if k % 2 else 1.02) for k, b in enumerate(BASE)]
+        summary = perf_ab.summarize(self._runs(BASE, change), TestSummary.SPEC, None)
+        row = next(r for r in summary["rows"] if r["metric"] == "server_cpu_ms_per_op")
+        assert row["ratio_by_first"] == {"base": pytest.approx(1.02), "change": pytest.approx(0.9)}
+        setup = next(r for r in summary["rows"] if r["metric"] == "setup_s")
+        assert setup["ratio_by_first"] == {"base": 1.0, "change": 1.0}
+
+    def test_the_verdicts_do_not_change(self):
+        change = [b * (0.9 if k % 2 else 1.02) for k, b in enumerate(BASE)]
+        summary = perf_ab.summarize(self._runs(BASE, change), TestSummary.SPEC, None)
+        pooled = perf_ab.bound_verdict(BASE, change, "lower", 0.25)
+        verdict = next(v for v in summary["verdicts"] if v["metric"] == "server_cpu_ms_per_op")
+        assert (verdict["verdict"], verdict["detail"]) == pooled
+
+    def test_the_table_shows_both_orders_before_the_win_count(self):
+        change = [b * (0.9 if k % 2 else 1.02) for k, b in enumerate(BASE)]
+        summary = perf_ab.summarize(self._runs(BASE, change), TestSummary.SPEC, None)
+        lines = perf_ab.table(summary["rows"]).splitlines()
+        assert lines[0].endswith("| change/parent | parent first | change first | change lower in |")
+        row = next(line for line in lines if "`server_cpu_ms_per_op`" in line)
+        assert row.endswith("| 1.020 | 0.900 | 5/10 |")
+
+    def test_an_order_no_pair_ran_in_reads_n_a(self):
+        runs = TestSummary()._runs(BASE, [b * 0.7 for b in BASE])  # the parent always first
+        row = perf_ab.summarize(runs, TestSummary.SPEC, None)["rows"][1]
+        assert row["ratio_by_first"] == {"base": pytest.approx(0.7), "change": None}
+        assert perf_ab.table([row]).splitlines()[-1].endswith("| 0.700 | n/a | 10/10 |")
+
+    def test_the_committed_pr20_ledger_reads_as_the_roadmap_quotes_it(self):
+        # ROADMAP's run-order item quotes these from ledger/PR-20.json.
+        ledger = json.loads((perf_ab.ROOT / "ledger" / "PR-20.json").read_text())
+        spec = json.loads(perf_ab.SPEC.read_text())
+        rows = perf_ab.summarize(ledger["runs"], spec, None)["rows"]
+        cpu = {r["workload"]: r["ratio_by_first"] for r in rows
+               if r["metric"] == "server_cpu_ms_per_op"}
+        for workload, (parent_first, change_first) in {
+            "sharded": (1.000, 0.895), "read-mostly": (1.015, 0.933),
+            "churn-learn": (1.048, 1.125),
+        }.items():
+            assert cpu[workload]["base"] == pytest.approx(parent_first, abs=5e-4)
+            assert cpu[workload]["change"] == pytest.approx(change_first, abs=5e-4)
+
+    @needs_git
+    def test_the_ledger_rows_carry_both_orders(self, tmp_path, monkeypatch):
+        def measure(base, workloads, pairs, seed_base, seconds):
+            def run(value):
+                return {"correct": True, "failed": 0, "attempted": 100,
+                        "metrics": {"setup_s": 0.5, "fresh_mean_ms": value,
+                                    "server_cpu_ms_per_op": value, "server_rss_mb": 60.0}}
+
+            return {workload: [{"seed": seed_base + k, "first": "change" if k % 2 else "base",
+                                "base": run(b), "change": run(b * (0.95 if k % 2 else 1.05))}
+                               for k, b in enumerate(BASE)]
+                    for workload in workloads}
+
+        monkeypatch.setattr(perf_ab, "measure", measure)
+        ledger_path = tmp_path / "ledger.json"
+        assert perf_ab.main(["--base", "HEAD", "--seed-base", "5000",
+                             "--ledger", str(ledger_path)]) == 0
+        rows = json.loads(ledger_path.read_text())["rows"]
+        cpu = [r for r in rows if r["metric"] == "server_cpu_ms_per_op"]
+        assert len(cpu) == 4
+        for row in cpu:
+            assert row["ratio_by_first"]["base"] == pytest.approx(1.05)
+            assert row["ratio_by_first"]["change"] == pytest.approx(0.95)
