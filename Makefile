@@ -4,7 +4,8 @@
 # lint, test, serve-devmode, perfbench-check, perfbench-smoke, coverage, smoke,
 # bench-kernel, bench-solver, cold-start-check, dynamic-smoke,
 # serve-smoke, shard-smoke, credit-smoke, regret-smoke — so `make ci`
-# reproduces a full CI run locally with zero drift.
+# reproduces a full CI run locally with zero drift.  On pull requests CI
+# also runs perf-tripwire against the merge base, which needs BASE.
 
 PYTHON ?= python
 JOBS ?= 2
@@ -18,7 +19,7 @@ COV_FLOOR ?= 80
 .PHONY: install test serve-devmode perfbench-check perfbench-smoke coverage bench bench-kernel \
 	bench-serve bench-solver cold-start-check examples reproduce \
 	lint smoke dynamic-smoke metrics-smoke serve-smoke shard-smoke \
-	credit-smoke regret-smoke perf-ab loc ci clean
+	credit-smoke regret-smoke perf-ab perf-tripwire loc ci clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -127,6 +128,17 @@ perf-ab:
 	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) $(if $(CLAIM),--claim $(CLAIM)) \
 		--seed-base $(SEED_BASE) --ledger $(LEDGER)
 
+# The paired regression tripwire (CI, pull requests): 3 alternating pairs
+# of 6 s per workload (about 5 minutes), no claim, no ledger.  Fails only
+# when a metric is worse than BASE by more than its BENCHMARK.json bound
+# in every pair and in both run orders, or when a run fails.  Usage:
+#   make perf-tripwire BASE=<rev> SEED_BASE=<n>
+perf-tripwire:
+	@test -n "$(BASE)" -a -n "$(SEED_BASE)" || \
+		{ echo "usage: make perf-tripwire BASE=<rev> SEED_BASE=<n>"; exit 2; }
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --seed-base $(SEED_BASE) \
+		--tripwire --pairs 3 --seconds 6
+
 # The net src/ line count against a base revision, two ways: all lines
 # (git diff --numstat) and lines that carry code (no blank lines,
 # comments or docstrings).  Usage: make loc BASE=<rev>
@@ -220,8 +232,9 @@ regret-smoke:
 
 # The CI credit-smoke job, runnable locally: 300 epochs of
 # `repro dynamic --mechanism credit` under bursty churn (feasible
-# throughout, balance gauges inside the bank bound) plus the horizon
-# harness proving windowed SI/EF hold where per-epoch SI is traded.
+# throughout, the balance histogram inside the bank bound), the horizon
+# harness proving windowed SI/EF hold where per-epoch SI is traded, and
+# 10 000 churned agents leaving the telemetry's size as at 1 000.
 credit-smoke:
 	$(PYTHON) benchmarks/credit_smoke.py
 

@@ -5,14 +5,19 @@ End-to-end exercise of the credit mechanism's temporal-fairness story:
 1. **Service path**: ``repro dynamic --mechanism credit`` in-process for
    300 epochs of bursty churn (two agents join and leave mid-run),
    asserting the run stays feasible, the ``--metrics-out`` artifact
-   covers every epoch, every ``repro_credit_balance`` gauge respects the
-   bank bound, and credit actually flowed (banked and spent counters are
-   both positive).
+   covers every epoch, the ``repro_credit_balance`` histogram (every
+   agent's balance at every epoch) stays inside the bank bound, and
+   credit actually flowed (banked and spent counters are both positive).
 2. **Horizon harness**: :func:`repro.experiments.credit_horizon
    .run_credit_horizon` on the bursty two-agent schedule, asserting the
    headline claim — per-epoch sharing incentives are violated while the
    windowed forms (SI and envy-freeness over tumbling windows) hold
    within the telescoping credit tolerance.
+3. **Bounded telemetry**: a credit allocator with demand learning and
+   32 resident agents churns 10 000 profile-free agents in process; its
+   registry must hold as many series, and its exposition about as many
+   bytes, as after 1 000 departures (the render time is printed, not
+   gated).
 
 Exits non-zero on the first violation; prints a greppable
 ``credit-smoke OK`` line on success.
@@ -26,13 +31,23 @@ import json
 import os
 import sys
 import tempfile
+import time
+
+import numpy as np
 
 from repro.cli import main as repro_main
+from repro.dynamic import DynamicAllocator
 from repro.experiments.credit_horizon import bursty_pair, run_credit_horizon
-from repro.obs import MetricsRegistry, parse_prometheus_text, to_prometheus
+from repro.obs import MetricsRegistry, to_prometheus
+from repro.workloads import get_workload
 
 EPOCHS = 300
 MAX_BALANCE = 0.5  # CreditMechanism default bank bound
+#: Churned agents at the reference point and at the end of the churn check.
+CHURN_REFERENCE, CHURN_DEPARTURES = 1_000, 10_000
+#: How far the exposition may grow in bytes (counter digits) between them.
+EXPOSITION_SLACK = 0.05
+RESIDENTS = ("freqmine", "dedup", "canneal", "x264", "streamcluster", "swaptions", "ferret", "fft")
 
 
 def _check_dynamic_service() -> int:
@@ -69,30 +84,28 @@ def _check_dynamic_service() -> int:
         if epochs_total is None or epochs_total.value != EPOCHS:
             print(f"FAIL: epoch counter {epochs_total} != {EPOCHS}", file=sys.stderr)
             return 1
-        samples = parse_prometheus_text(to_prometheus(registry))
-        balances = [s for s in samples if s["name"] == "repro_credit_balance"]
-        if not balances:
-            print("FAIL: no repro_credit_balance gauges exported", file=sys.stderr)
+        # One histogram per resource holds every agent's balance after
+        # every epoch, so its min and max bound all of them.
+        balances = [
+            child for child in registry.metrics() if child.name == "repro_credit_balance"
+        ]
+        observed = sum(child.count for child in balances)
+        if not observed:
+            print("FAIL: no repro_credit_balance observations exported", file=sys.stderr)
             return 1
-        worst = max(abs(float(s["value"])) for s in balances)
+        worst = max(max(-child.min, child.max) for child in balances if child.count)
         if worst > MAX_BALANCE + 1e-9:
             print(f"FAIL: |credit balance| {worst} > bank bound {MAX_BALANCE}",
                   file=sys.stderr)
             return 1
-        by_name = {}
-        for sample in samples:
-            by_name.setdefault(sample["name"], 0.0)
-            by_name[sample["name"]] += float(sample["value"])
-        if by_name.get("repro_credit_banked_total", 0.0) <= 0:
-            print("FAIL: no credit was ever banked", file=sys.stderr)
-            return 1
-        if by_name.get("repro_credit_spent_total", 0.0) <= 0:
-            print("FAIL: no credit was ever spent", file=sys.stderr)
-            return 1
+        for counter in ("repro_credit_banked_total", "repro_credit_spent_total"):
+            flowed = registry.get(counter)
+            if flowed is None or flowed.value <= 0:
+                print(f"FAIL: {counter} never moved: no credit flowed", file=sys.stderr)
+                return 1
         print(
             f"credit-smoke: dynamic service ran {EPOCHS} epochs with churn, "
-            f"max |balance| {worst:.3f} <= {MAX_BALANCE}, "
-            f"{len(balances)} balance gauges"
+            f"max |balance| {worst:.3f} <= {MAX_BALANCE} over {observed} balance observations"
         )
         return 0
     finally:
@@ -129,16 +142,66 @@ def _check_horizon_harness() -> int:
     return 0
 
 
+def churn_allocator() -> DynamicAllocator:
+    """A ``credit`` allocator with demand learning and 32 resident agents."""
+    workloads = {
+        f"{name}-{k}": get_workload(name) for k in range(4) for name in RESIDENTS
+    }
+    return DynamicAllocator(
+        workloads,
+        capacities=(6.4 * len(workloads), 1024.0 * len(workloads)),
+        seed=7,
+        metrics=MetricsRegistry(),
+        mechanism="credit",
+        learn_demands=True,
+    )
+
+
+def churn(allocator: DynamicAllocator, first: int, cycles: int) -> None:
+    """Churn cycles ``first`` .. ``first + cycles - 1`` through ``allocator``.
+
+    Each registers a profile-free agent, feeds it 8 exploration samples,
+    ticks, deregisters it and ticks again.
+    """
+    rng = np.random.default_rng(first)
+    for k in range(first, first + cycles):
+        agent = f"churn-{k}"
+        allocator.add_agent(agent, None, workload_class="C")
+        for bandwidth, cache_kb in rng.uniform((0.5, 64.0), (12.0, 2048.0), size=(8, 2)):
+            ipc = 0.8 * bandwidth**0.3 * (cache_kb / 1024.0) ** 0.2
+            allocator.observe_sample(agent, (bandwidth, cache_kb), ipc, exploration=True)
+        allocator.step(2 * k, measure=False)
+        allocator.remove_agent(agent)
+        allocator.step(2 * k + 1, measure=False)
+
+
+def _check_bounded_telemetry() -> int:
+    allocator = churn_allocator()
+    churn(allocator, 0, CHURN_REFERENCE)
+    children, size = len(allocator.metrics), len(to_prometheus(allocator.metrics))
+    churn(allocator, CHURN_REFERENCE, CHURN_DEPARTURES - CHURN_REFERENCE)
+    started = time.perf_counter()
+    text = to_prometheus(allocator.metrics)
+    render_ms = 1e3 * (time.perf_counter() - started)
+    after = f"{len(allocator.metrics)} series and {len(text)} bytes"
+    line = (f"after {CHURN_REFERENCE} departures {children} series and {size} bytes, "
+            f"after {CHURN_DEPARTURES} {after}")
+    if len(allocator.metrics) != children or len(text) > (1 + EXPOSITION_SLACK) * size:
+        print(f"FAIL: telemetry grew with churn: {line}", file=sys.stderr)
+        return 1
+    print(f"credit-smoke: bounded telemetry: {line}; render {render_ms:.2f} ms (not gated)")
+    return 0
+
+
 def main() -> int:
-    code = _check_dynamic_service()
-    if code != 0:
-        return code
-    code = _check_horizon_harness()
-    if code != 0:
-        return code
+    for check in (_check_dynamic_service, _check_horizon_harness, _check_bounded_telemetry):
+        code = check()
+        if code != 0:
+            return code
     print(
         f"credit-smoke OK: {EPOCHS}-epoch bursty-churn service run feasible, "
-        f"balances bounded, windowed SI/EF hold where per-epoch SI is traded"
+        f"balances bounded, windowed SI/EF hold where per-epoch SI is traded, "
+        f"telemetry bounded over {CHURN_DEPARTURES} departures"
     )
     return 0
 

@@ -35,6 +35,15 @@ marked not gated, with no verdict.  The runs, the table and the
 verdicts are written to ``--ledger`` (``"claim": null`` without one).
 The exit status is 0 only when the claim, if any, holds and nothing
 regressed or failed.
+
+``--pairs`` and ``--seconds`` set the pairs per workload and the run
+length (10 and 18 by default).  ``--tripwire`` (``make perf-tripwire
+BASE=<rev> SEED_BASE=<n>``: 3 pairs of 6 s, about 5 minutes) takes no
+claim and writes no ledger: a metric **trips** on a workload only when
+every pair is worse than its parent by more than the metric's
+``BENCHMARK.json`` bound and the pairs ran in both orders; a failed or
+incorrect run also fails it.  It catches gross regressions; the
+10-pair ledger stays the record of a change.
 """
 
 from __future__ import annotations
@@ -119,6 +128,32 @@ def bound_verdict(
     if worse_by > bound:
         return "regressed", detail
     return "within bound", detail
+
+
+def trips(
+    base: Sequence[float], change: Sequence[float], firsts: Sequence[str],
+    direction: str, bound: float,
+) -> bool:
+    """Every pair worse than its parent by more than ``bound``, in both run orders."""
+    if set(firsts) != {"base", "change"}:
+        return False
+    if direction == "lower":
+        return all(c > b * (1.0 + bound) for b, c in zip(base, change))
+    return all(c < b * (1.0 - bound) for b, c in zip(base, change))
+
+
+def tripwire(runs: Dict[str, List[dict]], spec: dict) -> List[str]:
+    """Each failed run and each tripped (metric, workload), as a line."""
+    found = [f"FAILED RUN: {failure}" for failure in failed_runs(runs)]
+    for workload, pairs in runs.items():
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            base, change, firsts = _paired(pairs, lambda run: run["metrics"].get(name))
+            if base and trips(base, change, firsts, metric["better"], metric["bound"]):
+                ratios = ", ".join(f"{c / b:.3f}" for b, c in zip(base, change) if b)
+                found.append(f"TRIPPED: {name}:{workload}: every pair worse than "
+                             f"{metric['bound']:g} in both orders (change/parent {ratios})")
+    return found
 
 
 def reported(result_json: Path) -> Dict[str, dict]:
@@ -221,6 +256,18 @@ def _paired(pairs: List[dict], values) -> Tuple[List[float], List[float], List[s
     return list(base), list(change), list(firsts)
 
 
+def failed_runs(runs: Dict[str, List[dict]]) -> List[str]:
+    """Every run that was not correct or failed operations, as a line."""
+    return [
+        f"{workload} seed {pair['seed']} {side}: "
+        f"correct={pair[side]['correct']} failed={pair[side]['failed']}"
+        for workload, pairs in runs.items()
+        for pair in pairs
+        for side in ("base", "change")
+        if not pair[side]["correct"] or pair[side]["failed"]
+    ]
+
+
 def summarize(
     runs: Dict[str, List[dict]], spec: dict, claim: Optional[Tuple[str, str]]
 ) -> dict:
@@ -229,15 +276,9 @@ def summarize(
     Without a ``claim`` every end-to-end metric gets its bound verdict.
     """
     rows, verdicts = [], []
-    failures = []
+    failures = failed_runs(runs)
     claim_result = None
     for workload, pairs in runs.items():
-        for pair in pairs:
-            for side in ("base", "change"):
-                run = pair[side]
-                if not run["correct"] or run["failed"]:
-                    failures.append(f"{workload} seed {pair['seed']} {side}: "
-                                    f"correct={run['correct']} failed={run['failed']}")
         for metric in spec["end_to_end"]:
             name, direction = metric["name"], metric["better"]
             measured = _paired(pairs, lambda run: run["metrics"].get(name))
@@ -333,7 +374,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair k of workload w runs on seed SEED_BASE + 10 w + k")
     parser.add_argument("--ledger", type=Path, default=ROOT / "ledger" / "perf-ab.json")
+    parser.add_argument("--pairs", type=int, default=PAIRS, help="pairs per workload")
+    parser.add_argument("--seconds", type=float, default=SECONDS, help="length of each run")
+    parser.add_argument("--tripwire", action="store_true",
+                        help="fail only on a gross regression; no claim, no ledger")
     args = parser.parse_args(argv)
+    if args.tripwire and args.claim:
+        parser.error("--tripwire takes no --claim")
+    if args.pairs < 1 or not args.seconds > 0:
+        parser.error("--pairs and --seconds must be positive")
 
     spec = json.loads(SPEC.read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -343,9 +392,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as scratch:
         base = extract(args.base, Path(scratch) / "base")
-        runs = measure(base, workloads, PAIRS, args.seed_base, SECONDS)
+        runs = measure(base, workloads, args.pairs, args.seed_base, args.seconds)
 
     summary = summarize(runs, spec, args.claim)
+    if args.tripwire:
+        print(table(summary["rows"]))
+        found = tripwire(runs, spec)
+        print("\n".join(found) or "perf-tripwire OK: no metric worse in every pair")
+        return 1 if found else 0
     print(report(summary, args.claim))
     args.ledger.parent.mkdir(parents=True, exist_ok=True)
     args.ledger.write_text(json.dumps(ledger(args, summary, runs), indent=1) + "\n")
@@ -358,8 +412,8 @@ def ledger(args, summary: dict, runs: Dict[str, List[dict]]) -> dict:
     return {
         "base": args.base,
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {SECONDS:g} --trace 0",
-        "pairs": PAIRS,
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairs": args.pairs,
         "seed_base": args.seed_base,
         "passed": passed(summary),
         "rows": summary["rows"],

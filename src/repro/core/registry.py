@@ -376,31 +376,29 @@ class CreditMechanism(Mechanism):
     one_shot = False  # needs history; a single solve is just REF
     hierarchical = True  # within-cell credit under the Eq. 13 split
 
-    #: Per-agent series, by the amount each mirrors.
+    #: Fleet series, by the amount each mirrors.
     _METRICS = {
         "banked": Series(
             "counter",
             "repro_credit_banked_total",
             "Credit banked by under-served agents (capacity fractions).",
-            ("agent",),
         ),
         "spent": Series(
             "counter",
             "repro_credit_spent_total",
             "Credit spent by over-served agents (capacity fractions).",
-            ("agent",),
         ),
         "forfeited": Series(
             "counter",
             "repro_credit_forfeited_total",
             "Credit lost to the balance clip (capacity fractions).",
-            ("agent",),
         ),
         "balance": Series(
-            "gauge",
+            "histogram",
             "repro_credit_balance",
-            "Per-agent credit balance in capacity fractions.",
-            ("agent", "resource"),
+            "Every present agent's credit balance after each observe (capacity fractions).",
+            ("resource",),
+            buckets=tuple(k / 10 for k in range(-5, 6)),  # the default bank bound, in tenths
         ),
     }
 
@@ -483,26 +481,24 @@ class CreditMechanism(Mechanism):
         forfeited: np.ndarray,
         clipped: np.ndarray,
     ) -> None:
-        """Mirror one observe into the per-agent credit series.
+        """Mirror one observe into the fleet's credit series.
 
-        A counter series appears the first epoch its amount is positive,
-        the balance gauges on an agent's first observe.
+        A counter appears the first epoch its fleet total is positive;
+        each resource's balance histogram takes every agent's balance.
         """
-        names = problem.names
         amounts = {
-            "banked": np.where(delta > 0, delta, 0.0).sum(axis=1),
-            "spent": -np.where(delta < 0, delta, 0.0).sum(axis=1),
-            "forfeited": forfeited,
+            "banked": delta[delta > 0].sum(),
+            "spent": -delta[delta < 0].sum(),
+            "forfeited": forfeited.sum(),
         }
         for key, amount in amounts.items():
-            series = self._METRICS[key]
-            for name, value in zip(names, amount.tolist()):
-                if value > 0:
-                    metrics.child(series, name).inc(value)
+            if amount > 0:
+                metrics.child(self._METRICS[key]).inc(amount)
         balance = self._METRICS["balance"]
-        for name, row in zip(names, clipped.tolist()):
-            for resource, value in zip(problem.resource_names, row):
-                metrics.child(balance, name, resource).set(value)
+        for resource, column in zip(problem.resource_names, clipped.T.tolist()):
+            histogram = metrics.child(balance, resource)
+            for value in column:
+                histogram.observe(value)
 
     def forget_agent(self, name: str) -> None:
         self._balances.pop(name, None)

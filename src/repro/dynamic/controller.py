@@ -438,7 +438,7 @@ class DynamicAllocator:
             max_condition=max_condition,
             metrics=self.metrics,
         )
-        self.table.extend(list(self.workloads), [{"agent": name} for name in self.workloads])
+        self.table.extend(list(self.workloads))
         if self.learner is not None:
             for name, workload in self.workloads.items():
                 self.learner.register(name, cls=self._class_hint(workload))
@@ -477,7 +477,7 @@ class DynamicAllocator:
                 f"require learn_demands=True"
             )
         self.workloads[name] = workload
-        self.table.add(name, labels={"agent": name})
+        self.table.add(name)
         if self.learner is not None:
             self.learner.register(
                 name, cls=workload_class or self._class_hint(workload)

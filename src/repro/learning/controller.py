@@ -27,8 +27,8 @@ is that loop's brain, reading the fleet's
 * **convergence** — an agent whose blended report has drifted less than
   ``convergence_tol`` for ``convergence_window`` consecutive epochs is
   converged (exploration decays to the floor, the epoch is recorded in
-  ``repro_learning_convergence_epoch``); a later large drift re-arms
-  exploration — that is how a phase change restarts learning.
+  :class:`AgentLearnState`); a later large drift re-arms exploration —
+  that is how a phase change restarts learning.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class DemandLearner:
     telemetry.
     """
 
-    #: Every series the learner writes: fleet-wide ones, then per agent.
+    #: Every series the learner writes, each one fleet-wide.
     _METRICS = {
         "agents": Series("gauge", "repro_learning_agents", "Agents currently learning demands."),
         "caps": Series(
@@ -127,14 +127,7 @@ class DemandLearner:
         "drift": Series(
             "gauge",
             "repro_learning_report_drift",
-            "Max abs per-epoch change of the blended report.",
-            ("agent",),
-        ),
-        "converged": Series(
-            "gauge",
-            "repro_learning_convergence_epoch",
-            "Epoch at which the agent's report converged.",
-            ("agent",),
+            "Largest abs per-epoch change of a learning agent's blended report.",
         ),
     }
 
@@ -155,9 +148,9 @@ class DemandLearner:
         self._rng = np.random.default_rng(seed)
         self._states: Dict[str, AgentLearnState] = {}
 
-    def _metric(self, key: str, *labels: str):
-        """The registry child of series ``key`` labelled ``labels``."""
-        return self.metrics.child(self._METRICS[key], *labels)
+    def _metric(self, key: str):
+        """The registry child of series ``key``."""
+        return self.metrics.child(self._METRICS[key])
 
     # ------------------------------------------------------------------
     # Membership
@@ -337,8 +330,8 @@ class DemandLearner:
         if seen:
             previous = np.array([states[i].last_report for i in seen])
             drifts[seen] = np.max(np.abs(reports[seen] - previous), axis=1)
+            self._metric("drift").set(drifts[seen].max())
         drifts = drifts.tolist()
-        metrics, drift_series = self.metrics, self._METRICS["drift"]
         for i, (name, state) in enumerate(zip(table.names, states)):
             if state is None:
                 continue
@@ -346,7 +339,6 @@ class DemandLearner:
             report = reports[i]
             if state.last_report is not None:
                 drift = drifts[i]
-                metrics.child(drift_series, name).set(drift)
                 if state.converged_epoch is not None and drift > self.config.rearm_drift:
                     # A big jump after convergence is a phase change:
                     # re-arm exploration and start converging again.
@@ -364,7 +356,6 @@ class DemandLearner:
                 ):
                     state.converged_epoch = epoch
                     newly_converged.append(name)
-                    self._metric("converged", name).set(float(epoch))
             state.last_report = report
             state.epochs += 1
             state.epsilon = max(

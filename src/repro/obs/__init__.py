@@ -4,8 +4,8 @@ A dependency-free (stdlib + nothing) telemetry layer shared by every
 hot path in the reproduction:
 
 * :class:`MetricsRegistry` — named counters, gauges and histograms
-  (fixed Prometheus-style buckets plus a bounded sample reservoir for
-  quantiles), with labels, JSON round-trips and registry merging;
+  (fixed Prometheus-style buckets, which also give quantile estimates),
+  with labels, JSON round-trips and registry merging;
   producers declare a :class:`Series` per family and touch it through
   ``registry.child(series, *label_values)``, which holds each child;
 * :class:`Tracer` / :func:`timed` — ``with``-block tracing producing

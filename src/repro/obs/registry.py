@@ -4,10 +4,9 @@ Three metric kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — monotonically non-decreasing totals;
 * :class:`Gauge` — a value that can move both ways;
-* :class:`Histogram` — observation count/sum/min/max, cumulative-style
-  fixed buckets (for Prometheus export) and a *bounded reservoir* of
-  the most recent observations (for quantile estimates without
-  unbounded memory).
+* :class:`Histogram` — observation count/sum/min/max and fixed
+  buckets (for Prometheus export and quantile estimates), so its size
+  never depends on how many observations it took.
 
 Every metric belongs to a *family* (one name, one kind, one help
 string) and is keyed within the family by its label set, exactly like
@@ -56,9 +55,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     5.0,
     10.0,
 )
-
-#: Default bound on each histogram's recent-sample reservoir.
-DEFAULT_RESERVOIR_SIZE = 1024
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -111,14 +107,13 @@ class Gauge:
 
 
 class Histogram:
-    """Observation statistics with fixed buckets and a bounded reservoir.
+    """Observation statistics with fixed buckets.
 
     ``bucket_counts[i]`` counts observations ``<= buckets[i]`` minus
     those counted by earlier buckets (non-cumulative storage; the
-    Prometheus exporter re-accumulates).  The reservoir is a ring
-    buffer of the most recent ``reservoir_size`` observations, so
-    :meth:`quantile` stays meaningful over arbitrarily long runs at
-    O(1) memory.
+    Prometheus exporter re-accumulates).  :meth:`quantile` estimates
+    from the buckets alone, so memory stays O(buckets) over
+    arbitrarily long runs.
     """
 
     kind = "histogram"
@@ -128,26 +123,20 @@ class Histogram:
         name: str,
         labels: LabelKey = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
     ):
         buckets = tuple(float(b) for b in buckets)
         if not buckets:
             raise ValueError("a histogram needs at least one bucket bound")
         if any(b2 <= b1 for b1, b2 in zip(buckets, buckets[1:])):
             raise ValueError(f"bucket bounds must be strictly increasing, got {buckets}")
-        if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be >= 1, got {reservoir_size}")
         self.name = name
         self.labels = labels
         self.buckets = buckets
-        self.reservoir_size = int(reservoir_size)
         self.bucket_counts = [0] * (len(buckets) + 1)  # final slot = +Inf
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._reservoir: List[float] = []
-        self._ring_index = 0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -157,26 +146,26 @@ class Histogram:
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(value)
-        else:
-            self._reservoir[self._ring_index] = value
-            self._ring_index = (self._ring_index + 1) % self.reservoir_size
-
-    @property
-    def reservoir(self) -> Tuple[float, ...]:
-        """The retained (most recent) observations, unordered."""
-        return tuple(self._reservoir)
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank quantile estimated from the reservoir."""
+        """The ``q`` quantile estimated from the buckets.
+
+        Interpolates linearly inside the bucket that holds rank
+        ``q * count``, whose edges are clamped to the observed min and
+        max (so ``quantile(0)`` is the min and ``quantile(1)`` the max).
+        """
         if not 0 <= q <= 1:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._reservoir:
+        if not self.count:
             return float("nan")
-        ordered = sorted(self._reservoir)
-        rank = min(int(q * len(ordered)), len(ordered) - 1)
-        return ordered[rank]
+        rank, seen = q * self.count, 0
+        for i, n in enumerate(self.bucket_counts):
+            if n and seen + n >= rank:
+                lower = max(self.buckets[i - 1], self.min) if i else self.min
+                upper = min(self.buckets[i], self.max) if i < len(self.buckets) else self.max
+                return lower + (upper - lower) * (rank - seen) / n
+            seen += n
+        return self.max  # pragma: no cover - the buckets hold every observation
 
     def mean(self) -> float:
         return self.sum / self.count if self.count else float("nan")
@@ -272,7 +261,6 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
         **labels: str,
     ) -> Histogram:
         """Get or create the histogram ``name{labels}``.
@@ -281,9 +269,7 @@ class MetricsRegistry:
         same child must agree (or omit the argument).
         """
         bounds = DEFAULT_BUCKETS if buckets is None else buckets
-        child = self._get(
-            "histogram", name, help, labels, lambda key: Histogram(name, key, bounds, reservoir_size)
-        )
+        child = self._get("histogram", name, help, labels, lambda key: Histogram(name, key, bounds))
         if buckets is not None and tuple(float(b) for b in buckets) != child.buckets:
             raise ValueError(
                 f"histogram {name!r}{dict(child.labels)} already exists with buckets "
@@ -368,8 +354,6 @@ class MetricsRegistry:
                                 for bound, count in zip(child.buckets, child.bucket_counts)
                             ],
                             "overflow": child.bucket_counts[-1],
-                            "reservoir": list(child.reservoir),
-                            "reservoir_size": child.reservoir_size,
                         }
                     )
         return {
@@ -397,7 +381,6 @@ class MetricsRegistry:
                 entry["name"],
                 help=entry.get("help", ""),
                 buckets=bounds,
-                reservoir_size=entry.get("reservoir_size", DEFAULT_RESERVOIR_SIZE),
                 **entry["labels"],
             )
             child.count = int(entry["count"])
@@ -407,9 +390,6 @@ class MetricsRegistry:
             child.bucket_counts = [int(c) for _, c in entry["buckets"]] + [
                 int(entry.get("overflow", 0))
             ]
-            for value in entry.get("reservoir", ()):
-                if len(child._reservoir) < child.reservoir_size:
-                    child._reservoir.append(float(value))
         return registry
 
     # ------------------------------------------------------------------
@@ -435,7 +415,6 @@ class MetricsRegistry:
                         family.name,
                         help=family.help,
                         buckets=child.buckets,
-                        reservoir_size=child.reservoir_size,
                         **labels,
                     )
                     if mine.buckets != child.buckets:
@@ -449,12 +428,6 @@ class MetricsRegistry:
                     mine.bucket_counts = [
                         a + b for a, b in zip(mine.bucket_counts, child.bucket_counts)
                     ]
-                    for value in child.reservoir:
-                        if len(mine._reservoir) < mine.reservoir_size:
-                            mine._reservoir.append(value)
-                        else:
-                            mine._reservoir[mine._ring_index] = value
-                            mine._ring_index = (mine._ring_index + 1) % mine.reservoir_size
         return self
 
 

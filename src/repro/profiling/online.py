@@ -36,7 +36,7 @@ imperfect measurement pipeline:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,10 +111,11 @@ class AgentTable:
         See ``outlier_log_threshold``.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
-        rejection/fallback counters are mirrored into it
-        (``repro_online_*`` metrics, labelled per row) and every
-        attempted re-fit's condition number is exposed as a gauge.
-        Every row carries the same label names (see :meth:`add`).
+        rejection/fallback counters are mirrored into it as fleet
+        totals (``repro_online_*`` counters, summed over rows) and the
+        largest condition number of the last re-fit is exposed as a
+        gauge.  Per-row values stay in :attr:`counters` and
+        :attr:`condition`.
 
     Columns
     -------
@@ -138,15 +139,20 @@ class AgentTable:
     of removed and moved rows.
     """
 
-    #: Mirror key -> (series, the key's own label values); a row's
-    #: series take the row's label names first (see :meth:`extend`).
+    #: Mirror key -> (fleet series, its label values).
     _METRICS = {
         "rejected_non_positive": (_REJECTED, "non_positive"),
         "rejected_outliers": (_REJECTED, "outlier"),
         "fit_fallbacks": (Series("counter", "repro_online_fit_fallbacks_total"),),
         "trimmed_samples": (Series("counter", "repro_online_samples_trimmed_total"),),
         "refits": (Series("counter", "repro_online_refits_total"),),
-        "condition": (Series("gauge", "repro_online_fit_condition_number"),),
+        "condition": (
+            Series(
+                "gauge",
+                "repro_online_fit_condition_number",
+                "Largest condition number of the last re-fit (inf when its solve failed).",
+            ),
+        ),
     }
 
     def __init__(
@@ -208,12 +214,6 @@ class AgentTable:
         self._metrics = metrics
         self.names: List[str] = []
         self._rows: Dict[str, int] = {}
-        #: The label names every row takes (the first row's), and each
-        #: row's values for them.
-        self._label_names: Optional[Tuple[str, ...]] = None
-        self._labels: List[Tuple[str, ...]] = []
-        #: Mirror key -> (series with the rows' label names first, own values).
-        self._series: Dict[str, Tuple[Series, Tuple[str, ...]]] = {}
         self._first_depth = self.max_history or 2 * min_samples
         # Row i's live samples, oldest first, are arena slots
         # _start[i] + (_head[i] - count[i] + j) % _depth[i] for j < count[i];
@@ -256,41 +256,26 @@ class AgentTable:
         except KeyError:
             raise ValueError(f"no agent named {name!r}") from None
 
-    def add(self, name: str, labels: Optional[Mapping[str, str]] = None) -> int:
-        """Append a naive row for ``name``; returns its index.
-
-        ``labels`` are attached to every metric the row mirrors (e.g.
-        ``{"agent": name}`` when one registry serves many rows); every
-        row of a table takes the label names of its first.
-        """
-        self.extend([name], [labels or {}])
+    def add(self, name: str) -> int:
+        """Append a naive row for ``name``; returns its index."""
+        self.extend([name])
         return self._rows[name]
 
-    def extend(self, names: Sequence[str], labels: Sequence[Mapping[str, str]]) -> None:
-        """Append naive rows for ``names`` (with their metric ``labels``) at once."""
+    def extend(self, names: Sequence[str]) -> None:
+        """Append naive rows for ``names`` at once."""
         for name in names:
             if name in self._rows:
                 raise ValueError(f"agent {name!r} already exists")
         if len(set(names)) != len(names):
             raise ValueError(f"agent names must be unique, got {list(names)}")
-        for row_labels in labels:
-            if self._label_names is None:
-                self._label_names = first = tuple(row_labels)
-                self._series = {
-                    key: (series._replace(labels=(*first, *series.labels)), tuple(own))
-                    for key, (series, *own) in self._METRICS.items()
-                }
-            elif tuple(row_labels) != self._label_names:
-                raise ValueError(f"every row takes the label names {self._label_names}")
         k, depth = len(names), self._first_depth
         start = self._reserve(k * depth)
         for column, value in self._fresh.items():
             setattr(self, column, np.concatenate([getattr(self, column), value.repeat(k, axis=0)]))
         self._start[len(self._start) - k :] = start + depth * np.arange(k)
-        for name, row_labels in zip(names, labels):
+        for name in names:
             self._rows[name] = len(self.names)
             self.names.append(name)
-            self._labels.append(tuple(row_labels.values()))
 
     def remove(self, name: str) -> None:
         """Drop agent ``name``'s row; later rows move up one, in order.
@@ -303,22 +288,22 @@ class AgentTable:
         keep[row:] += 1
         for column in self._fresh:
             setattr(self, column, getattr(self, column)[keep])
-        del self.names[row], self._labels[row]
+        del self.names[row]
         self._rows = {agent: i for i, agent in enumerate(self.names)}
 
     # ------------------------------------------------------------------
     # Metrics
 
-    def _metric(self, row: int, key: str):
-        """The registry child mirroring ``key`` for ``row``."""
-        series, own = self._series[key]
-        return self._metrics.child(series, *self._labels[row], *own)
+    def _metric(self, key: str):
+        """The registry child mirroring ``key`` for the whole fleet."""
+        series, *values = self._METRICS[key]
+        return self._metrics.child(series, *values)
 
-    def _count(self, row: int, column: int, n: int = 1) -> None:
-        """Bump a row's counter and its metric mirror (if any)."""
-        self.counters[row, column] += n
+    def _count(self, row: int, column: int) -> None:
+        """Bump a row's counter and its fleet mirror (if any)."""
+        self.counters[row, column] += 1
         if self._metrics is not None:
-            self._metric(row, COUNTERS[column]).inc(n)
+            self._metric(COUNTERS[column]).inc()
 
     def counters_of(self, row: int) -> Dict[str, int]:
         """Row ``row``'s fault-handling counters by name."""
@@ -531,23 +516,21 @@ class AgentTable:
             self.report[taken] = kept / kept.sum(axis=1, keepdims=True)
         self.counters[rows[~accepted], _FALLBACK] += 1
         if self._metrics is not None and rows.size:
-            child, labels = self._metrics.child, self._labels
-            gauge, refits, fallbacks = (
-                self._series[key][0] for key in ("condition", "refits", "fit_fallbacks")
-            )
-            for row, ok, value in zip(rows.tolist(), accepted.tolist(), condition.tolist()):
-                child(gauge, *labels[row]).set(value)
-                child(refits if ok else fallbacks, *labels[row]).inc()
+            self._metric("condition").set(condition.max())
+            refits = int(accepted.sum())
+            for key, n in (("refits", refits), ("fit_fallbacks", rows.size - refits)):
+                if n:
+                    self._metric(key).inc(n)
         return accepted
 
     def reject_fits(self, rows: np.ndarray) -> None:
         """Record that ``rows``' re-fit could not be solved at all."""
         self.dirty[rows] = False
         self.condition[rows] = np.inf
-        for row in rows.tolist():
-            self._count(row, _FALLBACK)
-            if self._metrics is not None:
-                self._metric(row, "condition").set(float("inf"))
+        self.counters[rows, _FALLBACK] += 1
+        if self._metrics is not None and rows.size:
+            self._metric("condition").set(math.inf)
+            self._metric("fit_fallbacks").inc(rows.size)
 
     def refit_alone(self, rows: np.ndarray, fit_batch: Callable) -> None:
         """Re-fit each of ``rows`` with a stacked solve of its own.
@@ -578,9 +561,8 @@ def _table_setting(name: str) -> property:
 class OnlineProfiler:
     """Learns Cobb-Douglas utilities on line: the profiling API over a table.
 
-    Constructed with the table's parameters (plus ``metric_labels``,
-    labels attached to every mirrored metric, e.g. ``{"agent": name}``),
-    a profiler owns a one-row :class:`AgentTable` and is the
+    Constructed with the table's parameters, a profiler owns a one-row
+    :class:`AgentTable` and is the
     single-agent API: :meth:`observe` ingests through the table and
     re-fits at once with :func:`~repro.core.fitting.fit_cobb_douglas`,
     and ``utility``, ``last_fit``, ``counters`` and friends read the
@@ -614,7 +596,6 @@ class OnlineProfiler:
         outlier_log_threshold: Optional[float] = None,
         max_consecutive_outliers: int = 3,
         metrics: Optional[MetricsRegistry] = None,
-        metric_labels: Optional[Mapping[str, str]] = None,
     ):
         table = AgentTable(
             n_resources=n_resources,
@@ -626,7 +607,7 @@ class OnlineProfiler:
             max_consecutive_outliers=max_consecutive_outliers,
             metrics=metrics,
         )
-        table.add("profiler", labels=metric_labels)
+        table.add("profiler")
         self._bind(table)
 
     @classmethod

@@ -444,7 +444,8 @@ class HttpServerBase:
     * :meth:`_on_start` — runs before the socket binds (e.g. epoch 0,
       worker spawning);
     * :meth:`_tick_loop` — the background task started after binding
-      (epoch ticks, capacity-grant rounds); the default sleeps forever;
+      (epoch ticks, capacity-grant rounds); the default sleeps forever,
+      and one that raises stops the server;
     * :meth:`_on_stop` — runs after the listener closed (final flush,
       worker teardown).
 
@@ -582,6 +583,12 @@ class HttpServerBase:
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = self._loop.time()
         self._ticker = asyncio.create_task(self._tick_loop())
+        self._ticker.add_done_callback(self._tick_ended)
+
+    def _tick_ended(self, ticker: asyncio.Task) -> None:
+        """A tick task that died stops the server; :meth:`stop` re-raises its error."""
+        if not ticker.cancelled() and ticker.exception() is not None:
+            self.request_stop()
 
     def request_stop(self) -> None:
         """Signal the server to stop (safe to call from a signal handler)."""

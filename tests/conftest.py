@@ -53,9 +53,7 @@ def registry_calls(monkeypatch):
         lookup = getattr(MetricsRegistry, kind)
 
         def counted(self, name, help="", _lookup=lookup, **labels):
-            options = {
-                key: labels.pop(key) for key in ("buckets", "reservoir_size") if key in labels
-            }
+            options = {"buckets": labels.pop("buckets")} if "buckets" in labels else {}
             calls.append((name, tuple(sorted(labels.items()))))
             return _lookup(self, name, help=help, **options, **labels)
 

@@ -2,9 +2,10 @@
 
 ``loop_observe`` is the per-agent update the mechanism ran before its
 balances were gathered into one ``(N, R)`` array; it stays here as the
-reference.  Both sides see the same epochs (agents joining and leaving,
-clipping, ``metrics=None`` and alternating registries) and must agree
-bit for bit on balances, events, solves and every metric series.
+reference, writing the fleet series from what the loop collected.  Both
+sides see the same epochs (agents joining and leaving, clipping,
+``metrics=None`` and alternating registries) and must agree bit for bit
+on balances, events, solves and every metric series.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ def loop_observe(balances, enforced, max_balance, metrics):
     problem = enforced.problem
     entitlement = 1.0 / problem.n_agents
     fractions = enforced.shares / problem.capacity_vector
-    events = []
+    events, deltas, forfeits, balance_rows = [], [], [], []
     for i, name in enumerate(problem.names):
         delta = entitlement - fractions[i]
         before = balances.get(name, np.zeros(problem.n_resources))
@@ -32,34 +33,9 @@ def loop_observe(balances, enforced, max_balance, metrics):
         clipped = np.clip(raw, -max_balance, max_balance)
         forfeited = float(np.abs(raw - clipped).sum())
         balances[name] = clipped
-        if metrics is not None:
-            banked = float(delta[delta > 0].sum())
-            spent = float(-delta[delta < 0].sum())
-            if banked > 0:
-                metrics.counter(
-                    "repro_credit_banked_total",
-                    help="Credit banked by under-served agents (capacity fractions).",
-                    agent=name,
-                ).inc(banked)
-            if spent > 0:
-                metrics.counter(
-                    "repro_credit_spent_total",
-                    help="Credit spent by over-served agents (capacity fractions).",
-                    agent=name,
-                ).inc(spent)
-            if forfeited > 0:
-                metrics.counter(
-                    "repro_credit_forfeited_total",
-                    help="Credit lost to the balance clip (capacity fractions).",
-                    agent=name,
-                ).inc(forfeited)
-            for r, resource in enumerate(problem.resource_names):
-                metrics.gauge(
-                    "repro_credit_balance",
-                    help="Per-agent credit balance in capacity fractions.",
-                    agent=name,
-                    resource=resource,
-                ).set(float(clipped[r]))
+        deltas.append(delta)
+        forfeits.append(forfeited)
+        balance_rows.append(clipped)
         if forfeited > 1e-12:
             events.append(
                 (
@@ -68,6 +44,35 @@ def loop_observe(balances, enforced, max_balance, metrics):
                     f"forfeited {forfeited:.3g} at |balance| = {max_balance:g}",
                 )
             )
+    if metrics is not None:
+        deltas = np.array(deltas)
+        amounts = {
+            "repro_credit_banked_total": (
+                "Credit banked by under-served agents (capacity fractions).",
+                deltas[deltas > 0].sum(),
+            ),
+            "repro_credit_spent_total": (
+                "Credit spent by over-served agents (capacity fractions).",
+                -deltas[deltas < 0].sum(),
+            ),
+            "repro_credit_forfeited_total": (
+                "Credit lost to the balance clip (capacity fractions).",
+                np.array(forfeits).sum(),
+            ),
+        }
+        for series, (help, amount) in amounts.items():
+            if amount > 0:
+                metrics.counter(series, help=help).inc(amount)
+        for r, resource in enumerate(problem.resource_names):
+            histogram = metrics.histogram(
+                "repro_credit_balance",
+                help="Every present agent's credit balance after each observe "
+                "(capacity fractions).",
+                buckets=[k / 10 for k in range(-5, 6)],
+                resource=resource,
+            )
+            for row in balance_rows:
+                histogram.observe(float(row[r]))
     return tuple(events)
 
 
@@ -187,8 +192,9 @@ class TestHeldHandles:
         for epoch in range(1, 6):
             mechanism.observe(enforced, epoch=epoch, metrics=registry)
         assert registry_calls == []
-        balance = registry.get("repro_credit_balance", agent="a", resource="bw")
-        assert balance.value == mechanism.balance("a")[0]
+        balances = registry.get("repro_credit_balance", resource="bw")
+        assert balances.count == 6 * 4  # every agent at every epoch
+        assert balances.max == max(mechanism.balance(name)[0] for name in "abcd")
 
     def test_every_lookup_creates_a_series(self, registry_calls):
         # Clipping and churn add series over time; each is looked up once.
@@ -198,26 +204,26 @@ class TestHeldHandles:
         for epoch in range(30):
             names = tuple(rng.choice(list(POOL), size=4, replace=False))
             mechanism.observe(steady_epoch(names), epoch=epoch, metrics=registry)
-        assert registry.get("repro_credit_forfeited_total", agent=names[0]) is not None
+        assert registry.get("repro_credit_forfeited_total") is not None
         assert len(registry_calls) == len(set(registry_calls))
 
     def test_a_returning_agent_continues_its_series(self, registry_calls):
-        # forget_agent drops the balance, not the series: a returning
-        # agent's counters continue, its balance restarts from zero, and
+        # forget_agent drops the balance, not the series: the fleet
+        # counters continue, the agent's balance restarts from zero, and
         # no series is looked up again.
         registry = MetricsRegistry()
         mechanism = CreditMechanism(max_balance=100.0)
         enforced = steady_epoch()
         mechanism.observe(enforced, metrics=registry)
         first = mechanism.balance("a")
+        banked = registry.get("repro_credit_banked_total").value
         mechanism.forget_agent("a")
         registry_calls.clear()
         mechanism.observe(enforced, metrics=registry)
         assert registry_calls == []
-        assert registry.get("repro_credit_banked_total", agent="a").value == 2 * first.sum()
+        assert registry.get("repro_credit_banked_total").value == 2 * banked
         np.testing.assert_array_equal(mechanism.balance("a"), first)
-        gauge = registry.get("repro_credit_balance", agent="a", resource="bw")
-        assert gauge.value == first[0]
+        assert registry.get("repro_credit_balance", resource="bw").count == 2 * 4
 
     def test_a_new_registry_gets_its_own_series(self):
         first, second = MetricsRegistry(), MetricsRegistry()
@@ -226,6 +232,6 @@ class TestHeldHandles:
         mechanism.observe(enforced, metrics=first)
         mechanism.observe(enforced, metrics=second)
         mechanism.observe(enforced, metrics=first)
-        gauge = first.get("repro_credit_balance", agent="a", resource="cache")
-        assert gauge.value == mechanism.balance("a")[1]
-        assert second.get("repro_credit_balance", agent="a", resource="cache").value < gauge.value
+        histogram = first.get("repro_credit_balance", resource="cache")
+        assert histogram.count == 2 * 4
+        assert second.get("repro_credit_balance", resource="cache").count == 4

@@ -414,7 +414,7 @@ class TestMetricsCoverage:
         mirrored = allocator.metrics.get("repro_span_seconds", span="epoch")
         assert mirrored.count == 3
 
-    def test_online_profiler_metrics_labeled_per_agent(self):
+    def test_online_profiler_metrics_sum_over_agents(self):
         # Outlier faults are undetectable by the retry loop, so they
         # reach the profilers' outlier gate and its mirrored counter.
         from repro.dynamic import FaultSpec
@@ -423,13 +423,8 @@ class TestMetricsCoverage:
             faults=FaultSpec(outlier=0.25, outlier_scale=100.0)
         )
         allocator.run(30)
-        total = 0
-        for name in allocator.agent_names:
-            counter = allocator.metrics.get(
-                "repro_online_samples_rejected_total", agent=name, reason="outlier"
-            )
-            if counter is not None:
-                total += int(counter.value)
+        counter = allocator.metrics.get("repro_online_samples_rejected_total", reason="outlier")
+        total = int(counter.value)
         table = allocator.table
         rejected = sum(
             table.counters_of(table.row(name))["rejected_outliers"]

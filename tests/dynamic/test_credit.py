@@ -43,13 +43,12 @@ class TestControllerIntegration:
         )
         assert fast is not None and fast.value == 6
 
-    def test_credit_balance_gauges_are_exported(self):
+    def test_credit_balance_histogram_is_exported(self):
         allocator = make_allocator()
         allocator.run(3)
-        gauge = allocator.metrics.get(
-            "repro_credit_balance", agent="freqmine", resource="membw_gbps"
-        )
-        assert gauge is not None
+        histogram = allocator.metrics.get("repro_credit_balance", resource="membw_gbps")
+        assert histogram.count == 3 * len(allocator.agent_names)
+        assert -0.5 <= histogram.min <= histogram.max <= 0.5
 
     def test_removed_agent_forgets_its_balance(self):
         allocator = make_allocator()

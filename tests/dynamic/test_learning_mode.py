@@ -111,12 +111,8 @@ class TestLearningLoop:
         allocator = _allocator(seed=2, decay=1.0, noise_sigma=0.0)
         result = allocator.run(60)
         assert result.counters.get("report_converged", 0) >= 1
-        registry = allocator.metrics
-        assert registry.get(
-            "repro_learning_convergence_epoch", agent="freqmine"
-        ) is not None or registry.get(
-            "repro_learning_convergence_epoch", agent="dedup"
-        ) is not None
+        converged = allocator.metrics.get("repro_dynamic_events_total", kind="report_converged")
+        assert converged.value == result.counters["report_converged"]
 
     def test_a_service_tick_reports_once(self, monkeypatch):
         # A service tick (measure=False) computes the learner's reports

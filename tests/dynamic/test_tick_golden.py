@@ -20,8 +20,9 @@ Two levels of checking, because LAPACK bits may differ between machines
 * where the numpy version and the BLAS build and core match the recorded
   fingerprint, a sha256 digest over every tick's raw bytes (shares,
   reports, condition numbers, events), the final histories, the
-  aggregate elasticities, the mechanism state and the non-timing
-  Prometheus text must match exactly;
+  aggregate elasticities and the mechanism state must match exactly,
+  and so must a second digest over the non-timing Prometheus text (the
+  telemetry can change while the tick's outputs stay the same);
 * everywhere, per-tick checksums (a dot product with fixed positive
   weights) must match at ``CHECKSUM_RTOL``, and the event counters
   exactly.
@@ -244,7 +245,7 @@ def run_scenario(name: str) -> dict:
     aggregate = allocator.aggregate_elasticities()
     digest.update(np.ascontiguousarray(aggregate).tobytes())
     digest.update(json.dumps(allocator.mechanism_state(), sort_keys=True).encode())
-    digest.update(_non_timing_prometheus(allocator.metrics).encode())
+    metrics_digest = hashlib.sha256(_non_timing_prometheus(allocator.metrics).encode())
     totals = Counter()
     for metric in allocator.metrics.metrics():
         if metric.name.startswith("repro_online_") and metric.kind == "counter":
@@ -252,6 +253,7 @@ def run_scenario(name: str) -> dict:
             totals[f"{metric.name}{{{reason}}}" if reason else metric.name] += int(metric.value)
     return {
         "digest": digest.hexdigest(),
+        "metrics_digest": metrics_digest.hexdigest(),
         "checksums": checksums,
         "final_checksums": [
             _checksum(np.abs(np.concatenate(history_terms))),
@@ -278,6 +280,7 @@ def test_tick_outputs_match_recording(scenario):
     if fingerprint() != recording["fingerprint"]:
         pytest.skip("numpy/BLAS differ from the recording: digests not comparable")
     assert got["digest"] == expected["digest"]
+    assert got["metrics_digest"] == expected["metrics_digest"]
 
 
 def test_scenarios_exercise_every_fault_path():

@@ -285,21 +285,21 @@ class TestHeldHandles:
         return learner, table
 
     def test_no_registry_calls_once_every_series_exists(self, registry_calls):
-        # Unfitted agents never converge: the drift gauges appear on the
+        # Unfitted agents never converge: the drift gauge appears on the
         # second epoch (the first with a previous report), then nothing
         # is looked up again.
         learner, table = self._learner_and_table()
         learner.note_epoch(0, table)
         assert registry_calls[-1][0] == "repro_learning_agents"
         learner.note_epoch(1, table)
-        assert {name for name, _ in registry_calls[-3:]} == {"repro_learning_report_drift"}
+        assert registry_calls[-1] == ("repro_learning_report_drift", ())
         registry_calls.clear()
         for epoch in range(2, 8):
             learner.note_epoch(epoch, table)
         assert registry_calls == []
 
     def test_every_lookup_creates_a_series(self, registry_calls):
-        # Convergence, a forgotten agent and a late arrival each add series.
+        # Convergence, a forgotten agent and a late arrival add no series.
         learner, table = self._learner_and_table(samples=20)
         converged = []
         for epoch in range(8):
@@ -309,11 +309,11 @@ class TestHeldHandles:
                 table.add("d")
                 learner.register("d")
         assert converged
-        assert learner.metrics.get("repro_learning_convergence_epoch", agent="a") is not None
-        assert learner.metrics.get("repro_learning_report_drift", agent="d") is not None
+        assert learner.metrics.get("repro_learning_report_drift") is not None
         assert len(registry_calls) == len(set(registry_calls))
+        assert len(learner.metrics) == 2  # the agent count and the drift
 
-    def test_drift_is_each_rows_max_report_change(self):
+    def test_drift_is_the_largest_report_change(self):
         learner, table = self._learner_and_table(names=("a", "b", "c", "d"), samples=6)
         learner.note_epoch(0, table)
         previous = {name: learner.state(name).last_report for name in table.names}
@@ -324,10 +324,11 @@ class TestHeldHandles:
             table.observe(row, allocation, float(np.prod(allocation ** [0.7, 0.2])))
         refit(table)
         learner.note_epoch(1, table)
-        for name in table.names:
-            now = learner.state(name).last_report
-            drift = learner.metrics.get("repro_learning_report_drift", agent=name)
-            assert drift.value == float(np.max(np.abs(now - previous[name])))
+        drift = learner.metrics.get("repro_learning_report_drift")
+        assert drift.value == max(
+            float(np.max(np.abs(learner.state(name).last_report - previous[name])))
+            for name in table.names
+        )
 
     def test_replaced_registry_gets_its_own_series(self):
         learner, table = self._learner_and_table()
@@ -335,5 +336,5 @@ class TestHeldHandles:
             learner.note_epoch(epoch, table)
         first, learner.metrics = learner.metrics, MetricsRegistry()
         learner.note_epoch(2, table)
-        assert learner.metrics.get("repro_learning_report_drift", agent="a") is not None
-        assert first.get("repro_learning_report_drift", agent="a") is not None
+        assert learner.metrics.get("repro_learning_report_drift") is not None
+        assert first.get("repro_learning_report_drift") is not None

@@ -70,25 +70,39 @@ class TestHistogram:
             Histogram("h", buckets=())
         with pytest.raises(ValueError, match="increasing"):
             Histogram("h", buckets=(1.0, 1.0))
-        with pytest.raises(ValueError, match="reservoir_size"):
-            Histogram("h", reservoir_size=0)
 
-    def test_reservoir_is_bounded_ring(self):
-        hist = Histogram("h", buckets=(1.0,), reservoir_size=4)
-        for value in range(10):
-            hist.observe(float(value))
-        assert hist.count == 10
-        assert len(hist.reservoir) == 4
-        # The ring retains the most recent observations.
-        assert sorted(hist.reservoir) == [6.0, 7.0, 8.0, 9.0]
+    def test_quantile_interpolates_inside_the_bucket_of_the_rank(self):
+        hist = Histogram("h", buckets=(1.0, 2.0, 4.0))
+        for value in (0.5, 1.5, 1.5, 3.0):
+            hist.observe(value)
+        # Rank 2 of 4 and rank 3 fall in (1, 2], rank 3.6 in (2, 4],
+        # whose upper edge is clamped to the max seen, 3.
+        assert hist.quantile(0.5) == pytest.approx(1.5)
+        assert hist.quantile(0.75) == pytest.approx(2.0)
+        assert hist.quantile(0.9) == pytest.approx(2.6)
 
-    def test_quantiles_from_reservoir(self):
-        hist = Histogram("h", buckets=(100.0,), reservoir_size=100)
+    def test_quantiles_are_clamped_to_min_and_max(self):
+        hist = Histogram("h", buckets=(100.0,))
         for value in range(1, 101):
             hist.observe(float(value))
         assert hist.quantile(0.0) == 1.0
-        assert hist.quantile(0.5) == pytest.approx(51.0)
+        assert hist.quantile(0.5) == pytest.approx(50.5)
         assert hist.quantile(1.0) == 100.0
+        overflow = Histogram("h", buckets=(1.0,))
+        for value in (5.0, 7.0):
+            overflow.observe(value)
+        assert (overflow.quantile(0.0), overflow.quantile(1.0)) == (5.0, 7.0)
+        assert overflow.quantile(0.5) == pytest.approx(6.0)
+
+    def test_a_file_with_a_reservoir_still_loads(self):
+        registry = MetricsRegistry()
+        registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
+        data = registry.as_dict()
+        assert "reservoir" not in data["histograms"][0]
+        data["histograms"][0].update(reservoir=[1.5], reservoir_size=1024)
+        loaded = MetricsRegistry.from_dict(data).get("h")
+        assert loaded.bucket_counts == [0, 1, 0]
+        assert loaded.quantile(1.0) == 1.5
 
     def test_quantile_validation_and_empty(self):
         hist = Histogram("h")

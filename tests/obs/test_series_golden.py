@@ -328,7 +328,7 @@ def test_scenarios_cover_every_producer():
     families = {ident[0] for scenario in SCENARIOS for ident, _ in _recorded_steps(scenario)[-1]}
     for prefix in (
         "repro_credit_forfeited_total",
-        "repro_learning_convergence_epoch",
+        "repro_learning_report_drift",
         "repro_online_samples_rejected_total",
         "repro_dynamic_events_total",
         "repro_span_seconds",

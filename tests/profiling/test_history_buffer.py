@@ -276,7 +276,7 @@ class TestRingParity:
         # Unbounded histories cost the sum of their lengths: one busy
         # row among many idle ones must not give every row its depth.
         table = AgentTable()
-        table.extend([f"a{i}" for i in range(64)], [{}] * 64)
+        table.extend([f"a{i}" for i in range(64)])
         depth = int(table._depth[1])
         rng = np.random.default_rng(7)
         for row in range(1, 64):
@@ -296,7 +296,7 @@ class TestRingParity:
         # Rows that come and go leave no lasting garbage: rebuilding a
         # full arena packs the live segments.
         table = AgentTable(decay=0.85)
-        table.extend(["keep0", "keep1"], [{}, {}])
+        table.extend(["keep0", "keep1"])
         rng = np.random.default_rng(8)
         for cycle in range(200):
             name = f"visitor{cycle}"

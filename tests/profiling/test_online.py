@@ -256,33 +256,29 @@ class TestMetricsMirror:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        profiler = OnlineProfiler(
-            n_resources=2, metrics=registry, metric_labels={"agent": "a1"}, **kwargs
-        )
+        profiler = OnlineProfiler(n_resources=2, metrics=registry, **kwargs)
         return profiler, registry
 
     def test_rejections_mirrored_with_reason_labels(self):
         profiler, registry = self._profiler()
         profiler.observe((1.0, 1.0), -5.0)
         profiler.observe((0.0, 1.0), 1.0)
-        counter = registry.get(
-            "repro_online_samples_rejected_total", agent="a1", reason="non_positive"
-        )
+        counter = registry.get("repro_online_samples_rejected_total", reason="non_positive")
         assert counter.value == profiler.counters["rejected_non_positive"] == 2
 
     def test_trim_and_refit_counters_mirrored(self):
         profiler, registry = self._profiler(decay=0.5, weight_floor=0.1)
         feed_synthetic(profiler, (0.6, 0.4), 40)
-        trimmed = registry.get("repro_online_samples_trimmed_total", agent="a1")
+        trimmed = registry.get("repro_online_samples_trimmed_total")
         assert trimmed is not None
         assert trimmed.value == profiler.counters["trimmed_samples"] > 0
-        refits = registry.get("repro_online_refits_total", agent="a1")
+        refits = registry.get("repro_online_refits_total")
         assert refits is not None and refits.value > 0
 
     def test_condition_number_gauge_tracks_last_fit(self):
         profiler, registry = self._profiler()
         feed_synthetic(profiler, (0.6, 0.4), 12)
-        gauge = registry.get("repro_online_fit_condition_number", agent="a1")
+        gauge = registry.get("repro_online_fit_condition_number")
         assert gauge is not None
         assert gauge.value == pytest.approx(profiler.last_condition_number)
 
@@ -292,7 +288,7 @@ class TestMetricsMirror:
         assert profiler.counters["rejected_non_positive"] == 1  # no crash, no registry
 
     def test_handles_held_after_first_use(self):
-        # The profiler resolves each labelled child once and holds it.
+        # The profiler resolves each fleet child once and holds it.
         # Against a profiler that looks its child up on every bump, the
         # same series must exist after every step (a series appears only
         # when first touched) and the exposition must match byte for byte.
@@ -309,20 +305,16 @@ class TestMetricsMirror:
                 self.lookups += 1
                 return super().gauge(name, help, **labels)
 
-        def lookup_every_bump(table, row, key):
+        def lookup_every_bump(table, key):
             series, *own = table._METRICS[key]
-            labels = {
-                **dict(zip(table._label_names, table._labels[row])),
-                **dict(zip(series.labels, own)),
-            }
-            return getattr(table._metrics, series.kind)(series.name, **labels)
+            labels = dict(zip(series.labels, own))
+            return getattr(table._metrics, series.kind)(series.name, series.help, **labels)
 
         held_registry, lookup_registry = CountingRegistry(), CountingRegistry()
         kwargs = dict(
             decay=0.5,
             weight_floor=0.1,
             outlier_log_threshold=0.5,
-            metric_labels={"agent": "a1"},
         )
         held = OnlineProfiler(metrics=held_registry, **kwargs)
         lookup = OnlineProfiler(metrics=lookup_registry, **kwargs)

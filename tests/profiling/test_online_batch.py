@@ -33,7 +33,7 @@ def refit(table, fit_batch=fit_cobb_douglas_batch):
 
 def one_row_table(**kwargs):
     table = AgentTable(**kwargs)
-    table.add("a", labels={"agent": "a"})
+    table.add("a")
     return table
 
 
@@ -103,14 +103,23 @@ class TestDeferredRefit:
         assert not table.fitted[0]
         assert table.counters_of(0)["fit_fallbacks"] == 1
 
-    def test_refit_metric_on_apply(self):
+    def test_refit_metrics_are_fleet_totals(self):
         registry = MetricsRegistry()
         table = AgentTable(metrics=registry)
-        table.add("a", labels={"agent": "a"})
-        feed_row(table, (0.7, 0.3), 10)
+        table.extend(["a", "b"])
+        feed_row(table, (0.7, 0.3), 10, row=0)
+        feed_row(table, (0.4, 0.6), 10, row=1)
         refit(table)
-        counter = registry.get("repro_online_refits_total", agent="a")
-        assert counter is not None and counter.value == 1
+        assert registry.get("repro_online_refits_total").value == 2
+        gauge = registry.get("repro_online_fit_condition_number")
+        assert gauge.value == table.condition.max()
+        assert registry.get("repro_online_fit_fallbacks_total") is None  # none was positive
+        feed_row(table, (0.7, 0.3), 10, row=0)
+        feed_row(table, (0.4, 0.6), 10, row=1)
+        table.reject_fits(table.pending())
+        assert registry.get("repro_online_fit_fallbacks_total").value == 2
+        assert gauge.value == np.inf
+        assert len(registry) == 3  # no series per row
 
     def test_no_rows_to_apply_on_an_empty_mirrored_table(self):
         table = AgentTable(metrics=MetricsRegistry())

@@ -53,7 +53,8 @@ def test_flat_server_scrape_equals_merge_then_render(shared_global):
     assert text == merged_text(shared_global, server.metrics, allocator.metrics)
     assert 'repro_serve_requests_total{route="/healthz",status="200"} 7' in text
     assert "# HELP repro_serve_requests_total HTTP requests handled" in text
-    assert 'repro_credit_balance{agent="dedup",resource="cache_kb"}' in text
+    assert 'repro_credit_balance_count{resource="cache_kb"}' in text
+    assert "agent=" not in text
 
 
 def test_coordinator_scrape_equals_merge_then_render(shared_global):

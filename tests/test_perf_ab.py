@@ -349,3 +349,76 @@ class TestRunOrder:
         for row in cpu:
             assert row["ratio_by_first"]["base"] == pytest.approx(1.05)
             assert row["ratio_by_first"]["change"] == pytest.approx(0.95)
+
+
+class TestTripwire:
+    """``--tripwire``: only every pair worse beyond the bound, in both orders, trips."""
+
+    SPEC = {"end_to_end": [{"name": "server_cpu_ms_per_op", "unit": "ms",
+                            "better": "lower", "bound": 0.25}]}
+    CPU = [0.50, 0.52, 0.49]
+
+    def _runs(self, change, firsts=("base", "change", "base"), correct=True):
+        def run(value):
+            return {"correct": correct, "failed": 0, "attempted": 100,
+                    "metrics": {"server_cpu_ms_per_op": value}}
+
+        return {"churn-learn": [
+            {"seed": k, "first": first, "base": run(b), "change": run(c)}
+            for k, (b, c, first) in enumerate(zip(self.CPU, change, firsts))
+        ]}
+
+    def test_every_pair_worse_in_both_orders_trips(self):
+        found = perf_ab.tripwire(self._runs([b * 1.4 for b in self.CPU]), self.SPEC)
+        assert len(found) == 1
+        assert found[0].startswith("TRIPPED: server_cpu_ms_per_op:churn-learn")
+
+    def test_one_pair_within_bound_does_not_trip(self):
+        change = [b * 1.4 for b in self.CPU]
+        change[1] = self.CPU[1] * 1.2
+        assert perf_ab.tripwire(self._runs(change), self.SPEC) == []
+
+    def test_pairs_all_in_one_order_do_not_trip(self):
+        runs = self._runs([b * 1.4 for b in self.CPU], firsts=("base",) * 3)
+        assert perf_ab.tripwire(runs, self.SPEC) == []
+
+    def test_a_higher_is_better_metric_trips_downwards(self):
+        base, change = [100.0, 102.0, 98.0], [70.0, 72.0, 60.0]
+        firsts = ["base", "change", "base"]
+        assert perf_ab.trips(base, change, firsts, "higher", 0.25)
+        assert not perf_ab.trips(base, [80.0, 72.0, 60.0], firsts, "higher", 0.25)
+
+    def test_an_incorrect_run_fails_it(self):
+        found = perf_ab.tripwire(self._runs(self.CPU, correct=False), self.SPEC)
+        assert found and all(line.startswith("FAILED RUN") for line in found)
+
+    @needs_git
+    def test_main_runs_the_short_pairs_and_writes_no_ledger(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def measure(base, workloads, pairs, seed_base, seconds):
+            seen.update(pairs=pairs, seconds=seconds)
+
+            def run(value):
+                return {"correct": True, "failed": 0, "attempted": 100,
+                        "metrics": {"setup_s": 0.5, "fresh_mean_ms": value,
+                                    "server_cpu_ms_per_op": value, "server_rss_mb": 60.0}}
+
+            return {workload: [{"seed": seed_base + k, "first": "change" if k % 2 else "base",
+                                "base": run(b), "change": run(1.5 * b)}
+                               for k, b in enumerate(BASE[:pairs])]
+                    for workload in workloads}
+
+        monkeypatch.setattr(perf_ab, "measure", measure)
+        ledger_path = tmp_path / "ledger.json"
+        code = perf_ab.main(["--base", "HEAD", "--seed-base", "5000", "--tripwire",
+                             "--pairs", "3", "--seconds", "6", "--ledger", str(ledger_path)])
+        assert code == 1  # fresh_mean_ms and CPU per op are 1.5x in every pair
+        assert seen == {"pairs": 3, "seconds": 6.0}
+        assert not ledger_path.exists()
+
+    def test_a_tripwire_takes_no_claim(self, capsys):
+        with pytest.raises(SystemExit):
+            perf_ab.main(["--base", "HEAD", "--seed-base", "1", "--tripwire",
+                          "--claim", "server_cpu_ms_per_op:ingest-heavy"])
+        assert "--tripwire takes no --claim" in capsys.readouterr().err
