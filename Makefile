@@ -131,13 +131,13 @@ perf-ab:
 # The paired regression tripwire (CI, pull requests): 3 alternating pairs
 # of 6 s per workload (about 5 minutes), no claim, no ledger.  Fails only
 # when a metric is worse than BASE by more than its BENCHMARK.json bound
-# in every pair and in both run orders, or when a run fails.  Usage:
+# in every pair and in both run orders (a metric whose spread is wider
+# than its bound is unresolved instead), or when a run fails.  Usage:
 #   make perf-tripwire BASE=<rev> SEED_BASE=<n>
 perf-tripwire:
 	@test -n "$(BASE)" -a -n "$(SEED_BASE)" || \
 		{ echo "usage: make perf-tripwire BASE=<rev> SEED_BASE=<n>"; exit 2; }
-	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --seed-base $(SEED_BASE) \
-		--tripwire --pairs 3 --seconds 6
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --seed-base $(SEED_BASE) --tripwire
 
 # The net src/ line count against a base revision, two ways: all lines
 # (git diff --numstat) and lines that carry code (no blank lines,
@@ -232,9 +232,10 @@ regret-smoke:
 
 # The CI credit-smoke job, runnable locally: 300 epochs of
 # `repro dynamic --mechanism credit` under bursty churn (feasible
-# throughout, the balance histogram inside the bank bound), the horizon
-# harness proving windowed SI/EF hold where per-epoch SI is traded, and
-# 10 000 churned agents leaving the telemetry's size as at 1 000.
+# throughout, one balance per agent-epoch in the balance histogram),
+# the horizon harness proving windowed SI/EF hold where per-epoch SI is
+# traded, and 10 000 churned agents leaving the telemetry's size as at
+# 1 000.
 credit-smoke:
 	$(PYTHON) benchmarks/credit_smoke.py
 

@@ -36,14 +36,14 @@ verdicts are written to ``--ledger`` (``"claim": null`` without one).
 The exit status is 0 only when the claim, if any, holds and nothing
 regressed or failed.
 
-``--pairs`` and ``--seconds`` set the pairs per workload and the run
-length (10 and 18 by default).  ``--tripwire`` (``make perf-tripwire
-BASE=<rev> SEED_BASE=<n>``: 3 pairs of 6 s, about 5 minutes) takes no
-claim and writes no ledger: a metric **trips** on a workload only when
-every pair is worse than its parent by more than the metric's
-``BENCHMARK.json`` bound and the pairs ran in both orders; a failed or
-incorrect run also fails it.  It catches gross regressions; the
-10-pair ledger stays the record of a change.
+``--tripwire`` (``make perf-tripwire BASE=<rev> SEED_BASE=<n>``) runs
+3 pairs of 6 s per workload instead, about 5 minutes, takes no claim
+and writes no ledger.  A metric **trips** on a workload only when every
+pair is worse than its parent by more than the metric's
+``BENCHMARK.json`` bound and the pairs ran in both orders; one whose
+quartile spread is wider than its bound is **unresolved**, as above,
+and cannot trip.  A failed or incorrect run also fails it.  It catches
+gross regressions; the 10-pair ledger stays the record of a change.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ WIN_SHARE = 0.9
 #: Pairs per workload, and the benchmark's own run length.
 PAIRS = 10
 SECONDS = 18.0
+#: The same for ``--tripwire``.
+TRIPWIRE_PAIRS = 3
+TRIPWIRE_SECONDS = 6.0
 
 
 @dataclass(frozen=True)
@@ -142,18 +145,29 @@ def trips(
     return all(c < b * (1.0 - bound) for b, c in zip(base, change))
 
 
-def tripwire(runs: Dict[str, List[dict]], spec: dict) -> List[str]:
-    """Each failed run and each tripped (metric, workload), as a line."""
+def tripwire(runs: Dict[str, List[dict]], spec: dict) -> Tuple[List[str], List[str]]:
+    """What fails the tripwire, and what it cannot judge, as lines.
+
+    Each failed run and each (metric, workload) that :func:`trips` fail
+    it.  A (metric, workload) whose spread :func:`bound_verdict` finds
+    wider than its bound is unresolved instead, and cannot trip.
+    """
     found = [f"FAILED RUN: {failure}" for failure in failed_runs(runs)]
+    unresolved = []
     for workload, pairs in runs.items():
         for metric in spec["end_to_end"]:
-            name = metric["name"]
+            name, direction, bound = metric["name"], metric["better"], metric["bound"]
             base, change, firsts = _paired(pairs, lambda run: run["metrics"].get(name))
-            if base and trips(base, change, firsts, metric["better"], metric["bound"]):
+            if not base:
+                continue
+            verdict, detail = bound_verdict(base, change, direction, bound)
+            if verdict == "unresolved":
+                unresolved.append(f"UNRESOLVED: {name}:{workload}: {detail}")
+            elif trips(base, change, firsts, direction, bound):
                 ratios = ", ".join(f"{c / b:.3f}" for b, c in zip(base, change) if b)
                 found.append(f"TRIPPED: {name}:{workload}: every pair worse than "
-                             f"{metric['bound']:g} in both orders (change/parent {ratios})")
-    return found
+                             f"{bound:g} in both orders (change/parent {ratios})")
+    return found, unresolved
 
 
 def reported(result_json: Path) -> Dict[str, dict]:
@@ -374,15 +388,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed-base", type=int, required=True,
                         help="pair k of workload w runs on seed SEED_BASE + 10 w + k")
     parser.add_argument("--ledger", type=Path, default=ROOT / "ledger" / "perf-ab.json")
-    parser.add_argument("--pairs", type=int, default=PAIRS, help="pairs per workload")
-    parser.add_argument("--seconds", type=float, default=SECONDS, help="length of each run")
     parser.add_argument("--tripwire", action="store_true",
-                        help="fail only on a gross regression; no claim, no ledger")
+                        help=f"{TRIPWIRE_PAIRS} pairs of {TRIPWIRE_SECONDS:g} s that fail "
+                             "only on a gross regression; no claim, no ledger")
     args = parser.parse_args(argv)
     if args.tripwire and args.claim:
         parser.error("--tripwire takes no --claim")
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs and --seconds must be positive")
 
     spec = json.loads(SPEC.read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -390,15 +401,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.claim and (args.claim[0] not in metric_names or args.claim[1] not in workloads):
         parser.error("--claim must name an end-to-end metric and a workload of BENCHMARK.json")
 
+    pairs, seconds = (TRIPWIRE_PAIRS, TRIPWIRE_SECONDS) if args.tripwire else (PAIRS, SECONDS)
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as scratch:
         base = extract(args.base, Path(scratch) / "base")
-        runs = measure(base, workloads, args.pairs, args.seed_base, args.seconds)
+        runs = measure(base, workloads, pairs, args.seed_base, seconds)
 
     summary = summarize(runs, spec, args.claim)
     if args.tripwire:
         print(table(summary["rows"]))
-        found = tripwire(runs, spec)
-        print("\n".join(found) or "perf-tripwire OK: no metric worse in every pair")
+        found, unresolved = tripwire(runs, spec)
+        for line in unresolved + found:
+            print(line)
+        if not found:
+            print("perf-tripwire OK: no metric worse in every pair")
         return 1 if found else 0
     print(report(summary, args.claim))
     args.ledger.parent.mkdir(parents=True, exist_ok=True)
@@ -412,8 +427,8 @@ def ledger(args, summary: dict, runs: Dict[str, List[dict]]) -> dict:
     return {
         "base": args.base,
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "pairs": args.pairs,
+                   f"--seconds {SECONDS:g} --trace 0",
+        "pairs": PAIRS,
         "seed_base": args.seed_base,
         "passed": passed(summary),
         "rows": summary["rows"],

@@ -330,7 +330,7 @@ class DemandLearner:
         if seen:
             previous = np.array([states[i].last_report for i in seen])
             drifts[seen] = np.max(np.abs(reports[seen] - previous), axis=1)
-            self._metric("drift").set(drifts[seen].max())
+        self._metric("drift").set(drifts[seen].max() if seen else 0.0)
         drifts = drifts.tolist()
         for i, (name, state) in enumerate(zip(table.names, states)):
             if state is None:

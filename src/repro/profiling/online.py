@@ -549,6 +549,9 @@ class AgentTable:
                 self.reject_fits(block.rows)
             else:
                 self.apply_fits(block.rows, fit.alpha, fit.scale, fit.condition)
+        if self._metrics is not None and len(rows):
+            # Each row set the gauge to its own value; the re-fit's is the largest.
+            self._metric("condition").set(self.condition[rows].max())
 
 
 def _table_setting(name: str) -> property:

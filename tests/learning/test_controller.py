@@ -286,15 +286,14 @@ class TestHeldHandles:
 
     def test_no_registry_calls_once_every_series_exists(self, registry_calls):
         # Unfitted agents never converge: the drift gauge appears on the
-        # second epoch (the first with a previous report), then nothing
-        # is looked up again.
+        # first epoch (reading 0, as no agent has a previous report yet),
+        # then nothing is looked up again.
         learner, table = self._learner_and_table()
         learner.note_epoch(0, table)
-        assert registry_calls[-1][0] == "repro_learning_agents"
-        learner.note_epoch(1, table)
         assert registry_calls[-1] == ("repro_learning_report_drift", ())
+        assert learner.metrics.get("repro_learning_report_drift").value == 0.0
         registry_calls.clear()
-        for epoch in range(2, 8):
+        for epoch in range(1, 8):
             learner.note_epoch(epoch, table)
         assert registry_calls == []
 
@@ -329,6 +328,23 @@ class TestHeldHandles:
             float(np.max(np.abs(learner.state(name).last_report - previous[name])))
             for name in table.names
         )
+
+    def test_drift_reads_zero_once_no_agent_has_a_previous_report(self):
+        # Every learner departs and a newcomer arrives: the gauge does
+        # not keep the departed agents' last drift.
+        learner, table = self._learner_and_table(names=("a", "b"), samples=6)
+        learner.note_epoch(0, table)
+        for row in range(len(table)):
+            table.observe(row, np.array([20.0, 0.5]), 3.0)
+        refit(table)
+        learner.note_epoch(1, table)
+        drift = learner.metrics.get("repro_learning_report_drift")
+        assert drift.value > 0
+        for name in ("a", "b"):
+            learner.forget(name)
+        learner.register("c")
+        learner.note_epoch(2, table)
+        assert drift.value == 0.0
 
     def test_replaced_registry_gets_its_own_series(self):
         learner, table = self._learner_and_table()

@@ -173,6 +173,29 @@ class TestStackedRefit:
         assert table.condition[1] == np.inf
         assert table.pending().size == 0
 
+    def test_per_row_fallback_gauges_the_largest_condition(self):
+        # The first row's own solve fails, the second's succeeds: the
+        # re-fit's gauge reads inf, not the last row's finite value.
+        registry = MetricsRegistry()
+        table = AgentTable(metrics=registry)
+        table.extend(["a", "b"])
+        feed_row(table, (0.7, 0.3), 10, row=0)
+        feed_row(table, (0.4, 0.6), 10, row=1, seed=1)
+        calls = []
+
+        def flaky(allocations, performance, weights, counts):
+            calls.append(len(counts))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return fit_cobb_douglas_batch(allocations, performance, weights, counts=counts)
+
+        table.refit_alone(table.pending(), flaky)
+        assert table.fitted.tolist() == [False, True]
+        assert np.isfinite(table.condition[1])
+        assert registry.get("repro_online_fit_condition_number").value == np.inf
+        assert registry.get("repro_online_fit_fallbacks_total").value == 1
+        assert registry.get("repro_online_refits_total").value == 1
+
     def test_protocol_covers_every_due_row(self):
         table = AgentTable()
         for name in ("a", "b", "c"):

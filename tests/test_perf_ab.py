@@ -369,18 +369,28 @@ class TestTripwire:
         ]}
 
     def test_every_pair_worse_in_both_orders_trips(self):
-        found = perf_ab.tripwire(self._runs([b * 1.4 for b in self.CPU]), self.SPEC)
-        assert len(found) == 1
+        found, unresolved = perf_ab.tripwire(self._runs([b * 1.4 for b in self.CPU]), self.SPEC)
+        assert len(found) == 1 and unresolved == []
         assert found[0].startswith("TRIPPED: server_cpu_ms_per_op:churn-learn")
 
     def test_one_pair_within_bound_does_not_trip(self):
         change = [b * 1.4 for b in self.CPU]
         change[1] = self.CPU[1] * 1.2
-        assert perf_ab.tripwire(self._runs(change), self.SPEC) == []
+        assert perf_ab.tripwire(self._runs(change), self.SPEC) == ([], [])
 
     def test_pairs_all_in_one_order_do_not_trip(self):
         runs = self._runs([b * 1.4 for b in self.CPU], firsts=("base",) * 3)
-        assert perf_ab.tripwire(runs, self.SPEC) == []
+        assert perf_ab.tripwire(runs, self.SPEC) == ([], [])
+
+    def test_a_spread_wider_than_the_bound_is_unresolved_not_tripped(self):
+        # Every pair reads worse than the bound, but the change's own
+        # runs spread wider than it: noise that could read so by chance.
+        change = [0.80, 1.40, 0.70]
+        assert all(c > 1.25 * b for b, c in zip(self.CPU, change))
+        found, unresolved = perf_ab.tripwire(self._runs(change), self.SPEC)
+        assert found == []
+        assert len(unresolved) == 1
+        assert unresolved[0].startswith("UNRESOLVED: server_cpu_ms_per_op:churn-learn")
 
     def test_a_higher_is_better_metric_trips_downwards(self):
         base, change = [100.0, 102.0, 98.0], [70.0, 72.0, 60.0]
@@ -389,7 +399,7 @@ class TestTripwire:
         assert not perf_ab.trips(base, [80.0, 72.0, 60.0], firsts, "higher", 0.25)
 
     def test_an_incorrect_run_fails_it(self):
-        found = perf_ab.tripwire(self._runs(self.CPU, correct=False), self.SPEC)
+        found, _ = perf_ab.tripwire(self._runs(self.CPU, correct=False), self.SPEC)
         assert found and all(line.startswith("FAILED RUN") for line in found)
 
     @needs_git
@@ -412,7 +422,7 @@ class TestTripwire:
         monkeypatch.setattr(perf_ab, "measure", measure)
         ledger_path = tmp_path / "ledger.json"
         code = perf_ab.main(["--base", "HEAD", "--seed-base", "5000", "--tripwire",
-                             "--pairs", "3", "--seconds", "6", "--ledger", str(ledger_path)])
+                             "--ledger", str(ledger_path)])
         assert code == 1  # fresh_mean_ms and CPU per op are 1.5x in every pair
         assert seen == {"pairs": 3, "seconds": 6.0}
         assert not ledger_path.exists()
