@@ -15,6 +15,10 @@ Measures the four legs of the batched solver work and hard-gates each:
    shares and the acceptance speedup floor (>= 3x).
 4. **Scenario batching** — ``solve_batch`` over 50 independent
    problems versus the scalar loop; gates on exact parity.
+5. **Skewed history** — a 256-agent ``DynamicAllocator`` at decay 1
+   whose one agent holds 20 000 samples, every row due, one tick;
+   records the tick's time and tracemalloc peak and gates the peak at
+   32 MiB (a re-fit padded to the longest history peaked near 590 MiB).
 
 Run directly (``python benchmarks/bench_solver.py``) or via
 ``make bench-solver``; CI runs it as a smoke step and uploads the
@@ -31,6 +35,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +60,8 @@ MIN_TICK_SPEEDUP = 3.0
 MIN_FIT_SPEEDUP = 2.0
 FIT_PARITY_ATOL = 1e-9
 AGREEMENT_ATOL = 1e-6
+#: The skewed-history tick's tracemalloc peak must stay below this.
+MAX_SKEWED_PEAK_MIB = 32.0
 
 
 def best_of(repeats: int, run) -> float:
@@ -149,7 +156,7 @@ def bench_agreement(n_agents: int, repeats: int) -> dict:
     }
 
 
-def _make_allocator(n_agents: int):
+def _make_allocator(n_agents: int, decay: float = 0.85):
     names = sorted(BENCHMARKS)
     workloads = {
         f"{names[i % len(names)]}_{i}": get_workload(names[i % len(names)])
@@ -158,6 +165,7 @@ def _make_allocator(n_agents: int):
     return DynamicAllocator(
         workloads,
         capacities=(6.4 * n_agents, 1024.0 * n_agents),
+        decay=decay,
         seed=2014,
     )
 
@@ -251,6 +259,39 @@ def bench_tick(n_agents: int, epochs: int, samples_per_tick: int, repeats: int) 
     }
 
 
+def bench_skewed_refit(n_agents: int, long_history: int) -> dict:
+    """One tick re-fitting every row at decay 1 while one row holds a long history.
+
+    The re-fit's cost and memory should follow the rows and the samples
+    that arrived, not rows x the longest history.
+    """
+    allocator = _make_allocator(n_agents, decay=1.0)
+    names = list(allocator.agent_names)
+    rng = np.random.default_rng(2014)
+
+    def observe(name, count):
+        bundles = rng.uniform((0.5, 100.0), (6.0, 1000.0), size=(count, 2))
+        for bundle in bundles.tolist():
+            allocator.observe_sample(name, bundle, bundle[0] ** 0.3 * bundle[1] ** 0.2)
+
+    observe(names[0], long_history)
+    for name in names:
+        observe(name, 8)
+    tracemalloc.start()
+    start = time.perf_counter()
+    allocator.step(0, measure=False)
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "agents": n_agents,
+        "long_history": long_history,
+        "step_seconds": round(seconds, 6),
+        "peak_mib": round(peak / 2**20, 3),
+        "fitted": int(allocator.table.fitted.sum()),
+    }
+
+
 def bench_solve_batch(n_scenarios: int, n_agents: int, repeats: int) -> dict:
     rng = np.random.default_rng(99)
     problems = []
@@ -303,16 +344,19 @@ def main(argv=None) -> int:
     agreement = bench_agreement(16, args.repeats)
     tick = bench_tick(args.agents, args.epochs, args.samples_per_tick, args.repeats)
     scenarios = bench_solve_batch(args.scenarios, 32, args.repeats)
+    skewed = bench_skewed_refit(256, 20_000)
 
     payload = {
         "batch_fit": fit,
         "closed_form_vs_slsqp": agreement,
         "controller_tick": tick,
         "solve_batch": scenarios,
+        "skewed_refit": skewed,
         "min_tick_speedup": args.min_tick_speedup,
         "min_fit_speedup": args.min_fit_speedup,
         "fit_parity_atol": FIT_PARITY_ATOL,
         "agreement_atol": AGREEMENT_ATOL,
+        "max_skewed_peak_mib": MAX_SKEWED_PEAK_MIB,
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -330,6 +374,9 @@ def main(argv=None) -> int:
     print(f"{'solve_batch':<22} {scenarios['loop_seconds']:>11.4f} "
           f"{scenarios['batch_seconds']:>10.4f} {scenarios['speedup']:>7.2f}x "
           f"{scenarios['parity_max_abs_diff']:>10.2e}")
+    print(f"skewed history ({skewed['agents']} agents, one at {skewed['long_history']} "
+          f"samples, decay 1): tick {1e3 * skewed['step_seconds']:.1f} ms, "
+          f"peak {skewed['peak_mib']:.1f} MiB")
     print(f"wrote {args.output}")
 
     failures = []
@@ -358,6 +405,11 @@ def main(argv=None) -> int:
         failures.append(
             f"solve_batch not bit-identical "
             f"({scenarios['parity_max_abs_diff']:.2e})"
+        )
+    if skewed["peak_mib"] > MAX_SKEWED_PEAK_MIB:
+        failures.append(
+            f"skewed-history tick peaked at {skewed['peak_mib']} MiB "
+            f"> {MAX_SKEWED_PEAK_MIB} MiB"
         )
     for failure in failures:
         print(failure, file=sys.stderr)

@@ -20,7 +20,13 @@ import numpy as np
 
 from .utility import CobbDouglasUtility
 
-__all__ = ["CobbDouglasFit", "StackedFit", "fit_cobb_douglas", "fit_cobb_douglas_batch"]
+__all__ = [
+    "CobbDouglasFit",
+    "FitMoments",
+    "StackedFit",
+    "fit_cobb_douglas",
+    "fit_cobb_douglas_batch",
+]
 
 #: Elasticities fitted below this value are clamped to it so the resulting
 #: utility stays inside the (strictly positive exponent) Cobb-Douglas domain.
@@ -28,6 +34,13 @@ __all__ = ["CobbDouglasFit", "StackedFit", "fit_cobb_douglas", "fit_cobb_douglas
 #: that are insensitive to a resource (the paper's "negligible variance"
 #: cases such as radiosity).
 MIN_ELASTICITY = 1e-6
+
+#: Normal equations square the design's condition number, so a row of
+#: :class:`FitMoments` whose weighted design (or whose shifted normal
+#: equations) is conditioned worse than this is not solved from its
+#: statistics: :func:`fit_cobb_douglas_batch` leaves it NaN, for a
+#: re-fit from its samples by the SVD.
+MAX_MOMENTS_CONDITION = 1e6
 
 
 @dataclass(frozen=True)
@@ -213,12 +226,35 @@ def _assemble_fit(
 
 
 @dataclass(frozen=True)
-class StackedFit:
-    """Every agent's fit from one stacked solve, as arrays (row ``k`` = agent ``k``).
+class FitMoments:
+    """Weighted sufficient statistics of ``A`` log-space regressions.
 
-    The array form of a batch of :class:`CobbDouglasFit`: the epoch tick
-    gates and stores these columns directly, and :meth:`fits` packages
-    them per agent for everyone else.
+    Row ``k`` summarises samples ``j`` with weights ``w_j`` about its
+    origin ``o = origin[k]`` (the log of one of its samples, allocation
+    then performance): with the shifted design row
+    ``d_j = [1, log x_j - o[:R]]`` and target ``t_j = log u_j - o[R]``,
+    ``gram[k]`` is ``sum_j w_j d_j d_j^T`` and ``moment[k]`` is
+    ``sum_j w_j t_j d_j``.  The origin keeps the normal equations well
+    conditioned; it does not change the fit.  ``len()`` is ``A``.
+    """
+
+    #: ``(A, R + 1, R + 1)`` weighted Gram matrices of the shifted designs.
+    gram: np.ndarray
+    #: ``(A, R + 1)`` weighted moments of the shifted targets.
+    moment: np.ndarray
+    #: ``(A, R + 1)`` origins: log allocation, then log performance.
+    origin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gram)
+
+
+@dataclass(frozen=True)
+class StackedFit:
+    """Every row's fit from one solve of the normal equations, as arrays.
+
+    A row whose statistics were too ill-conditioned to solve holds NaN
+    ``alpha`` and ``scale`` (see :data:`MAX_MOMENTS_CONDITION`).
     """
 
     #: ``(A, R)`` fitted elasticities, clamped to :data:`MIN_ELASTICITY`.
@@ -227,63 +263,33 @@ class StackedFit:
     scale: np.ndarray
     #: ``(A,)`` condition numbers of the weighted log-space designs.
     condition: np.ndarray
-    r_squared: np.ndarray
-    r_squared_linear: np.ndarray
-    #: ``(A, m)`` log-space residuals, zero past each agent's sample count.
-    residuals: np.ndarray = field(repr=False)
-    #: ``(A,)`` sample counts.
-    counts: np.ndarray = field(repr=False)
-
-    def fits(self) -> List[CobbDouglasFit]:
-        """One :class:`CobbDouglasFit` per agent, in row order."""
-        return [
-            CobbDouglasFit(
-                utility=CobbDouglasUtility(self.alpha[k], scale=float(self.scale[k])),
-                r_squared=float(self.r_squared[k]),
-                r_squared_linear=float(self.r_squared_linear[k]),
-                residuals=self.residuals[k, : int(m)],
-                n_samples=int(m),
-                condition_number=float(self.condition[k]),
-            )
-            for k, m in enumerate(self.counts)
-        ]
 
 
-def fit_cobb_douglas_batch(
-    allocations,
-    performance,
-    weights=None,
-    counts: Optional[Sequence[int]] = None,
-):
-    """Fit every agent's Cobb-Douglas utility in one stacked lstsq solve.
-
-    Semantically equivalent to calling :func:`fit_cobb_douglas` once per
-    agent, but the ``A`` per-agent regressions are solved by a *single*
-    batched SVD over a zero-padded ``(A, max_samples, R + 1)`` design
-    tensor instead of ``A`` Python-looped LAPACK calls.  Zero-padded
-    rows contribute nothing to the normal equations, so each agent's
-    solution — coefficients, singular values, and therefore the
-    condition number — matches the per-agent SVD-based ``lstsq`` up to
-    floating-point noise.  This is the serving hot path: an epoch tick
-    refits every dirty agent with one call regardless of agent count.
+def fit_cobb_douglas_batch(allocations, performance=None, weights=None):
+    """Fit every agent's Cobb-Douglas utility in one batched solve.
 
     Two input forms:
 
-    * **ragged** (``counts=None``): ``allocations`` holds one
-      ``(n_k, R)`` array-like per agent, ``performance`` one strictly
-      positive ``(n_k,)`` array-like, ``weights`` optional per-agent
-      vectors (entries may be ``None`` for unweighted agents).  Returns
-      a list of :class:`CobbDouglasFit`, one per agent in input order.
-    * **stacked** (``counts`` given): ``allocations`` is an
-      ``(A, m, R)`` block, ``performance`` and ``weights`` (or ``None``)
-      are ``(A, m)``, and agent ``k``'s samples are its first
-      ``counts[k]`` rows, oldest first; entries past them are ignored.
-      Returns a :class:`StackedFit`.  This is the form the epoch tick
-      uses: no per-agent object is built.
-
-    Both forms pad to the largest sample count and solve through the
-    same kernel, so they agree bit for bit.  Inputs are checked in one
-    vectorised pass over the padded block.
+    * **ragged** (sample arrays): ``allocations`` holds one ``(n_k, R)``
+      array-like per agent, ``performance`` one strictly positive
+      ``(n_k,)`` array-like, ``weights`` optional per-agent vectors
+      (entries may be ``None`` for unweighted agents).  The ``A``
+      regressions are solved by *one* batched SVD over a zero-padded
+      ``(A, max n_k, R + 1)`` design tensor; zero-padded rows add
+      nothing to the normal equations, so each agent's coefficients,
+      singular values and condition number match
+      :func:`fit_cobb_douglas` up to floating-point noise.  Inputs are
+      checked in one vectorised pass.  Returns a list of
+      :class:`CobbDouglasFit`, one per agent in input order.
+    * **statistics** (``allocations`` is a :class:`FitMoments`, the
+      other arguments unused): each row's ``(R + 1)``-square normal
+      equations are solved about its origin in one batched pass, and
+      the intercept is moved back.  The condition number is the
+      un-shifted weighted design's, from its Gram matrix's eigenvalues.
+      A row beyond :data:`MAX_MOMENTS_CONDITION` is left NaN for a
+      re-fit from its samples.  Returns a :class:`StackedFit`.  This is
+      the epoch tick's form: its cost follows the rows, not their
+      histories, and no R² or residuals are computed.
 
     Raises
     ------
@@ -292,13 +298,41 @@ def fit_cobb_douglas_batch(
         index), mismatched outer lengths, or inconsistent resource
         counts across agents.
     """
-    if counts is None:
-        x, u, w, n = _pad_ragged(allocations, performance, weights)
-        if x is None:
-            return []
-        return _solve_stacked(x, u, w, n).fits()
-    x, u, w, n = _check_stacked(allocations, performance, weights, counts)
-    return _solve_stacked(x, u, w, n)
+    if isinstance(allocations, FitMoments):
+        return _solve_moments(allocations)
+    x, u, w, n = _pad_ragged(allocations, performance, weights)
+    if x is None:
+        return []
+    return _solve_padded(x, u, w, n)
+
+
+def _solve_moments(moments: FitMoments) -> StackedFit:
+    """The statistics kernel: batched eigenvalues and one batched solve."""
+    gram, moment, origin = moments.gram, moments.moment, moments.origin
+    n_agents, p = moment.shape
+    # The plain design row [1, log x] is `lift` times the shifted one.
+    lift = np.tile(np.eye(p), (n_agents, 1, 1))
+    lift[:, 1:, 0] = origin[:, :-1]
+    plain = lift @ gram @ lift.transpose(0, 2, 1)
+    spread = np.linalg.eigvalsh(plain)
+    shifted = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = np.where(
+            spread[:, 0] > 0, np.sqrt(spread[:, -1] / spread[:, 0]), np.inf
+        )
+    solvable = (condition <= MAX_MOMENTS_CONDITION) & (
+        shifted[:, -1] <= MAX_MOMENTS_CONDITION * shifted[:, 0]
+    )
+    coef = np.full((n_agents, p), np.nan)
+    coef[solvable] = np.linalg.solve(gram[solvable], moment[solvable, :, None])[:, :, 0]
+    # Move the intercept back: log u = c + alpha . log x with
+    # c = coef_0 + o_u - alpha . o_x (unclamped alpha, as solved).
+    log_scale = coef[:, 0] + origin[:, -1] - np.einsum("ar,ar->a", coef[:, 1:], origin[:, :-1])
+    return StackedFit(
+        alpha=np.maximum(coef[:, 1:], MIN_ELASTICITY),
+        scale=np.exp(log_scale),
+        condition=condition,
+    )
 
 
 def _pad_ragged(allocations, performance, weights):
@@ -360,31 +394,6 @@ def _pad_ragged(allocations, performance, weights):
     return x_block, u_block, w_block, counts
 
 
-def _check_stacked(allocations, performance, weights, counts):
-    """Shape- and value-check a stacked block in one vectorised pass."""
-    x = np.asarray(allocations, dtype=float)
-    u = np.asarray(performance, dtype=float)
-    n = np.asarray(counts, dtype=np.intp)
-    if x.ndim != 3:
-        raise ValueError(
-            f"stacked allocations must be (agents, samples, resources), got shape {x.shape}"
-        )
-    if u.shape != x.shape[:2] or n.shape != x.shape[:1]:
-        raise ValueError(
-            f"stacked performance {u.shape} and counts {n.shape} must match "
-            f"allocations {x.shape}"
-        )
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != u.shape:
-            raise ValueError(f"stacked weights must have shape {u.shape}, got {w.shape}")
-    if np.any(n > x.shape[1]):
-        raise ValueError("a sample count exceeds the stacked block")
-    _check_values(x, u, w, n)
-    return x, u, w, n
-
-
 def _check_values(x, u, w, counts) -> None:
     """`fit_cobb_douglas`'s value rules over every agent of a padded block."""
     n_resources = x.shape[2]
@@ -411,15 +420,14 @@ def _check_values(x, u, w, counts) -> None:
             raise ValueError(f"agent {k}: {message} (it has {int(counts[k])} sample(s))")
 
 
-def _solve_stacked(
+def _solve_padded(
     x: np.ndarray, u: np.ndarray, w: Optional[np.ndarray], counts: np.ndarray
-) -> StackedFit:
-    """The stacked kernel: one batched SVD over the zero-padded designs.
+) -> List[CobbDouglasFit]:
+    """The ragged form's kernel: one batched SVD over the zero-padded designs.
 
-    Only each agent's first ``counts[k]`` rows are read.  The padded
-    design, target and performance blocks are built exactly as a
-    per-agent loop would fill zero arrays (``log 1 == 0`` pads the log
-    blocks), so the SVD sees the same bits either way.
+    Only each agent's first ``counts[k]`` rows are read; the padded
+    design, target and performance blocks are zero past them
+    (``log 1 == 0`` pads the log blocks).
     """
     n_agents, m_max, n_resources = x.shape
     p = n_resources + 1
@@ -467,17 +475,20 @@ def _solve_stacked(
     # semantics as `_r_squared`).  Padded rows carry zero design, target,
     # and performance, so they vanish under the mask.
     residuals = (plain_target - log_pred) * mask
-    return StackedFit(
-        alpha=alpha,
-        scale=np.exp(log_scale),
-        condition=condition,
-        r_squared=_r_squared_stacked(plain_target, log_pred, counts, mask),
-        r_squared_linear=_r_squared_stacked(
-            u_padded, np.exp(log_pred) * mask, counts, mask
-        ),
-        residuals=residuals,
-        counts=counts,
-    )
+    scale = np.exp(log_scale)
+    r_squared = _r_squared_stacked(plain_target, log_pred, counts, mask)
+    r_squared_linear = _r_squared_stacked(u_padded, np.exp(log_pred) * mask, counts, mask)
+    return [
+        CobbDouglasFit(
+            utility=CobbDouglasUtility(alpha[k], scale=float(scale[k])),
+            r_squared=float(r_squared[k]),
+            r_squared_linear=float(r_squared_linear[k]),
+            residuals=residuals[k, : int(m)],
+            n_samples=int(m),
+            condition_number=float(condition[k]),
+        )
+        for k, m in enumerate(counts)
+    ]
 
 
 def _r_squared_stacked(

@@ -495,10 +495,8 @@ class CreditMechanism(Mechanism):
             if amount > 0:
                 metrics.child(self._METRICS[key]).inc(amount)
         balance = self._METRICS["balance"]
-        for resource, column in zip(problem.resource_names, clipped.T.tolist()):
-            histogram = metrics.child(balance, resource)
-            for value in column:
-                histogram.observe(value)
+        for resource, column in zip(problem.resource_names, clipped.T):
+            metrics.child(balance, resource).observe_many(column)
 
     def forget_agent(self, name: str) -> None:
         self._balances.pop(name, None)

@@ -93,7 +93,7 @@ _BATCH_FIT_AGENTS = Series(
 _BATCH_FIT_FALLBACKS = Series(
     "counter",
     "repro_solver_batch_fit_fallbacks_total",
-    "Stacked re-fit calls that fell back to per-agent fits.",
+    "Stacked re-fits that sent a row to the SVD.",
 )
 
 
@@ -348,9 +348,9 @@ class DynamicAllocator:
     :class:`~repro.profiling.online.AgentTable` kept in membership order
     (``agent_names``).  Samples are validated once, when
     :meth:`observe_sample` (or an internal measurement) writes them into
-    the agent's row; each tick re-fits every dirty row with one stacked
-    :func:`~repro.core.fitting.fit_cobb_douglas_batch` call, gates the
-    fits with array masks and hands the ``(N, R)`` report array to the
+    the agent's row; each tick solves every due row's statistics with
+    one :func:`~repro.core.fitting.fit_cobb_douglas_batch` call, gates
+    the fits with array masks and hands the ``(N, R)`` report array to the
     mechanism.  The solve's shares then run through the enforcement
     stages — ``floors``, then ``caps`` and ``exploration`` when learning
     — and :attr:`stage_record` keeps the shares after each.
@@ -709,29 +709,26 @@ class DynamicAllocator:
             return self._fallback_impl.solve(problem, context)
 
     def _refit_pending(self) -> None:
-        """Batched deferred re-fit: one stacked solve for every dirty row.
+        """Batched deferred re-fit: one solve of every due row's statistics.
 
         Samples only mark their row dirty.  The fleet profiler's re-fit
-        protocol gathers every row whose re-fit is due, one
+        protocol folds the table's statistics and gathers every row
+        whose re-fit is due, one
         :func:`~repro.core.fitting.fit_cobb_douglas_batch` call solves
-        them all, and the table's array masks gate the fits
-        (condition-number rejection and fallback counting included).  If
-        the stacked solve itself fails, each row falls back to a solve
-        of its own — one bad agent must not starve the others of updates.
+        their normal equations, and the table's array masks gate the
+        fits (condition-number rejection and fallback counting
+        included).  A row too ill-conditioned for the normal equations
+        is re-fitted alone from its samples by the SVD.
         """
         profiler = self._profiler
         if not profiler.needs_refit:
             return
         block = profiler.fit_inputs()
         with self.tracer.span("batch_refit", agents=len(block.rows)):
-            try:
-                fits = fit_cobb_douglas_batch(
-                    block.allocations, block.performance, block.weights, counts=block.counts
-                )
-            except (ValueError, np.linalg.LinAlgError):
+            fits = fit_cobb_douglas_batch(block.moments)
+            if np.isnan(fits.scale).any():
                 self.metrics.child(_BATCH_FIT_FALLBACKS).inc()
-                self.table.refit_alone(block.rows, fit_cobb_douglas_batch)
-                return
+                fits = self.table.refit_alone(block.rows, fits, fit_cobb_douglas_batch)
             profiler.apply_fit(fits)
         self.metrics.child(_BATCH_FITS).inc()
         self.metrics.child(_BATCH_FIT_AGENTS).observe(len(block.rows))

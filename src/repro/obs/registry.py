@@ -27,6 +27,8 @@ import threading
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
@@ -146,6 +148,29 @@ class Histogram:
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
+
+    def observe_many(self, values) -> None:
+        """Record each of ``values`` in order: the state one :meth:`observe`
+        per value leaves, for values that are not NaN.
+
+        One ``np.searchsorted`` on the bounds counts the buckets (its
+        left side is ``bisect_left``'s rule), and ``sum`` adds the values
+        one at a time, so it keeps ``observe``'s bits.
+        """
+        values = np.asarray(values, dtype=float).ravel()
+        if not values.size:
+            return
+        total = self.sum
+        for value in values.tolist():
+            total += value
+        self.count += values.size
+        self.sum = total
+        self.min = min(self.min, float(values.min()))
+        self.max = max(self.max, float(values.max()))
+        added = np.bincount(
+            np.searchsorted(self.buckets, values), minlength=len(self.bucket_counts)
+        )
+        self.bucket_counts = [n + k for n, k in zip(self.bucket_counts, added.tolist())]
 
     def quantile(self, q: float) -> float:
         """The ``q`` quantile estimated from the buckets.

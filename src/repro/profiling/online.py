@@ -11,10 +11,12 @@ columns: one row per agent, in membership order.  Each row starts from
 the naive equal-elasticity report, records (allocation, IPC)
 observations in a fixed-depth ring, and is re-fitted once enough
 linearly-independent samples accumulate, optionally weighting recent
-samples more heavily (software phases change).  The dynamic controller
-gathers every dirty row into one stacked fit per epoch tick;
-:class:`OnlineProfiler` is the single-agent API, a one-row view over
-the same table code that re-fits on every accepted observation.
+samples more heavily (software phases change).  Each row also keeps the
+weighted sufficient statistics of its log-space regression, so the
+dynamic controller re-fits every due row with one batched solve of
+their normal equations per epoch tick; :class:`OnlineProfiler` is the
+single-agent API, a one-row view over the same table code that re-fits
+from the samples on every accepted observation.
 
 The table is built to survive a *long-running* closed loop fed by an
 imperfect measurement pipeline:
@@ -40,7 +42,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.fitting import CobbDouglasFit, fit_cobb_douglas
+from ..core.fitting import CobbDouglasFit, FitMoments, StackedFit, fit_cobb_douglas
 from ..core.utility import CobbDouglasUtility, rescale_elasticities
 from ..obs import MetricsRegistry, Series
 
@@ -55,20 +57,15 @@ def validate_decay(decay: float) -> float:
 
 
 class FitBlock(NamedTuple):
-    """Rows due for a re-fit and their samples, as one stacked-fit input.
+    """Rows due for a re-fit and their statistics, as one batched-fit input.
 
-    Row ``k``'s samples fill the first ``counts[k]`` entries of
-    ``allocations`` ``(A, m, R)``, ``performance`` and ``weights``
-    ``(A, m)`` (``weights`` is ``None`` without decay), oldest first,
-    padded to the largest count — the layout
-    :func:`~repro.core.fitting.fit_cobb_douglas_batch` takes.
+    ``moments`` holds row ``rows[k]``'s statistics in its row ``k``: the
+    :class:`~repro.core.fitting.FitMoments` that
+    :func:`~repro.core.fitting.fit_cobb_douglas_batch` solves.
     """
 
     rows: np.ndarray
-    allocations: np.ndarray
-    performance: np.ndarray
-    weights: Optional[np.ndarray]
-    counts: np.ndarray
+    moments: FitMoments
 
 
 #: Counter columns of :attr:`AgentTable.counters`, in event order.
@@ -126,6 +123,24 @@ class AgentTable:
     elasticities the agent reports), ``condition`` (the last attempted
     re-fit's condition number) and ``counters`` (one column per entry of
     :data:`COUNTERS`).
+
+    Statistics
+    ----------
+    Each row keeps its ring's weighted Gram matrix and moment
+    (:class:`~repro.core.fitting.FitMoments`) about an origin, the log of
+    its first stored sample; the weights are ``decay ** age``, age 0 for
+    the newest sample (all one at decay 1, where no sample is ever
+    overwritten).  :meth:`observe` only counts the samples a row stored
+    since the last :meth:`fold`, and logs an already-folded sample before
+    a full bounded ring overwrites it.  The fold (run by :meth:`pending`,
+    so once per tick, and by :meth:`remove` before rows renumber) is
+    exact algebra over those weights: after ``q`` new samples the old
+    statistics scale by ``decay ** q``, the ``i``-th new sample
+    (``i = 0`` oldest) enters with weight ``decay ** (q - 1 - i)``, a
+    logged sample whose age at the last fold was ``a`` leaves with
+    weight ``decay ** (a + q)``, and a new sample overwritten before the
+    fold never enters.  Its cost follows the samples since the last
+    fold, not the histories.  The ring stays the only store of samples.
 
     The histories share one allocation arena ``(C, R)`` and one
     performance arena ``(C,)``: row ``i`` owns a ring segment of
@@ -197,18 +212,11 @@ class AgentTable:
         self.max_consecutive_outliers = max_consecutive_outliers
         # The fit keeps at least min_samples even if decay would age
         # them all out; identification beats forgetting.
+        self.max_history: Optional[int] = None
         if decay < 1.0:
-            self.max_history: Optional[int] = max(
+            self.max_history = max(
                 int(math.ceil(math.log(weight_floor) / math.log(decay))), min_samples
             )
-            # decay ** age for ages max_history - 1 .. 0: a history of n
-            # samples is weighted by the last n entries.
-            self._weights: Optional[np.ndarray] = decay ** np.arange(
-                self.max_history - 1, -1, -1, dtype=float
-            )
-        else:
-            self.max_history = None
-            self._weights = None
         self._naive = np.full(n_resources, 1.0 / n_resources)
         self._naive_report = rescale_elasticities(self._naive)
         self._metrics = metrics
@@ -221,6 +229,10 @@ class AgentTable:
         self._alloc = np.empty((0, n_resources))
         self._perf = np.empty(0)
         self._used = 0
+        # Folded samples a full ring overwrote since the last fold:
+        # (row, age at the last fold, *allocation, performance).
+        self._evicted: List[tuple] = []
+        p = n_resources + 1
         # Every per-row array, as the one row a new agent starts from;
         # they grow and shrink together on membership changes.
         self._fresh = {
@@ -228,6 +240,12 @@ class AgentTable:
             "_depth": np.full(1, self._first_depth, dtype=np.intp),
             "_head": np.zeros(1, dtype=np.intp),
             "_streak": np.zeros(1, dtype=np.intp),
+            # Samples stored since the last fold, the origin, and the
+            # weighted second moments of z = [1, log x - o_x, log u - o_u]:
+            # the Gram matrix and, in its last column, the moment.
+            "_new": np.zeros(1, dtype=np.intp),
+            "_origin": np.zeros((1, p)),
+            "_stats": np.zeros((1, p + 1, p + 1)),
             # The every-axis-varied verdict, kept until the history changes.
             "_varied": np.zeros(1, dtype=bool),
             "_stale": np.ones(1, dtype=bool),
@@ -280,10 +298,12 @@ class AgentTable:
     def remove(self, name: str) -> None:
         """Drop agent ``name``'s row; later rows move up one, in order.
 
-        The row's arena segment is reclaimed when the arena is next
-        rebuilt.
+        The statistics are folded first: the eviction log names rows by
+        index.  The row's arena segment is reclaimed when the arena is
+        next rebuilt.
         """
         row = self.row(name)
+        self.fold()
         keep = np.arange(len(self.names) - 1)
         keep[row:] += 1
         for column in self._fresh:
@@ -354,12 +374,21 @@ class AgentTable:
             self._count(row, _OUTLIER)
             return False
         self._streak[row] = 0
-        n, depth = int(self.count[row]), int(self._depth[row])
+        n, depth, new = int(self.count[row]), int(self._depth[row]), int(self._new[row])
         if n == depth and self.max_history is None:
             depth *= 2
             self._move(row, depth)
         slot = int(self._head[row])
         at = int(self._start[row]) + slot
+        if n == 0:
+            self._origin[row, :-1] = np.log(arr)
+            self._origin[row, -1] = math.log(performance)
+        elif n == depth and new < depth:
+            # The oldest sample, folded at age depth - 1 - new, is overwritten.
+            self._evicted.append(
+                (row, depth - 1 - new, *self._alloc[at].tolist(), float(self._perf[at]))
+            )
+        self._new[row] = new + 1
         self._alloc[at] = arr
         self._perf[at] = performance
         self._head[row] = (slot + 1) % depth
@@ -445,13 +474,21 @@ class AgentTable:
         slots = self._slots(np.array([row]), n)[0]
         return self._alloc[slots], self._perf[slots]
 
+    def weights(self, row: int) -> Optional[np.ndarray]:
+        """Row ``row``'s sample weights ``decay ** age``, oldest first (None at decay 1)."""
+        if self.max_history is None:
+            return None
+        return self.decay ** np.arange(int(self.count[row]) - 1, -1, -1, dtype=float)
+
     def pending(self) -> np.ndarray:
         """Rows whose re-fit is due and could succeed, in row order.
 
         A row qualifies when it has unfitted samples, at least
         ``min_samples`` of them, and a full-rank design: every resource
-        sampled at two or more levels.
+        sampled at two or more levels.  The statistics are folded first,
+        so a tick keeps them current whether or not a row is due.
         """
+        self.fold()
         rows = np.flatnonzero(self.dirty & (self.count >= self.min_samples))
         stale = rows[self._stale[rows]]
         if stale.size:
@@ -474,19 +511,44 @@ class AgentTable:
         high = np.maximum.reduceat(samples, firsts, axis=0)
         return np.all(high > np.minimum.reduceat(samples, firsts, axis=0), axis=1)
 
+    def fold(self) -> None:
+        """Bring every row's statistics up to date with its ring.
+
+        See the class notes for the algebra; a fold with no sample
+        stored since the last one does nothing.
+        """
+        rows = np.flatnonzero(self._new)
+        if not rows.size:
+            return
+        new = self._new[rows]
+        # The new samples still in each ring, oldest first, and their ages.
+        kept = np.minimum(new, self.count[rows])
+        owner = np.repeat(rows, kept)
+        ages = np.repeat(np.cumsum(kept), kept) - 1 - np.arange(len(owner))
+        slots = self._start[owner] + (self._head[owner] - 1 - ages) % self._depth[owner]
+        samples = np.column_stack([self._alloc[slots], self._perf[slots]])
+        weights = self.decay ** ages.astype(float)
+        if self._evicted:
+            log = np.array(self._evicted)
+            self._evicted.clear()
+            gone = log[:, 0].astype(np.intp)
+            owner = np.concatenate([owner, gone])
+            samples = np.concatenate([samples, log[:, 2:]])
+            weights = np.concatenate([weights, -(self.decay ** (log[:, 1] + self._new[gone]))])
+        if self.max_history is not None:
+            self._stats[rows] *= (self.decay ** new.astype(float))[:, None, None]
+        z = np.empty((len(owner), self.n_resources + 2))
+        z[:, 0] = 1.0
+        z[:, 1:] = np.log(samples) - self._origin[owner]
+        np.add.at(self._stats, owner, (weights[:, None] * z)[:, :, None] * z[:, None, :])
+        self._new[rows] = 0
+
     def fit_block(self, rows: np.ndarray) -> FitBlock:
-        """``rows``' samples as one :class:`FitBlock`."""
-        counts = self.count[rows]
-        width = int(counts.max())
-        index = self._slots(rows, width)
-        allocations = np.take(self._alloc, index, axis=0)
-        performance = np.take(self._perf, index)
-        weights = None
-        if self._weights is not None:
-            history = len(self._weights)
-            ages = np.minimum(history - counts[:, None] + np.arange(width), history - 1)
-            weights = self._weights[ages]
-        return FitBlock(rows, allocations, performance, weights, counts)
+        """``rows``' statistics, folded up to date, as one :class:`FitBlock`."""
+        self.fold()
+        p = self.n_resources + 1
+        stats = self._stats[rows]
+        return FitBlock(rows, FitMoments(stats[:, :p, :p], stats[:, :p, p], self._origin[rows]))
 
     def apply_fits(
         self,
@@ -532,26 +594,27 @@ class AgentTable:
             self._metric("condition").set(math.inf)
             self._metric("fit_fallbacks").inc(rows.size)
 
-    def refit_alone(self, rows: np.ndarray, fit_batch: Callable) -> None:
-        """Re-fit each of ``rows`` with a stacked solve of its own.
+    def refit_alone(self, rows: np.ndarray, fit: StackedFit, fit_batch: Callable) -> StackedFit:
+        """``fit`` of ``rows``, with each row it left unsolved re-fitted by the SVD.
 
-        The fallback when one stacked solve over several rows fails:
-        one bad agent must not starve the others of updates.  A row
-        whose own solve fails too counts a fit fallback.
+        A row the statistics could not solve (NaN scale) is re-fitted
+        from its ring samples by the ragged form of ``fit_batch``
+        (:func:`~repro.core.fitting.fit_cobb_douglas_batch`), one row
+        per call, so rows are never padded together.  A row whose own
+        solve fails gets NaN parameters and an infinite condition
+        number, which :meth:`apply_fits` counts as a fit fallback.
         """
-        for k in range(len(rows)):
-            block = self.fit_block(rows[k : k + 1])
+        alpha, scale, condition = fit.alpha.copy(), fit.scale.copy(), fit.condition.copy()
+        for k in np.flatnonzero(np.isnan(scale)):
+            allocations, performance = self.samples(rows[k])
             try:
-                fit = fit_batch(
-                    block.allocations, block.performance, block.weights, counts=block.counts
-                )
+                (alone,) = fit_batch([allocations], [performance], [self.weights(rows[k])])
             except (ValueError, np.linalg.LinAlgError):
-                self.reject_fits(block.rows)
-            else:
-                self.apply_fits(block.rows, fit.alpha, fit.scale, fit.condition)
-        if self._metrics is not None and len(rows):
-            # Each row set the gauge to its own value; the re-fit's is the largest.
-            self._metric("condition").set(self.condition[rows].max())
+                condition[k] = np.inf
+                continue
+            alpha[k], scale[k] = alone.utility.alpha, alone.utility.scale
+            condition[k] = alone.condition_number
+        return StackedFit(alpha, scale, condition)
 
 
 def _table_setting(name: str) -> property:
@@ -573,11 +636,11 @@ class OnlineProfiler:
     the counters are all the table's.
 
     The deferred re-fit protocol covers every row of the profiler's
-    table: :attr:`needs_refit`, then :meth:`fit_inputs` (the due rows
-    as one :class:`FitBlock`), then :meth:`apply_fit` with the fit of
-    that block.  :meth:`over` binds a profiler to an existing table; the
-    dynamic controller runs the protocol over its whole fleet this way,
-    once per epoch tick.
+    table: :attr:`needs_refit`, then :meth:`fit_inputs` (the due rows'
+    statistics as one :class:`FitBlock`), then :meth:`apply_fit` with
+    the fit of that block.  :meth:`over` binds a profiler to an existing
+    table; the dynamic controller runs the protocol over its whole fleet
+    this way, once per epoch tick.
     """
 
     n_resources = _table_setting("n_resources")
@@ -638,7 +701,7 @@ class OnlineProfiler:
         return self.table.pending().size > 0
 
     def fit_inputs(self) -> FitBlock:
-        """The rows whose re-fit is due, gathered as one :class:`FitBlock`.
+        """The rows whose re-fit is due and their statistics, as one :class:`FitBlock`.
 
         :meth:`apply_fit` gates the fit of exactly these rows.
         """
@@ -653,11 +716,12 @@ class OnlineProfiler:
 
         ``fit`` is the :class:`~repro.core.fitting.StackedFit` of those
         rows (for a single row, a
-        :class:`~repro.core.fitting.CobbDouglasFit` too), or ``None``
-        when the solve itself failed.  Each row's fit passes the table's
-        gate: finite parameters and a condition number within
-        ``max_condition``; a degenerate fit is counted and discarded and
-        the row keeps its previous fit (or the naive prior).
+        :class:`~repro.core.fitting.CobbDouglasFit` too; a row left NaN
+        is a degenerate fit), or ``None`` when the solve itself failed.
+        Each row's fit passes the table's gate: finite parameters and a
+        condition number within ``max_condition``; a degenerate fit is
+        counted and discarded and the row keeps its previous fit (or the
+        naive prior).
         ``last_fit`` becomes ``fit`` when every row accepted it.  A
         single-agent profiler gates its row even without a gather.
         """
@@ -674,12 +738,14 @@ class OnlineProfiler:
             self._fit = fit
 
     def refit_now(self) -> None:
-        """Re-fit the single row now with :func:`~repro.core.fitting.fit_cobb_douglas`."""
-        block = self.fit_inputs()
-        weights = None if block.weights is None else block.weights[0]
+        """Re-fit the single row now from its samples with
+        :func:`~repro.core.fitting.fit_cobb_douglas`: the SVD reference the
+        statistics are checked against, with R² in ``last_fit``."""
+        self.fit_inputs()
+        allocations, performance = self.table.samples(0)
         try:
             fit: Optional[CobbDouglasFit] = fit_cobb_douglas(
-                block.allocations[0], block.performance[0], weights=weights
+                allocations, performance, weights=self.table.weights(0)
             )
         except (ValueError, np.linalg.LinAlgError):
             fit = None

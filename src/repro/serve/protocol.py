@@ -214,11 +214,42 @@ def _wire(kind: _Kind, default=MISSING, *, key: Optional[str] = None):
     return field(default=default, metadata={"kind": kind, "key": key})
 
 
+def _encoder(message: type) -> Callable[[object], Dict[str, object]]:
+    """The body of ``message.as_dict``, written out once from its field rows.
+
+    The fields become one dict display, in declaration order, up to the
+    first field whose empty default is left out; that field and every
+    later one get a statement each, so the keys keep their order.  An
+    encoder or a default is bound by name; the keys and names are the
+    class's own identifiers.
+    """
+    scope: Dict[str, object] = {}
+    display = [f"'version': {PROTOCOL_VERSION}"] if message._versioned else []
+    statements = []
+    for i, (name, key, _, encode, default, omit) in enumerate(message._fields):
+        value = f"values[{name!r}]"
+        if encode is not None:
+            scope[f"encode{i}"] = encode
+            value = f"encode{i}({value})"
+        if omit:
+            scope[f"default{i}"] = default
+            statements.append(f"if not values[{name!r}] == default{i}: payload[{key!r}] = {value}")
+        elif statements:
+            statements.append(f"payload[{key!r}] = {value}")
+        else:
+            display.append(f"{key!r}: {value}")
+    lines = ["values = self.__dict__", f"payload = {{{', '.join(display)}}}", *statements]
+    source = "def encode(self):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(source + "    return payload\n", scope)
+    return scope["encode"]
+
+
 class _Message:
     """The one codec: ``from_dict``/``as_dict`` by the fields' declarations.
 
-    Each subclass becomes a frozen dataclass, and its codec tables are
-    built once, when the class is defined.
+    Each subclass becomes a frozen dataclass, and its codec tables and
+    its encoder (:func:`_encoder`) are built once, when the class is
+    defined.
     """
 
     #: Whether ``as_dict`` writes ``"version"`` (every top-level message).
@@ -228,6 +259,7 @@ class _Message:
     _fields: Tuple[tuple, ...]
     _allowed: frozenset
     _required: frozenset
+    _encode: Callable[["_Message"], Dict[str, object]]
 
     def __init_subclass__(cls) -> None:
         dataclass(frozen=True)(cls)
@@ -238,6 +270,7 @@ class _Message:
         )
         cls._allowed = frozenset(row[1] for row in cls._fields) | {"version"}
         cls._required = frozenset(row[1] for row in cls._fields if row[4] is MISSING)
+        cls._encode = _encoder(cls)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]):
@@ -262,14 +295,7 @@ class _Message:
         return cls(**values)
 
     def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"version": PROTOCOL_VERSION} if self._versioned else {}
-        values = self.__dict__
-        for name, key, _, encode, default, omit in self._fields:
-            value = values[name]
-            if omit and value == default:
-                continue
-            payload[key] = value if encode is None else encode(value)
-        return payload
+        return self._encode()
 
 
 # ---------------------------------------------------------------------------

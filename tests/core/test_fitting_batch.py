@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fitting import fit_cobb_douglas, fit_cobb_douglas_batch
+from repro.core.fitting import (
+    MAX_MOMENTS_CONDITION,
+    FitMoments,
+    fit_cobb_douglas,
+    fit_cobb_douglas_batch,
+)
 
 
 def make_agents(n_agents, seed=2014, noise=0.02, weighted="mixed"):
@@ -158,55 +163,57 @@ class TestBatchValidation:
             )
 
 
-def stack(allocations, performance, weights, pad=np.nan):
-    """The ragged agents as one padded block (garbage past each count)."""
-    counts = np.array([len(p) for p in performance])
-    m = int(counts.max())
-    x = np.full((len(counts), m, 2), pad)
-    u = np.full((len(counts), m), pad)
-    w = np.full((len(counts), m), pad)
+def moments_of(allocations, performance, weights, origins=None):
+    """The agents' weighted statistics about their first samples (or ``origins``)."""
+    grams, moments, rows = [], [], []
     for k, (a, p, wk) in enumerate(zip(allocations, performance, weights)):
-        x[k, : len(p)], u[k, : len(p)] = a, p
-        w[k, : len(p)] = 1.0 if wk is None else wk
-    return x, u, w, counts
+        origin = np.append(np.log(a[0]), np.log(p[0])) if origins is None else origins[k]
+        w = np.ones(len(p)) if wk is None else wk
+        d = np.column_stack([np.ones(len(p)), np.log(a) - origin[:-1]])
+        t = np.log(p) - origin[-1]
+        grams.append((w[:, None] * d).T @ d)
+        moments.append((w[:, None] * d).T @ t)
+        rows.append(origin)
+    return FitMoments(np.array(grams), np.array(moments), np.array(rows))
 
 
-class TestStackedForm:
-    def test_matches_ragged_form_bit_for_bit(self):
+class TestStatisticsForm:
+    def test_matches_ragged_form(self):
         allocations, performance, weights = make_agents(12, seed=11)
         ragged = fit_cobb_douglas_batch(allocations, performance, weights)
-        x, u, w, counts = stack(allocations, performance, weights)
-        stacked = fit_cobb_douglas_batch(x, u, w, counts=counts)
-        assert stacked.alpha.shape == (12, 2)
+        moments = moments_of(allocations, performance, weights)
+        assert len(moments) == 12
+        fits = fit_cobb_douglas_batch(moments)
+        assert fits.alpha.shape == (12, 2)
         for k, fit in enumerate(ragged):
-            assert np.array_equal(stacked.alpha[k], fit.utility.alpha)
-            assert stacked.scale[k] == fit.utility.scale
-            assert stacked.condition[k] == fit.condition_number
-            assert stacked.r_squared[k] == fit.r_squared
-        for got, want in zip(stacked.fits(), ragged):
-            assert got.utility == want.utility and got.n_samples == want.n_samples
-            assert np.array_equal(got.residuals, want.residuals)
+            assert fits.alpha[k] == pytest.approx(fit.utility.alpha, abs=1e-9)
+            assert fits.scale[k] == pytest.approx(fit.utility.scale, rel=1e-9)
+            assert fits.condition[k] == pytest.approx(fit.condition_number, rel=1e-9)
 
-    def test_unweighted_block(self):
-        allocations, performance, _ = make_agents(5, seed=4)
-        x, u, _, counts = stack(allocations, performance, [None] * 5, pad=-7.0)
-        stacked = fit_cobb_douglas_batch(x, u, None, counts=counts)
-        for k, fit in enumerate(fit_cobb_douglas_batch(allocations, performance)):
-            assert np.array_equal(stacked.alpha[k], fit.utility.alpha)
+    def test_origin_moves_only_the_intercept_back(self):
+        allocations, performance, weights = make_agents(6, seed=4)
+        first = fit_cobb_douglas_batch(moments_of(allocations, performance, weights))
+        elsewhere = [np.array([3.0, -2.0, 1.5]) for _ in allocations]
+        moved = fit_cobb_douglas_batch(moments_of(allocations, performance, weights, elsewhere))
+        np.testing.assert_allclose(moved.alpha, first.alpha, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(moved.scale, first.scale, rtol=1e-10)
+        np.testing.assert_allclose(moved.condition, first.condition, rtol=1e-9)
 
-    def test_bad_row_is_named(self):
-        allocations, performance, weights = make_agents(4, seed=2)
-        x, u, w, counts = stack(allocations, performance, weights)
-        u[2, 0] = -1.0
-        with pytest.raises(ValueError, match="agent 2: performance"):
-            fit_cobb_douglas_batch(x, u, w, counts=counts)
-        counts[1] = 2
-        with pytest.raises(ValueError, match="agent 1: need at least"):
-            fit_cobb_douglas_batch(x, u, w, counts=counts)
-
-    def test_shapes_checked(self):
-        x = np.ones((3, 5, 2))
-        with pytest.raises(ValueError, match="counts"):
-            fit_cobb_douglas_batch(x, np.ones((3, 5)), None, counts=[5, 5])
-        with pytest.raises(ValueError, match="exceeds"):
-            fit_cobb_douglas_batch(x, np.ones((3, 5)), None, counts=[5, 6, 5])
+    def test_ill_conditioned_rows_are_left_to_the_svd(self):
+        # A ray of allocations: the design is rank-deficient, so its row
+        # comes back NaN (for a re-fit from its samples); the healthy
+        # row beside it is solved.
+        base = np.array([1.0, 2.0])
+        ray = np.vstack([base * s for s in (0.5, 1.0, 2.0, 4.0, 8.0)])
+        healthy = np.random.default_rng(0).uniform(0.1, 2.0, size=(6, 2))
+        fits = fit_cobb_douglas_batch(
+            moments_of(
+                [ray, healthy],
+                [np.array([0.4, 0.7, 1.3, 2.2, 4.1]), 1.3 * np.prod(healthy**0.4, axis=1)],
+                [None, None],
+            )
+        )
+        assert np.isnan(fits.alpha[0]).all() and np.isnan(fits.scale[0])
+        assert not fits.condition[0] <= MAX_MOMENTS_CONDITION
+        assert fits.alpha[1] == pytest.approx([0.4, 0.4], abs=1e-9)
+        assert fits.scale[1] == pytest.approx(1.3, rel=1e-9)

@@ -34,12 +34,7 @@ def refit(table):
     """One tick's re-fit of ``table``: the profiler protocol over its rows."""
     profiler = OnlineProfiler.over(table)
     if profiler.needs_refit:
-        block = profiler.fit_inputs()
-        profiler.apply_fit(
-            fit_cobb_douglas_batch(
-                block.allocations, block.performance, block.weights, counts=block.counts
-            )
-        )
+        profiler.apply_fit(fit_cobb_douglas_batch(profiler.fit_inputs().moments))
 
 
 class TestConfig:

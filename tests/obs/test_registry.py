@@ -3,6 +3,7 @@
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -103,6 +104,29 @@ class TestHistogram:
         loaded = MetricsRegistry.from_dict(data).get("h")
         assert loaded.bucket_counts == [0, 1, 0]
         assert loaded.quantile(1.0) == 1.5
+
+    def test_observe_many_leaves_the_state_of_one_observe_per_value(self):
+        rng = np.random.default_rng(3)
+        # Values on the bounds, past both ends, and a sum whose bits
+        # depend on the order of the additions.
+        values = np.concatenate(
+            [rng.normal(0.0, 0.4, size=500), [-0.5, 0.5, 0.0, -7.0, 7.0, 1e-17, 1e17, -1e17]]
+        )
+        rng.shuffle(values)
+        looped, batched = Histogram("h"), Histogram("h")
+        for hist in (looped, batched):
+            hist.observe(0.25)
+        for value in values:
+            looped.observe(value)
+        batched.observe_many(values[:123])
+        batched.observe_many(values[123:])
+        batched.observe_many([])
+        assert batched.bucket_counts == looped.bucket_counts
+        assert all(type(n) is int for n in batched.bucket_counts)
+        assert (batched.count, batched.min, batched.max) == (
+            looped.count, looped.min, looped.max
+        )
+        assert batched.sum.hex() == looped.sum.hex()
 
     def test_quantile_validation_and_empty(self):
         hist = Histogram("h")

@@ -148,11 +148,10 @@ def assert_same(profiler, reference):
         return
     for got, want in zip(history, expected):
         _assert_identical(got, want)
-    weights = profiler.table.fit_block(np.zeros(1, dtype=np.intp)).weights
+    weights = profiler.table.weights(0)
     expected_weights = reference.fit_inputs()[2]
     assert (weights is None) == (expected_weights is None)
     if weights is not None:
-        weights = weights[0]
         _assert_identical(weights, expected_weights)
     # The arrays are copies: writing over them must not reach the
     # profiler (the next comparison would catch it).

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.fitting import fit_cobb_douglas_batch
+from repro.core.fitting import StackedFit, fit_cobb_douglas_batch
 from repro.core.utility import CobbDouglasUtility
 from repro.obs import MetricsRegistry
 from repro.profiling.online import AgentTable, OnlineProfiler
@@ -26,8 +26,16 @@ def refit(table, fit_batch=fit_cobb_douglas_batch):
     if not profiler.needs_refit:
         return
     block = profiler.fit_inputs()
-    profiler.apply_fit(
-        fit_batch(block.allocations, block.performance, block.weights, counts=block.counts)
+    fits = fit_batch(block.moments)
+    if np.isnan(fits.scale).any():
+        fits = table.refit_alone(block.rows, fits, fit_batch)
+    profiler.apply_fit(fits)
+
+
+def unsolved(n_rows, n_resources=2):
+    """A fit that left every one of ``n_rows`` rows to the SVD."""
+    return StackedFit(
+        np.full((n_rows, n_resources), np.nan), np.full(n_rows, np.nan), np.full(n_rows, np.inf)
     )
 
 
@@ -76,10 +84,7 @@ class TestDeferredRefit:
         table = one_row_table()
         feed_row(table, (0.7, 0.3), 10)
         rows = table.pending()
-        block = table.fit_block(rows)
-        fits = fit_cobb_douglas_batch(
-            block.allocations, block.performance, block.weights, counts=block.counts
-        )
+        fits = fit_cobb_douglas_batch(table.fit_block(rows).moments)
         table.apply_fits(rows, fits.alpha, fits.scale, fits.condition)
         assert table.pending().size == 0
         assert table.alpha[0] == pytest.approx((0.7, 0.3), abs=1e-6)
@@ -135,8 +140,8 @@ class TestDeferredRefit:
 
 class TestStackedRefit:
     def test_rows_match_one_row_tables(self):
-        # One stacked solve over several rows equals each row solved on
-        # its own table: the padding never leaks across rows.
+        # One batched solve over several rows equals each row solved on
+        # its own table: no row's statistics leak into another's.
         stacked = AgentTable(decay=0.85)
         singles = []
         for k, alpha in enumerate([(0.7, 0.3), (0.2, 0.8), (0.5, 0.5)]):
@@ -160,13 +165,15 @@ class TestStackedRefit:
         feed_row(table, (0.4, 0.6), 10, row=1, seed=1)
         calls = []
 
-        def flaky(allocations, performance, weights, counts):
-            calls.append(len(counts))
-            if calls.count(1) == 2:
+        def flaky(allocations, performance, weights):
+            calls.append(len(allocations))
+            if len(calls) == 2:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return fit_cobb_douglas_batch(allocations, performance, weights, counts=counts)
+            return fit_cobb_douglas_batch(allocations, performance, weights)
 
-        table.refit_alone(table.pending(), flaky)
+        rows = table.pending()
+        fits = table.refit_alone(rows, unsolved(2), flaky)
+        table.apply_fits(rows, fits.alpha, fits.scale, fits.condition)
         assert calls == [1, 1]
         assert table.fitted.tolist() == [True, False]
         assert table.counters_of(1)["fit_fallbacks"] == 1
@@ -183,13 +190,15 @@ class TestStackedRefit:
         feed_row(table, (0.4, 0.6), 10, row=1, seed=1)
         calls = []
 
-        def flaky(allocations, performance, weights, counts):
-            calls.append(len(counts))
+        def flaky(allocations, performance, weights):
+            calls.append(len(allocations))
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return fit_cobb_douglas_batch(allocations, performance, weights, counts=counts)
+            return fit_cobb_douglas_batch(allocations, performance, weights)
 
-        table.refit_alone(table.pending(), flaky)
+        rows = table.pending()
+        fits = table.refit_alone(rows, unsolved(2), flaky)
+        table.apply_fits(rows, fits.alpha, fits.scale, fits.condition)
         assert table.fitted.tolist() == [False, True]
         assert np.isfinite(table.condition[1])
         assert registry.get("repro_online_fit_condition_number").value == np.inf
@@ -207,11 +216,9 @@ class TestStackedRefit:
         assert profiler.needs_refit
         block = profiler.fit_inputs()
         assert block.rows.tolist() == [0, 2]
-        assert block.counts.tolist() == [10, 12]
-        assert block.allocations.shape == (2, 12, 2)
-        fits = fit_cobb_douglas_batch(
-            block.allocations, block.performance, block.weights, counts=block.counts
-        )
+        assert len(block.moments) == 2
+        assert block.moments.gram.shape == (2, 3, 3)
+        fits = fit_cobb_douglas_batch(block.moments)
         profiler.apply_fit(fits)
         assert profiler.last_fit is fits
         assert table.fitted.tolist() == [True, False, True]
